@@ -16,8 +16,8 @@ from .errors import (BadMagicError, BoundsError, ConfigurationError, FormatError
 from .tensor import (ActTensor, Brick, FilterSet, LayerConfig, WindowAssignment,
                      brick_at, conv3d, dense_conv, pad_depth, window_bricks,
                      window_slices)
-from .sparsity import (IneffCriterion, ZERO, can_skip, effectual_mask, is_product,
-                       is_vector, mask_from_string, mask_to_string)
+from .sparsity import (GroupScope, IneffCriterion, ZERO, can_skip, effectual_mask,
+                       is_product, is_vector, mask_from_string, mask_to_string)
 from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
                         ViaiBrick, ViaiStore, ZfnafBrick, ZfnafStore,
                         decode_zfnaf, deserialize_store, encode_cviai, encode_roe,
@@ -27,7 +27,7 @@ from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
 from .dispatch import (BankLayout, DispatchEvent, DispatchRun, EmptyBrickCost,
                        RawDispatchSource, SyncPolicy, format_trace, run_dispatch,
                        stream_brick, stream_brick_weightaware, write_trace)
-from .sim import (ARCH_RUNNERS, CycleReport, GroupScope, TileConfig, encode_outputs,
+from .sim import (ARCH_RUNNERS, CycleReport, TileConfig, encode_outputs,
                   run_arch, run_baseline, run_cnv, run_cnv2, weight_product_table)
 from .workloads import (LayerData, SyntheticSpec, gen_synthetic, load_layer,
                         save_layer)

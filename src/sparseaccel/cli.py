@@ -33,10 +33,9 @@ import numpy as np
 from .encodings import Format
 from .errors import SparseAccelError, ValidationError
 from .dispatch import EmptyBrickCost, SyncPolicy
-from .sim import (CycleReport, GroupScope, TileConfig, run_arch,
-                  weight_product_table)
-from .sparsity import IneffCriterion, can_skip
-from .tensor import LayerConfig, window_bricks
+from .sim import CycleReport, TileConfig, run_arch
+from .sparsity import GroupScope, IneffCriterion
+from .tensor import LayerConfig
 from .workloads import LayerData, SyntheticSpec, gen_synthetic, load_layer, save_layer
 
 EXIT_OK = 0
@@ -162,23 +161,30 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# An int16 x int16 product is at most 2**30 in magnitude, so a float64 GEMM
+# summing one brick of them is exact while brick * 2**30 <= 2**53.
+MAX_EXACT_BRICK = 1 << 23
+
+
 def reference_output(arch: str, data: LayerData, layer: LayerConfig,
                      tile: TileConfig, act_crit: IneffCriterion,
                      weight_crit: IneffCriterion) -> np.ndarray:
-    """Window-by-window recomputation used as the equivalence check.
+    """Per-window-brick GEMM recomputation used as the equivalence check.
 
-    Walks bricks with the mask algebra directly instead of the vectorized
-    model, so a run's output is compared against an independent path.
+    For every filter offset (fx, fy) and depth brick, the strided slab of
+    that brick across all output windows is masked with its own skip rule
+    (effectual activations for cnv and cnv2; for cnv2 also the offsets
+    where every weight of the filter group is ineffectual) and multiplied
+    by the group's weights in one float64 GEMM, which is exact for bricks
+    up to MAX_EXACT_BRICK. Partial sums accumulate in int64. Nothing here
+    comes from the simulator, so a run's output is compared against an
+    independent path.
     """
-    a = data.acts.values.astype(np.int64)
-    w = data.filters.values.astype(np.int64)
     b = tile.brick
-    out = np.zeros((layer.ox, layer.oy, layer.f), dtype=np.int64)
-    if arch == "baseline":
-        groups = [(0, layer.f)]
-    elif arch == "cnv":
-        groups = [(0, layer.f)]
-    else:
+    if b > MAX_EXACT_BRICK:
+        raise ValidationError(
+            f"brick {b} exceeds {MAX_EXACT_BRICK}, the largest the reference sums exactly")
+    if arch == "cnv2":
         groups = []
         for lo in range(0, layer.f, tile.resident):
             hi = min(lo + tile.resident, layer.f)
@@ -187,29 +193,30 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
                               for g in range(lo, hi, tile.filters_per_tile))
             else:
                 groups.append((lo, hi))
-    prods = {}
-    if arch == "cnv2":
-        for glo, ghi in groups:
-            prods[(glo, ghi)] = weight_product_table(data.filters, weight_crit, b, glo, ghi)
-    for wx in range(layer.ox):
-        for wy in range(layer.oy):
-            for (x, y, ib) in window_bricks(layer, wx, wy, b):
+    else:
+        groups = [(0, layer.f)]
+    a = data.acts.values
+    if arch != "baseline":
+        a = np.where(act_crit.effectual(a), a, 0)
+    a = a.astype(np.float64)
+    w = data.filters.values
+    s = layer.stride
+    out = np.zeros((layer.ox * layer.oy, layer.f), dtype=np.int64)
+    for fx in range(layer.fx):
+        for fy in range(layer.fy):
+            slab = a[fx:fx + s * (layer.ox - 1) + 1:s,
+                     fy:fy + s * (layer.oy - 1) + 1:s].reshape(layer.ox * layer.oy, layer.i)
+            for ib in range(layer.i // b):
                 sl = slice(ib * b, (ib + 1) * b)
-                vals = a[x, y, sl]
-                fx = x - wx * layer.stride
-                fy = y - wy * layer.stride
-                if arch == "baseline":
-                    out[wx, wy, :] += w[:, fx, fy, sl] @ vals
-                    continue
-                mask = act_crit.effectual(vals)
-                if arch == "cnv":
-                    out[wx, wy, :] += w[:, fx, fy, sl] @ np.where(mask, vals, 0)
-                    continue
-                for (glo, ghi) in groups:
-                    skip = can_skip(mask, prods[(glo, ghi)][fx, fy, ib])
-                    kept = np.where(skip, 0, vals)
-                    out[wx, wy, glo:ghi] += w[glo:ghi, fx, fy, sl] @ kept
-    return out
+                vals = slab[:, sl]
+                for glo, ghi in groups:
+                    wts = w[glo:ghi, fx, fy, sl]
+                    kept = vals
+                    if arch == "cnv2":
+                        dead = weight_crit.ineffectual(wts).all(axis=0)
+                        kept = np.where(dead, 0.0, vals)
+                    out[:, glo:ghi] += (kept @ wts.T.astype(np.float64)).astype(np.int64)
+    return out.reshape(layer.ox, layer.oy, layer.f)
 
 
 def _run_one(arch: str, data: LayerData, layer: LayerConfig, tile: TileConfig,

@@ -16,7 +16,6 @@ returned untruncated.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,21 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dispatch import EmptyBrickCost, SyncPolicy
 from .encodings import Format, FootprintReport, footprint_bits
 from .errors import ConfigurationError
-from .sparsity import ZERO, IneffCriterion
+from .sparsity import ZERO, GroupScope, IneffCriterion
 from .tensor import ActTensor, FilterSet, LayerConfig, conv3d, dense_conv
-
-
-class GroupScope(enum.Enum):
-    """Which filters a weight-product skip must cover.
-
-    PASS_WIDE: every filter resident in the pass (tiles * filters_per_tile),
-    the configuration where a skip requires all resident weights dead.
-    PER_TILE: only the filters_per_tile filters of one tile; each tile gets
-    its own stream, lanes wait for the slowest tile.
-    """
-
-    PASS_WIDE = "pass"
-    PER_TILE = "tile"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ When a mask is rendered as a string, offset 0 is the leftmost character.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,19 @@ class IneffCriterion:
 
 
 ZERO = IneffCriterion()
+
+
+class GroupScope(enum.Enum):
+    """Which filters a weight-product skip must cover.
+
+    PASS_WIDE: every filter resident in the pass (tiles * filters_per_tile),
+    the configuration where a skip requires all resident weights dead.
+    PER_TILE: only the filters_per_tile filters of one tile; each tile gets
+    its own stream, lanes wait for the slowest tile.
+    """
+
+    PASS_WIDE = "pass"
+    PER_TILE = "tile"
 
 
 def _brick_values(brick) -> np.ndarray:

@@ -7,7 +7,7 @@ test. If the fast paths and these ever disagree, the fast paths lose.
 
 import numpy as np
 
-from sparseaccel import ActTensor, FilterSet, LayerConfig
+from sparseaccel import ActTensor, FilterSet, GroupScope, LayerConfig
 
 
 def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -28,6 +28,47 @@ def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.nda
                                 * int(weights[n, a, b, d])
                 out[wx][wy][n] = acc
     return np.asarray(out, dtype=np.int64)
+
+
+def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit) -> np.ndarray:
+    """Window-by-window, brick-by-brick output of one machine, in int64.
+
+    The slow twin of `cli.reference_output`: for every window and every
+    brick it applies the machine's skip rule to that brick alone, then adds
+    one brick-wide integer dot product per filter group. A cnv2 offset is
+    dropped when its activation is ineffectual or every weight of the group
+    is; groups are the pass's resident filters, or each tile's under
+    PER_TILE scope.
+    """
+    a = data.acts.values.astype(np.int64)
+    w = data.filters.values.astype(np.int64)
+    b = tile.brick
+    groups = [(0, layer.f)]
+    if arch == "cnv2":
+        groups = []
+        for lo in range(0, layer.f, tile.resident):
+            hi = min(lo + tile.resident, layer.f)
+            step = tile.filters_per_tile if tile.group_scope is GroupScope.PER_TILE else hi - lo
+            groups.extend((g, min(g + step, hi)) for g in range(lo, hi, step))
+    out = np.zeros((layer.ox, layer.oy, layer.f), dtype=np.int64)
+    for wx in range(layer.ox):
+        for wy in range(layer.oy):
+            for fx in range(layer.fx):
+                for fy in range(layer.fy):
+                    for ib in range(layer.i // b):
+                        sl = slice(ib * b, (ib + 1) * b)
+                        vals = a[wx * layer.stride + fx, wy * layer.stride + fy, sl]
+                        if arch != "baseline":
+                            vals = np.where(act_crit.effectual(vals), vals, 0)
+                        for glo, ghi in groups:
+                            wts = w[glo:ghi, fx, fy, sl]
+                            kept = vals
+                            if arch == "cnv2":
+                                dead = [all(weight_crit.ineffectual(wts[:, o]))
+                                        for o in range(b)]
+                                kept = np.where(dead, 0, vals)
+                            out[wx, wy, glo:ghi] += wts @ kept
+    return out
 
 
 def window_brick_costs(acts: np.ndarray, stride: int, fx: int, fy: int,

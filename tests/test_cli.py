@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -6,9 +7,14 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparseaccel.cli as cli
-from sparseaccel import load_layer
+import sparseaccel.sim as sim
+from sparseaccel import (ActTensor, FilterSet, GroupScope, IneffCriterion, LayerData,
+                         TileConfig, ValidationError, load_layer)
+
+from helpers import window_reference_output
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "weight_skip_demo.json"
@@ -125,6 +131,123 @@ def test_run_equivalence_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "equivalence" in err
+
+
+def _off_by_one(real):
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs).copy()
+        out[..., 0] += 1
+        return out
+    return corrupted
+
+
+@pytest.mark.parametrize("target, failing", [
+    ("dense_conv", {"baseline"}),
+    ("conv3d", {"cnv", "cnv2"}),
+])
+def test_run_catches_a_corrupted_simulator(tmp_path, monkeypatch, capsys, target, failing):
+    # the converse of the test above: the simulator is wrong, the reference is not
+    monkeypatch.setattr(sim, target, _off_by_one(getattr(sim, target)))
+    jout = tmp_path / "r.json"
+    rc = run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--json-out", str(jout))
+    assert rc == 3
+    assert "equivalence" in capsys.readouterr().err
+    rows = json.loads(jout.read_text())["rows"]
+    assert {r["arch"] for r in rows if r["verdict"] == "FAIL"} == failing
+
+
+def test_run_catches_cnv2_ignoring_the_weight_products(tmp_path, monkeypatch, capsys):
+    args = ("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--wt-crit", "abs:1")
+    assert run_cli(*args) == 0
+    real = sim.weight_product_table
+    monkeypatch.setattr(sim, "weight_product_table",
+                        lambda *a, **kw: np.zeros_like(real(*a, **kw)))
+    jout = tmp_path / "r.json"
+    assert run_cli(*args, "--json-out", str(jout)) == 3
+    assert "equivalence" in capsys.readouterr().err
+    rows = json.loads(jout.read_text())["rows"]
+    assert [r["arch"] for r in rows if r["verdict"] == "FAIL"] == ["cnv2"]
+
+
+def test_run_rejects_a_brick_the_reference_cannot_sum_exactly(monkeypatch, capsys):
+    assert cli.MAX_EXACT_BRICK * 2**30 == 2**53
+    data = load_layer(FIXTURE)
+    with pytest.raises(ValidationError):
+        cli.reference_output("baseline", data, data.layer_config(),
+                             TileConfig(brick=cli.MAX_EXACT_BRICK + 1),
+                             IneffCriterion(), IneffCriterion())
+    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", 2)  # the fixture's brick is 4
+    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE) == 2
+    assert "exactly" in capsys.readouterr().err
+
+
+def test_reference_output_is_independent_of_the_simulator():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    from_sim = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module in ("sim", "sparseaccel.sim")
+                for alias in node.names}
+    assert from_sim  # the CLI itself does use the simulator
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "reference_output")
+    nodes = [n for stmt in func.body for n in ast.walk(stmt)]
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert not names & (from_sim | {"sim", "sparseaccel"})
+    assert not (names | attrs) & {"conv3d", "dense_conv", "weight_product_table"}
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in nodes)
+
+
+CRITERIA = st.one_of(st.just("zero"),
+                     st.integers(0, 40).map(lambda t: f"abs:{t}"),
+                     st.integers(0, 6).map(lambda k: f"pow2:{k}"))
+
+
+@st.composite
+def reference_cases(draw):
+    brick = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    depth = draw(st.integers(1, 3 * brick))  # mostly not a brick multiple: padded
+    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ox, oy, f = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    vmax = draw(st.sampled_from([3, 40, 32767]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        arr = rng.integers(-vmax - 1, vmax + 1, size=shape)
+        arr[rng.random(shape) < rng.uniform(0.2, 0.8)] = 0
+        return arr
+
+    acts = values((fx + stride * (ox - 1), fy + stride * (oy - 1), depth))
+    wts = values((f, fx, fy, depth))
+    data = LayerData(ActTensor.padded(acts, brick), FilterSet.padded(wts, brick), stride, brick)
+    tile = TileConfig(tiles=draw(st.integers(1, 3)), filters_per_tile=draw(st.integers(1, 4)),
+                      lanes=4, brick=brick, group_scope=draw(st.sampled_from(GroupScope)))
+    return data, tile, IneffCriterion.parse(draw(CRITERIA)), IneffCriterion.parse(draw(CRITERIA))
+
+
+def assert_reference_matches_window_loop(data, tile, act_crit, weight_crit):
+    layer = data.layer_config()
+    for arch in cli.ARCH_CHOICES:
+        got = cli.reference_output(arch, data, layer, tile, act_crit, weight_crit)
+        want = window_reference_output(arch, data, layer, tile, act_crit, weight_crit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), arch
+
+
+@settings(max_examples=60, deadline=None)
+@given(reference_cases())
+def test_reference_output_matches_window_loop(case):
+    assert_reference_matches_window_loop(*case)
+
+
+def test_reference_output_exact_at_int16_extremes():
+    acts = np.full((4, 4, 64), -32768)
+    wts = np.full((5, 3, 3, 64), -32768)
+    data = LayerData(ActTensor(acts), FilterSet(wts), 1, 16)
+    tile = TileConfig(tiles=1, filters_per_tile=2, brick=16, group_scope=GroupScope.PER_TILE)
+    crit = IneffCriterion()
+    assert_reference_matches_window_loop(data, tile, crit, crit)
+    out = cli.reference_output("cnv2", data, data.layer_config(), tile, crit, crit)
+    assert (out == 3 * 3 * 64 * 2**30).all()
 
 
 def test_run_thread_cap(tmp_path, monkeypatch):
