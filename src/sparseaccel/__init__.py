@@ -22,11 +22,11 @@ from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
                         ViaiBrick, ViaiStore, ZfnafBrick, ZfnafStore,
                         decode_zfnaf, deserialize_store, encode_cviai, encode_roe,
                         encode_store, encode_zfnaf, encode_viai, decode_viai,
-                        decode_roe, fetch_brick_cviai, footprint_bits,
-                        offset_bits_for, pointer_bits_for)
+                        decode_roe, footprint_bits, offset_bits_for,
+                        pointer_bits_for)
 from .dispatch import (BankLayout, DispatchEvent, DispatchRun, EmptyBrickCost,
                        RawDispatchSource, SyncPolicy, format_trace, run_dispatch,
-                       stream_brick, stream_brick_weightaware, write_trace)
+                       stream_brick, write_trace)
 from .sim import (ARCH_RUNNERS, CycleReport, TileConfig, encode_outputs,
                   run_arch, run_baseline, run_cnv, run_cnv2, weight_product_table)
 from .workloads import (LayerData, SyntheticSpec, gen_synthetic, load_layer,
@@ -45,11 +45,10 @@ __all__ = [
     "ZfnafBrick", "ZfnafStore", "brick_at", "can_skip", "conv3d", "decode_roe",
     "decode_viai", "decode_zfnaf", "dense_conv", "deserialize_store",
     "effectual_mask", "encode_cviai", "encode_outputs", "encode_roe",
-    "encode_store", "encode_viai", "encode_zfnaf", "fetch_brick_cviai",
-    "footprint_bits", "format_trace", "gen_synthetic", "is_product", "is_vector",
-    "load_layer", "mask_from_string", "mask_to_string", "offset_bits_for",
-    "pad_depth", "pointer_bits_for", "run_arch", "run_baseline", "run_cnv",
-    "run_cnv2", "run_dispatch", "save_layer", "stream_brick",
-    "stream_brick_weightaware", "weight_product_table", "window_bricks",
-    "window_slices", "write_trace",
+    "encode_store", "encode_viai", "encode_zfnaf", "footprint_bits",
+    "format_trace", "gen_synthetic", "is_product", "is_vector", "load_layer",
+    "mask_from_string", "mask_to_string", "offset_bits_for", "pad_depth",
+    "pointer_bits_for", "run_arch", "run_baseline", "run_cnv", "run_cnv2",
+    "run_dispatch", "save_layer", "stream_brick", "weight_product_table",
+    "window_bricks", "window_slices", "write_trace",
 ]

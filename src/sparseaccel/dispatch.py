@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .sparsity import ZERO, IneffCriterion, can_skip, effectual_mask
+from .sparsity import ZERO, IneffCriterion, effectual_mask
 from .tensor import ActTensor, LayerConfig, window_slices
 
 
@@ -93,19 +93,6 @@ def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
     """
     values = np.asarray(getattr(brick, "values", brick))
     remaining = effectual_mask(values, crit)
-    out: list[tuple[int, int]] = []
-    while remaining.any():
-        j = int(np.argmax(remaining))
-        out.append((j, int(values[j])))
-        remaining[j] = False
-    return out
-
-
-def stream_brick_weightaware(brick, act_crit: IneffCriterion, prod) -> list[tuple[int, int]]:
-    """Like `stream_brick` but also drops offsets whose weight products are dead."""
-    values = np.asarray(getattr(brick, "values", brick))
-    skip = can_skip(effectual_mask(values, act_crit), prod)
-    remaining = ~skip
     out: list[tuple[int, int]] = []
     while remaining.any():
         j = int(np.argmax(remaining))

@@ -27,6 +27,16 @@ are big endian. Values are two's complement 16-bit. Every criterion
 classifies 0 as ineffectual, so a zero value field doubles as the
 end-of-pairs sentinel inside the fixed-size containers.
 
+The stores hold whole-tensor arrays, one row per brick in (x, y, brick)
+traversal order, and serialize through one field packer: `_bits` turns an
+array of unsigned fields into MSB-first bit planes, each layout above is
+those planes concatenated in field order, and `_pack`/`_unpack` map the
+flat bit sequence to bytes with `np.packbits`/`np.unpackbits`, zero padding
+the last byte. Decoding is total: a stream whose length differs from the
+size its header declares, whose pad bits are set, or whose fields break a
+layout rule raises a `FormatError` subclass, and any stream that loads
+re-serializes to the same bytes.
+
 Footprint accounting is exact: overhead ratios are `fractions.Fraction`
 values against the raw cost of X*Y*I*16 bits.
 """
@@ -40,9 +50,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundsError, ConfigurationError, FormatError, TruncatedError
+from .errors import (BoundsError, ConfigurationError, FormatError, TruncatedError,
+                     ValidationError)
 from .sparsity import ZERO, IneffCriterion, _KINDS
-from .tensor import ActTensor, Brick, pad_depth
+from .tensor import ActTensor, Brick, _as_int16, pad_depth
 
 VALUE_BITS = 16
 
@@ -54,61 +65,70 @@ def offset_bits_for(brick: int) -> int:
     return (brick - 1).bit_length()
 
 
-class _BitWriter:
-    """Accumulates fields MSB first; bytes come out big endian."""
-
-    def __init__(self):
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits < 0 or (nbits == 0 and value != 0):
-            raise ValueError(f"cannot write {value} in {nbits} bits")
-        if value < 0 or value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
-
-    def to_bytes(self) -> bytes:
-        pad = (-self._nbits) % 8
-        total = self._nbits + pad
-        return (self._acc << pad).to_bytes(total // 8, "big")
+def pointer_bits_for(pool_size: int) -> int:
+    """Width of a pointer that must address offsets 0..pool_size inclusive."""
+    return int(pool_size).bit_length()
 
 
-class _BitReader:
-    """Reads MSB-first fields out of a big-endian byte stream."""
-
-    def __init__(self, data: bytes):
-        self._value = int.from_bytes(data, "big")
-        self._total = len(data) * 8
-        self._pos = 0
-
-    @property
-    def bits_left(self) -> int:
-        return self._total - self._pos
-
-    def read(self, nbits: int) -> int:
-        if nbits > self.bits_left:
-            raise TruncatedError(
-                f"bit stream ends after {self._total} bits; "
-                f"needed {nbits} more at position {self._pos}"
-            )
-        shift = self._total - self._pos - nbits
-        self._pos += nbits
-        return (self._value >> shift) & ((1 << nbits) - 1)
-
-
-def _signed16(raw: int) -> int:
-    return raw - (1 << 16) if raw >= (1 << 15) else raw
+def _roe_fits(pairs, brick: int):
+    """Whether ``pairs`` (offset, value) pairs fit RoE's B*16-bit payload."""
+    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS
 
 
 def _pairs_for(values: np.ndarray, crit: IneffCriterion) -> list[tuple[int, int]]:
     keep = crit.effectual(values)
     return [(int(j), int(values[j])) for j in np.flatnonzero(keep)]
+
+
+# ---------------------------------------------------------------------------
+# the field packer
+# ---------------------------------------------------------------------------
+
+
+def _word_bytes(width: int) -> int:
+    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
+
+
+def _bits(values, width: int) -> np.ndarray:
+    """MSB-first bit planes of unsigned ``width``-bit fields.
+
+    Returns uint8 of shape ``values.shape + (width,)``; negative int16 values
+    come out as their two's complement.
+    """
+    n = _word_bytes(width)
+    words = np.asarray(values).astype(f">u{n}")
+    planes = np.unpackbits(words.view(np.uint8).reshape(words.shape + (n,)), axis=-1)
+    return planes[..., 8 * n - width:]
+
+
+def _ints(bits: np.ndarray) -> np.ndarray:
+    """Inverse of `_bits`: int64 fields from MSB-first planes on the last axis."""
+    width = bits.shape[-1]
+    n = _word_bytes(width)
+    if width < 8 * n:
+        bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(8 * n - width, 0)])
+    return np.packbits(bits, axis=-1).view(f">u{n}")[..., 0].astype(np.int64)
+
+
+def _pack(*segments: np.ndarray) -> bytes:
+    """Bit planes joined along their last axis, then flattened row by row
+    into bytes; the last byte is zero padded."""
+    return np.packbits(np.concatenate(segments, axis=-1)).tobytes()
+
+
+def _unpack(body: bytes, nbits: int) -> np.ndarray:
+    """The first ``nbits`` bits of ``body``, which must hold exactly them."""
+    need = -(-nbits // 8)
+    if len(body) < need:
+        raise TruncatedError(f"payload of {len(body)} bytes is shorter than the "
+                             f"{need} bytes ({nbits} bits) its header declares")
+    if len(body) > need:
+        raise FormatError(f"{len(body) - need} trailing bytes after the "
+                          f"{need}-byte payload its header declares")
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))
+    if bits[nbits:].any():
+        raise FormatError("pad bits after the last field are not zero")
+    return bits[:nbits]
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +159,6 @@ class ZfnafBrick:
         for off, val in self.pairs:
             out[off] = val
         return out
-
-    def pack_into(self, w: _BitWriter) -> None:
-        ob = self.offset_bits
-        for slot in range(self.brick):
-            off, val = self.pairs[slot] if slot < len(self.pairs) else (0, 0)
-            w.write(val & 0xFFFF, VALUE_BITS)
-            w.write(off, ob)
-
-    def pack_bytes(self) -> bytes:
-        w = _BitWriter()
-        self.pack_into(w)
-        return w.to_bytes()
-
-    @classmethod
-    def unpack_from(cls, r: _BitReader, x: int, y: int, i: int, brick: int) -> "ZfnafBrick":
-        ob = offset_bits_for(brick)
-        pairs: list[tuple[int, int]] = []
-        done = False
-        for _ in range(brick):
-            val = _signed16(r.read(VALUE_BITS))
-            off = r.read(ob)
-            if val == 0:
-                done = True
-                if off != 0:
-                    raise FormatError("nonzero offset in a zero-filled slot")
-                continue
-            if done:
-                raise FormatError("value slot found after the zero-fill sentinel")
-            if pairs and off <= pairs[-1][0]:
-                raise FormatError("offsets are not strictly increasing")
-            pairs.append((off, val))
-        return cls(x, y, i, brick, pairs)
 
 
 def encode_zfnaf(brick: Brick, crit: IneffCriterion = ZERO) -> ZfnafBrick:
@@ -222,54 +210,11 @@ class RoeBrick:
             out[off] = val
         return out
 
-    def pack_into(self, w: _BitWriter) -> None:
-        w.write(1 if self.encoded else 0, 1)
-        if self.encoded:
-            ob = self.offset_bits
-            for off, val in self.pairs:
-                w.write(off, ob)
-                w.write(val & 0xFFFF, VALUE_BITS)
-            w.write(0, self.brick * VALUE_BITS - len(self.pairs) * (VALUE_BITS + ob))
-        else:
-            for val in self.raw:
-                w.write(int(val) & 0xFFFF, VALUE_BITS)
-
-    def pack_bytes(self) -> bytes:
-        w = _BitWriter()
-        self.pack_into(w)
-        return w.to_bytes()
-
-    @classmethod
-    def unpack_from(cls, r: _BitReader, x: int, y: int, i: int, brick: int) -> "RoeBrick":
-        encoded = bool(r.read(1))
-        payload = brick * VALUE_BITS
-        if not encoded:
-            raw = np.array([_signed16(r.read(VALUE_BITS)) for _ in range(brick)], dtype=np.int16)
-            return cls(x, y, i, brick, False, raw=raw)
-        ob = offset_bits_for(brick)
-        pairs: list[tuple[int, int]] = []
-        left = payload
-        while left >= ob + VALUE_BITS:
-            off = r.read(ob)
-            val = _signed16(r.read(VALUE_BITS))
-            left -= ob + VALUE_BITS
-            if val == 0:
-                if off != 0:
-                    raise FormatError("nonzero offset in RoE zero padding")
-                break
-            if pairs and off <= pairs[-1][0]:
-                raise FormatError("RoE offsets are not strictly increasing")
-            pairs.append((off, val))
-        if r.read(left) != 0:
-            raise FormatError("RoE padding bits are not zero")
-        return cls(x, y, i, brick, True, pairs=pairs)
-
 
 def encode_roe(brick: Brick, crit: IneffCriterion = ZERO) -> RoeBrick:
     """Encode one brick, falling back to raw storage when pairs do not fit."""
     pairs = _pairs_for(brick.values, crit)
-    ob = offset_bits_for(brick.size)
-    if len(pairs) * (VALUE_BITS + ob) <= brick.size * VALUE_BITS:
+    if _roe_fits(len(pairs), brick.size):
         return RoeBrick(brick.x, brick.y, brick.i, brick.size, True, pairs=pairs)
     return RoeBrick(brick.x, brick.y, brick.i, brick.size, False, raw=brick.values.copy())
 
@@ -304,23 +249,6 @@ class ViaiBrick:
 
     def decode_values(self) -> np.ndarray:
         return np.where(self.mask, self.values, 0).astype(np.int16)
-
-    def pack_into(self, w: _BitWriter) -> None:
-        for bit in self.mask:
-            w.write(int(bit), 1)
-        for val in self.values:
-            w.write(int(val) & 0xFFFF, VALUE_BITS)
-
-    def pack_bytes(self) -> bytes:
-        w = _BitWriter()
-        self.pack_into(w)
-        return w.to_bytes()
-
-    @classmethod
-    def unpack_from(cls, r: _BitReader, x: int, y: int, i: int, brick: int) -> "ViaiBrick":
-        mask = np.array([bool(r.read(1)) for _ in range(brick)])
-        values = np.array([_signed16(r.read(VALUE_BITS)) for _ in range(brick)], dtype=np.int16)
-        return cls(x, y, i, mask, values)
 
 
 def encode_viai(brick: Brick, crit: IneffCriterion = ZERO) -> ViaiBrick:
@@ -377,6 +305,29 @@ class FootprintReport:
         return Fraction(self.total_bits, self.raw_bits)
 
 
+def _container_bits(fmt: Format, n_bricks: int, brick: int, kept: int = 0) -> int:
+    """Exact payload size of ``n_bricks`` bricks; ``kept`` is CVIAI's pool size."""
+    if fmt is Format.RAW:
+        return n_bricks * brick * VALUE_BITS
+    if fmt is Format.ZFNAF:
+        return n_bricks * brick * (VALUE_BITS + offset_bits_for(brick))
+    if fmt is Format.ROE:
+        return n_bricks * (1 + brick * VALUE_BITS)
+    if fmt is Format.VIAI:
+        return n_bricks * brick * (1 + VALUE_BITS)
+    if fmt is Format.CVIAI:
+        return n_bricks * brick + kept * VALUE_BITS + n_bricks * pointer_bits_for(kept)
+    raise ConfigurationError(f"unknown format {fmt!r}")
+
+
+def _footprint(fmt: Format, dims: tuple[int, int, int], brick: int,
+               kept: int = 0) -> FootprintReport:
+    x, y, i = dims
+    n_bricks = x * y * (i // brick)
+    return FootprintReport(fmt, _container_bits(fmt, n_bricks, brick, kept),
+                           _container_bits(Format.RAW, n_bricks, brick))
+
+
 def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
     """Normalize to a depth-padded (X, Y, I) integer array plus logical depth."""
     if isinstance(acts, ActTensor):
@@ -391,17 +342,7 @@ def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
     return pad_depth(arr, brick), logical
 
 
-def pointer_bits_for(pool_size: int) -> int:
-    """Width of a pointer that must address offsets 0..pool_size inclusive."""
-    return int(pool_size).bit_length()
-
-
 _HEADER = struct.Struct(">BIIIIHBH")  # tag, X, Y, I, logical_i, B, crit kind, crit param
-
-
-def _pack_header(fmt: Format, x: int, y: int, i: int, logical_i: int,
-                 brick: int, crit: IneffCriterion) -> bytes:
-    return _HEADER.pack(fmt.tag, x, y, i, logical_i, brick, _KINDS.index(crit.kind), crit.param)
 
 
 def _unpack_header(data: bytes) -> tuple[Format, int, int, int, int, int, IneffCriterion, bytes]:
@@ -414,23 +355,34 @@ def _unpack_header(data: bytes) -> tuple[Format, int, int, int, int, int, IneffC
         raise FormatError(f"unknown criterion tag {kind}")
     try:
         crit = IneffCriterion(_KINDS[kind], param)
-    except Exception as exc:
+    except ValidationError as exc:
         raise FormatError(f"bad criterion in header: {exc}") from None
+    if 0 in (x, y, i, brick):
+        raise FormatError(f"header declares an empty tensor: dims ({x}, {y}, {i}), "
+                          f"brick {brick}")
+    if i % brick != 0:
+        raise FormatError(f"depth {i} is not a multiple of brick size {brick}")
+    if not 1 <= logical_i <= i:
+        raise FormatError(f"logical depth {logical_i} outside [1, {i}]")
     return _TAG_FORMATS[tag], x, y, i, logical_i, brick, crit, data[_HEADER.size:]
 
 
-class _BrickStore:
-    """Common shape bookkeeping for the per-brick stores."""
+class _Store:
+    """Shape bookkeeping, header and footprint shared by the four stores.
+
+    Subclasses build themselves from a (bricks, B) value matrix and its
+    effectuality mask (`_from_values`), write their payload (`_body`) and
+    read it back (`_read`), each as whole-array operations.
+    """
 
     format: Format = None  # set by subclasses
 
     def __init__(self, dims: tuple[int, int, int], logical_i: int, brick: int,
-                 crit: IneffCriterion, bricks: list):
+                 crit: IneffCriterion):
         self.x, self.y, self.i = dims
         self.logical_i = logical_i
         self.brick = brick
         self.crit = crit
-        self.bricks = bricks
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -450,100 +402,190 @@ class _BrickStore:
             raise BoundsError(f"brick ({x}, {y}, {ib}) outside ({self.x}, {self.y}, {nb})")
         return (x * self.y + y) * nb + ib
 
-    def decode(self) -> np.ndarray:
-        out = np.zeros(self.dims, dtype=np.int16)
-        nb = self.bricks_per_column
-        for idx, eb in enumerate(self.bricks):
-            x, rest = divmod(idx, self.y * nb)
-            y, ib = divmod(rest, nb)
-            out[x, y, ib * self.brick : (ib + 1) * self.brick] = eb.decode_values()
-        return out
+    def footprint(self) -> FootprintReport:
+        return _footprint(self.format, self.dims, self.brick)
 
     @classmethod
     def encode(cls, acts, crit: IneffCriterion = ZERO, brick: int = 16):
         arr, logical = _tensor_values(acts, brick)
-        x, y, depth = arr.shape
-        nb = depth // brick
-        bricks = []
-        for xi in range(x):
-            for yi in range(y):
-                for ib in range(nb):
-                    base = ib * brick
-                    b = Brick(xi, yi, base, arr[xi, yi, base : base + brick])
-                    bricks.append(cls._encode_brick(b, crit))
-        return cls((x, y, depth), logical, brick, crit, bricks)
+        vals = _as_int16(arr, 3, "activation tensor").reshape(-1, brick)
+        return cls._from_values((arr.shape, logical, brick, crit), vals, crit.effectual(vals))
 
     def to_bytes(self) -> bytes:
-        w = _BitWriter()
-        for eb in self.bricks:
-            eb.pack_into(w)
-        return _pack_header(self.format, self.x, self.y, self.i,
-                            self.logical_i, self.brick, self.crit) + w.to_bytes()
+        head = _HEADER.pack(self.format.tag, self.x, self.y, self.i, self.logical_i,
+                            self.brick, _KINDS.index(self.crit.kind), self.crit.param)
+        return head + self._body()
 
     @classmethod
     def from_bytes(cls, data: bytes):
         fmt, x, y, i, logical_i, brick, crit, body = _unpack_header(data)
         if fmt is not cls.format:
             raise FormatError(f"stream holds {fmt.value}, expected {cls.format.value}")
-        if brick < 1 or i % brick != 0:
-            raise FormatError(f"depth {i} is not a multiple of brick size {brick}")
-        r = _BitReader(body)
-        nb = i // brick
-        bricks = []
-        for xi in range(x):
-            for yi in range(y):
-                for ib in range(nb):
-                    bricks.append(cls._brick_type.unpack_from(r, xi, yi, ib * brick, brick))
-        return cls((x, y, i), logical_i, brick, crit, bricks)
+        return cls._read(((x, y, i), logical_i, brick, crit), x * y * (i // brick), body)
 
 
-class ZfnafStore(_BrickStore):
+def _front_pack(vals: np.ndarray, keep: np.ndarray):
+    """Kept (offset, value) pairs moved to the front of each row, zero filled."""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    counts = keep.sum(axis=1)
+    live = np.arange(vals.shape[1]) < counts[:, None]
+    offsets = np.where(live, order, 0)
+    values = np.where(live, np.take_along_axis(vals, order, axis=1), 0).astype(np.int16)
+    return offsets, values, counts
+
+
+def _check_offsets(offsets: np.ndarray, live: np.ndarray, brick: int) -> None:
+    """Stored pair offsets must rise strictly and address the brick."""
+    if ((np.diff(offsets, axis=1) <= 0) & live[:, 1:]).any():
+        raise FormatError("pair offsets are not strictly increasing")
+    if (offsets[live] >= brick).any():
+        raise FormatError(f"pair offset {int(offsets[live].max())} outside a brick of {brick}")
+
+
+class _PairStore(_Store):
+    """Front-packed per-brick (offset, value) pairs: ``offsets`` and
+    ``values`` of shape (bricks, B), the first ``counts[k]`` slots live."""
+
+    def __init__(self, dims, logical_i, brick, crit, offsets, values, counts):
+        super().__init__(dims, logical_i, brick, crit)
+        self.offsets = offsets
+        self.values = values
+        self.counts = counts
+
+    def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
+        k = self._index(x, y, ib)
+        n = self.counts[k]
+        return list(zip(self.offsets[k, :n].tolist(), self.values[k, :n].tolist()))
+
+    def decode(self) -> np.ndarray:
+        live = np.arange(self.brick) < self.counts[:, None]
+        out = np.zeros(self.offsets.shape, dtype=np.int16)
+        out[np.nonzero(live)[0], self.offsets[live]] = self.values[live]
+        return out.reshape(self.dims)
+
+
+class ZfnafStore(_PairStore):
     format = Format.ZFNAF
-    _brick_type = ZfnafBrick
-    _encode_brick = staticmethod(encode_zfnaf)
 
-    def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
-        """Stored (offset, value) pairs; already limited to effectual values."""
-        return list(self.bricks[self._index(x, y, ib)].pairs)
+    @classmethod
+    def _from_values(cls, meta, vals, keep):
+        return cls(*meta, *_front_pack(vals, keep))
 
-    def footprint(self) -> FootprintReport:
-        total = self.brick_count * self.brick * (VALUE_BITS + offset_bits_for(self.brick))
-        return FootprintReport(self.format, total, _raw_bits(self.dims))
+    def _body(self) -> bytes:
+        return _pack(_bits(self.values, VALUE_BITS),
+                     _bits(self.offsets, offset_bits_for(self.brick)))
+
+    @classmethod
+    def _read(cls, meta, n, body):
+        brick = meta[2]
+        slots = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, brick, -1)
+        values = _ints(slots[..., :VALUE_BITS]).astype(np.int16)
+        offsets = _ints(slots[..., VALUE_BITS:])
+        live = values != 0
+        if (offsets[~live] != 0).any():
+            raise FormatError("nonzero offset in a zero-filled slot")
+        if (live & np.logical_or.accumulate(~live, axis=1)).any():
+            raise FormatError("value slot found after the zero-fill sentinel")
+        _check_offsets(offsets, live, brick)
+        return cls(*meta, offsets, values, live.sum(axis=1))
 
 
-class RoeStore(_BrickStore):
+def _with_raw_rows(encoded, offsets, values, counts, dense):
+    """Fill RoE's raw-mode rows with all B pairs of their dense values."""
+    raw = ~encoded
+    offsets[raw] = np.arange(dense.shape[1])
+    values[raw] = dense[raw]
+    counts[raw] = dense.shape[1]
+    return encoded, offsets, values, counts
+
+
+class RoeStore(_PairStore):
+    """``encoded`` holds each brick's mode bit. A raw-mode brick stores all B
+    pairs, because its container carries no skip information."""
+
     format = Format.ROE
-    _brick_type = RoeBrick
-    _encode_brick = staticmethod(encode_roe)
 
-    def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
-        """Pairs for encoded bricks; raw-mode bricks stream every offset
-        because the container carries no skip information."""
-        rb = self.bricks[self._index(x, y, ib)]
-        if rb.encoded:
-            return list(rb.pairs)
-        return [(j, int(v)) for j, v in enumerate(rb.raw)]
+    def __init__(self, dims, logical_i, brick, crit, encoded, offsets, values, counts):
+        super().__init__(dims, logical_i, brick, crit, offsets, values, counts)
+        self.encoded = encoded
 
-    def footprint(self) -> FootprintReport:
-        total = self.brick_count * (1 + self.brick * VALUE_BITS)
-        return FootprintReport(self.format, total, _raw_bits(self.dims))
+    @classmethod
+    def _from_values(cls, meta, vals, keep):
+        offsets, values, counts = _front_pack(vals, keep)
+        encoded = _roe_fits(counts, meta[2])
+        return cls(*meta, *_with_raw_rows(encoded, offsets, values, counts, vals))
+
+    def _body(self) -> bytes:
+        n, payload = len(self.encoded), self.brick * VALUE_BITS
+        value_bits = _bits(self.values, VALUE_BITS)
+        pairs = np.concatenate([_bits(self.offsets, offset_bits_for(self.brick)), value_bits],
+                               axis=-1).reshape(n, -1)[:, :payload]
+        body = np.where(self.encoded[:, None], pairs, value_bits.reshape(n, payload))
+        return _pack(self.encoded[:, None], body)
+
+    @classmethod
+    def _read(cls, meta, n, body):
+        brick = meta[2]
+        ob, payload = offset_bits_for(brick), brick * VALUE_BITS
+        bits = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, 1 + payload)
+        encoded, payload_bits = bits[:, 0].astype(bool), bits[:, 1:]
+        raw = _ints(payload_bits.reshape(n, brick, VALUE_BITS)).astype(np.int16)
+        # read B (offset, value) slots over the zero-extended payload; slots
+        # past the last whole one that fits never hold a pair, and every bit
+        # after the pairs must be zero
+        slots = np.pad(payload_bits, [(0, 0), (0, brick * ob)]).reshape(n, brick, -1)
+        offs, vals = _ints(slots[..., :ob]), _ints(slots[..., ob:]).astype(np.int16)
+        fits = np.arange(brick) < payload // (VALUE_BITS + ob)
+        live = np.logical_and.accumulate((vals != 0) & fits, axis=1) & encoded[:, None]
+        if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():
+            raise FormatError("RoE padding bits are not zero")
+        _check_offsets(offs, live, brick)
+        return cls(*meta, *_with_raw_rows(encoded, np.where(live, offs, 0),
+                                          np.where(live, vals, 0).astype(np.int16),
+                                          live.sum(axis=1), raw))
 
 
-class ViaiStore(_BrickStore):
+class ViaiStore(_Store):
+    """``masks`` and in-place raw ``values``, both of shape (bricks, B)."""
+
     format = Format.VIAI
-    _brick_type = ViaiBrick
-    _encode_brick = staticmethod(encode_viai)
+
+    def __init__(self, dims, logical_i, brick, crit, masks, values):
+        super().__init__(dims, logical_i, brick, crit)
+        self.masks = masks
+        self.values = values
+
+    @classmethod
+    def _from_values(cls, meta, vals, keep):
+        return cls(*meta, keep, vals.copy())
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
-        vb = self.bricks[self._index(x, y, ib)]
-        return [(int(j), int(vb.values[j])) for j in np.flatnonzero(vb.mask)]
+        k = self._index(x, y, ib)
+        live = np.flatnonzero(self.masks[k])
+        return list(zip(live.tolist(), self.values[k, live].tolist()))
 
-    def footprint(self) -> FootprintReport:
-        total = self.brick_count * self.brick * (1 + VALUE_BITS)
-        return FootprintReport(self.format, total, _raw_bits(self.dims))
+    def decode(self) -> np.ndarray:
+        return np.where(self.masks, self.values, 0).astype(np.int16).reshape(self.dims)
+
+    def _body(self) -> bytes:
+        n = len(self.masks)
+        return _pack(self.masks, _bits(self.values, VALUE_BITS).reshape(n, -1))
+
+    @classmethod
+    def _read(cls, meta, n, body):
+        brick = meta[2]
+        bits = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, -1)
+        values = _ints(bits[:, brick:].reshape(n, brick, VALUE_BITS)).astype(np.int16)
+        return cls(*meta, bits[:, :brick].astype(bool), values)
 
 
-class CviaiStore:
+def _pointers(masks: np.ndarray, brick: int) -> np.ndarray:
+    """Exclusive prefix sum of the per-brick mask populations."""
+    counts = masks.reshape(-1, brick).sum(axis=1, dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+class CviaiStore(_Store):
     """Tensor-wide compressed store: masks, one packed value pool, and IR."""
 
     format = Format.CVIAI
@@ -551,115 +593,66 @@ class CviaiStore:
     def __init__(self, dims: tuple[int, int, int], logical_i: int, brick: int,
                  crit: IneffCriterion, masks: np.ndarray, packed: np.ndarray,
                  ir: np.ndarray):
-        self.x, self.y, self.i = dims
-        self.logical_i = logical_i
-        self.brick = brick
-        self.crit = crit
+        super().__init__(dims, logical_i, brick, crit)
         self.masks = masks      # (X, Y, I/B, B) bool
         self.packed = packed    # (n_effectual,) int16
         self.ir = ir            # (X, Y, I/B) int64 start offsets into packed
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.i)
-
-    @property
-    def bricks_per_column(self) -> int:
-        return self.i // self.brick
-
-    @property
-    def brick_count(self) -> int:
-        return self.x * self.y * self.bricks_per_column
-
-    @property
     def pointer_bits(self) -> int:
         return pointer_bits_for(len(self.packed))
 
-    def _check(self, x: int, y: int, ib: int) -> None:
-        nb = self.bricks_per_column
-        if not (0 <= x < self.x and 0 <= y < self.y and 0 <= ib < nb):
-            raise BoundsError(f"brick ({x}, {y}, {ib}) outside ({self.x}, {self.y}, {nb})")
+    @classmethod
+    def _from_values(cls, meta, vals, keep):
+        (x, y, depth), brick = meta[0], meta[2]
+        shape = (x, y, depth // brick)
+        return cls(*meta, keep.reshape(shape + (brick,)), vals[keep],
+                   _pointers(keep, brick).reshape(shape))
 
     def fetch(self, x: int, y: int, ib: int) -> tuple[np.ndarray, np.ndarray]:
         """Mask and packed effectual values of one brick, via the IR pointer."""
-        self._check(x, y, ib)
+        self._index(x, y, ib)
         mask = self.masks[x, y, ib]
         start = int(self.ir[x, y, ib])
         return mask.copy(), self.packed[start : start + int(mask.sum())].copy()
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
         mask, vals = self.fetch(x, y, ib)
-        return [(int(j), int(v)) for j, v in zip(np.flatnonzero(mask), vals)]
+        return list(zip(np.flatnonzero(mask).tolist(), vals.tolist()))
 
     def decode(self) -> np.ndarray:
         out = np.zeros(self.dims, dtype=np.int16)
-        flat_mask = self.masks.reshape(self.x, self.y, self.i)
-        out[flat_mask] = self.packed
+        out[self.masks.reshape(self.dims)] = self.packed
         return out
 
     def footprint(self) -> FootprintReport:
-        total = (self.brick_count * self.brick
-                 + len(self.packed) * VALUE_BITS
-                 + self.brick_count * self.pointer_bits)
-        return FootprintReport(self.format, total, _raw_bits(self.dims))
+        return _footprint(self.format, self.dims, self.brick, len(self.packed))
 
-    def to_bytes(self) -> bytes:
-        head = _pack_header(self.format, self.x, self.y, self.i,
-                            self.logical_i, self.brick, self.crit)
-        head += struct.pack(">Q", len(self.packed))
-        w = _BitWriter()
-        for bit in self.masks.reshape(-1):
-            w.write(int(bit), 1)
-        for val in self.packed:
-            w.write(int(val) & 0xFFFF, VALUE_BITS)
-        pb = self.pointer_bits
-        for ptr in self.ir.reshape(-1):
-            w.write(int(ptr), pb)
-        return head + w.to_bytes()
+    def _body(self) -> bytes:
+        segments = (self.masks, _bits(self.packed, VALUE_BITS), _bits(self.ir, self.pointer_bits))
+        return struct.pack(">Q", len(self.packed)) + _pack(*(s.reshape(-1) for s in segments))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CviaiStore":
-        fmt, x, y, i, logical_i, brick, crit, body = _unpack_header(data)
-        if fmt is not cls.format:
-            raise FormatError(f"stream holds {fmt.value}, expected {cls.format.value}")
-        if brick < 1 or i % brick != 0:
-            raise FormatError(f"depth {i} is not a multiple of brick size {brick}")
+    def _read(cls, meta, n, body):
         if len(body) < 8:
             raise TruncatedError("stream ends before the pool size field")
-        (pool,) = struct.unpack(">Q", body[:8])
-        r = _BitReader(body[8:])
-        nb = i // brick
-        n_bricks = x * y * nb
-        masks = np.array([bool(r.read(1)) for _ in range(n_bricks * brick)])
-        masks = masks.reshape(x, y, nb, brick)
+        (pool,) = struct.unpack_from(">Q", body)
+        (x, y, i), brick = meta[0], meta[2]
+        bits = _unpack(body[8:], _container_bits(cls.format, n, brick, pool))
+        masks, bits = bits[: n * brick].astype(bool), bits[n * brick:]
         if int(masks.sum()) != pool:
-            raise FormatError(
-                f"mask population {int(masks.sum())} != declared pool size {pool}"
-            )
-        packed = np.array([_signed16(r.read(VALUE_BITS)) for _ in range(pool)],
-                          dtype=np.int16)
-        pb = pointer_bits_for(pool)
-        ir = np.array([r.read(pb) for _ in range(n_bricks)],
-                      dtype=np.int64).reshape(x, y, nb)
-        return cls((x, y, i), logical_i, brick, crit, masks, packed, ir)
+            raise FormatError(f"mask population {int(masks.sum())} != declared pool size {pool}")
+        packed = _ints(bits[: pool * VALUE_BITS].reshape(pool, VALUE_BITS)).astype(np.int16)
+        ir = _ints(bits[pool * VALUE_BITS:].reshape(n, pointer_bits_for(pool)))
+        if not np.array_equal(ir, _pointers(masks, brick)):
+            raise FormatError("IR pointers differ from the prefix sums of the mask populations")
+        shape = (x, y, i // brick)
+        return cls(*meta, masks.reshape(shape + (brick,)), packed, ir.reshape(shape))
 
 
 def encode_cviai(acts, crit: IneffCriterion = ZERO, brick: int = 16) -> CviaiStore:
     """Encode a whole tensor; values pack in (x, y, brick) traversal order."""
-    arr, logical = _tensor_values(acts, brick)
-    x, y, depth = arr.shape
-    nb = depth // brick
-    masks = crit.effectual(arr).reshape(x, y, nb, brick)
-    flat_mask = masks.reshape(x, y, depth)
-    packed = np.asarray(arr, dtype=np.int16)[flat_mask]
-    counts = masks.sum(axis=3, dtype=np.int64).reshape(-1)
-    ir = np.concatenate(([0], np.cumsum(counts)[:-1])).reshape(x, y, nb)
-    return CviaiStore((x, y, depth), logical, brick, crit, masks, packed, ir)
-
-
-def fetch_brick_cviai(store: CviaiStore, x: int, y: int, ib: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indirection-based fetch of one brick's mask and packed values."""
-    return store.fetch(x, y, ib)
+    return CviaiStore.encode(acts, crit, brick)
 
 
 _STORE_TYPES = {
@@ -672,11 +665,9 @@ _STORE_TYPES = {
 
 def encode_store(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 16):
     """Encode a tensor in any of the four sparse formats."""
-    if fmt is Format.CVIAI:
-        return encode_cviai(acts, crit, brick)
-    if fmt in _STORE_TYPES:
-        return _STORE_TYPES[fmt].encode(acts, crit, brick)
-    raise ConfigurationError(f"cannot build an encoded store for format {fmt}")
+    if fmt not in _STORE_TYPES:
+        raise ConfigurationError(f"cannot build an encoded store for format {fmt}")
+    return _STORE_TYPES[fmt].encode(acts, crit, brick)
 
 
 def deserialize_store(data: bytes):
@@ -687,16 +678,6 @@ def deserialize_store(data: bytes):
     return _STORE_TYPES[fmt].from_bytes(data)
 
 
-# ---------------------------------------------------------------------------
-# footprints
-# ---------------------------------------------------------------------------
-
-
-def _raw_bits(dims: tuple[int, int, int]) -> int:
-    x, y, i = dims
-    return x * y * i * VALUE_BITS
-
-
 def footprint_bits(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 16) -> FootprintReport:
     """Exact bit cost of storing ``acts`` in the given format.
 
@@ -705,20 +686,5 @@ def footprint_bits(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 
     counted at 16 bits.
     """
     arr, _ = _tensor_values(acts, brick)
-    dims = arr.shape
-    raw = _raw_bits(dims)
-    n_bricks = dims[0] * dims[1] * (dims[2] // brick)
-    if fmt is Format.RAW:
-        total = raw
-    elif fmt is Format.ZFNAF:
-        total = n_bricks * brick * (VALUE_BITS + offset_bits_for(brick))
-    elif fmt is Format.ROE:
-        total = n_bricks * (1 + brick * VALUE_BITS)
-    elif fmt is Format.VIAI:
-        total = n_bricks * brick * (1 + VALUE_BITS)
-    elif fmt is Format.CVIAI:
-        kept = int(crit.effectual(arr).sum())
-        total = n_bricks * brick + kept * VALUE_BITS + n_bricks * pointer_bits_for(kept)
-    else:
-        raise ConfigurationError(f"unknown format {fmt!r}")
-    return FootprintReport(fmt, int(total), raw)
+    kept = int(crit.effectual(arr).sum()) if fmt is Format.CVIAI else 0
+    return _footprint(fmt, arr.shape, brick, kept)

@@ -5,6 +5,8 @@ Python loops, python ints, no shared helpers from the package under
 test. If the fast paths and these ever disagree, the fast paths lose.
 """
 
+import struct
+
 import numpy as np
 
 from sparseaccel import ActTensor, FilterSet, GroupScope, LayerConfig
@@ -156,3 +158,79 @@ def random_layer(rng: np.random.Generator, *, max_xy: int = 16, max_i: int = 64,
 
     layer = LayerConfig(x=x, y=y, i=i, fx=fx, fy=fy, f=f, stride=stride)
     return ActTensor(acts), FilterSet(wts), layer
+
+
+def _slow_effectual(value: int, kind: str, param: int) -> bool:
+    """The three criteria, restated: zero, abs:T (|v| > T), pow2:K (|v| >= 2**K)."""
+    if kind == "abs":
+        return abs(value) > param
+    if kind == "pow2":
+        return abs(value) >= 1 << param
+    return value != 0
+
+
+def slow_container_bytes(fmt: str, acts: np.ndarray, kind: str, param: int,
+                         brick: int, logical_i: int) -> bytes:
+    """A serialized store built from the `encodings` module docstring alone.
+
+    One python-int accumulator takes every field MSB first, brick by brick
+    in (x, y, depth) order; the last byte is zero padded. The header is
+    tag, X, Y, I, logical_i, B, criterion kind, criterion parameter, big
+    endian, and CVIAI puts its pool size as a 64-bit field before the bits.
+    """
+    tags = {"zfnaf": 1, "roe": 2, "viai": 3, "cviai": 4}
+    x, y, depth = acts.shape
+    head = struct.pack(">BIIIIHBH", tags[fmt], x, y, depth, logical_i, brick,
+                       ("zero", "abs", "pow2").index(kind), param)
+    acc, nbits = 0, 0
+
+    def put(value: int, width: int) -> None:
+        nonlocal acc, nbits
+        acc = (acc << width) | (value & ((1 << width) - 1))
+        nbits += width
+
+    bricks = [[int(v) for v in acts[a, b, ib * brick:(ib + 1) * brick]]
+              for a in range(x) for b in range(y) for ib in range(depth // brick)]
+    keep = [[_slow_effectual(v, kind, param) for v in vals] for vals in bricks]
+    ob = (brick - 1).bit_length()
+    if fmt == "cviai":
+        pool = sum(sum(k) for k in keep)
+        head += struct.pack(">Q", pool)
+        for k in keep:
+            for bit in k:
+                put(int(bit), 1)
+        for vals, k in zip(bricks, keep):
+            for v, bit in zip(vals, k):
+                if bit:
+                    put(v, 16)
+        start = 0
+        for k in keep:
+            put(start, pool.bit_length())
+            start += sum(k)
+    for vals, k in zip(bricks, keep):
+        pairs = [(o, v) for o, (v, bit) in enumerate(zip(vals, k)) if bit]
+        if fmt == "cviai":
+            continue
+        if fmt == "zfnaf":
+            for slot in range(brick):
+                off, val = pairs[slot] if slot < len(pairs) else (0, 0)
+                put(val, 16)
+                put(off, ob)
+        elif fmt == "roe":
+            if len(pairs) * (16 + ob) <= brick * 16:
+                put(1, 1)
+                for off, val in pairs:
+                    put(off, ob)
+                    put(val, 16)
+                put(0, brick * 16 - len(pairs) * (16 + ob))
+            else:
+                put(0, 1)
+                for v in vals:
+                    put(v, 16)
+        else:
+            for bit in k:
+                put(int(bit), 1)
+            for v in vals:
+                put(v, 16)
+    pad = -nbits % 8
+    return head + (acc << pad).to_bytes((nbits + pad) // 8, "big")

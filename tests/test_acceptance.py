@@ -15,7 +15,7 @@ from sparseaccel import (ActTensor, Brick, Format, LayerConfig, LayerData,
                          RawDispatchSource, SyncPolicy, SyntheticSpec, TileConfig,
                          ZERO, decode_roe, decode_viai, decode_zfnaf, dense_conv,
                          encode_cviai, encode_roe, encode_store, encode_viai,
-                         encode_zfnaf, fetch_brick_cviai, footprint_bits,
+                         encode_zfnaf, footprint_bits,
                          gen_synthetic, is_product, is_vector, load_layer,
                          mask_to_string, run_arch, run_baseline, run_cnv,
                          run_cnv2, run_dispatch, save_layer, stream_brick)
@@ -63,7 +63,7 @@ def test_criterion_02_mask_goldens():
 
         acts = ActTensor(np.array([1, 0, 0, 4], dtype=np.int16).reshape(1, 1, 4))
         store = encode_cviai(acts, brick=4)
-        mask, vals = fetch_brick_cviai(store, 0, 0, 0)
+        mask, vals = store.fetch(0, 0, 0)
         assert mask_to_string(mask) == "1001"
         assert vals.tolist() == [1, 4]
 

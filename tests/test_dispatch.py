@@ -5,8 +5,7 @@ from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost,
                          FilterSet, IneffCriterion, LayerConfig, RawDispatchSource,
                          SyncPolicy, TileConfig, ZERO, encode_store, format_trace,
                          run_cnv, run_cnv2, run_dispatch, stream_brick,
-                         stream_brick_weightaware, weight_product_table,
-                         write_trace, Format, load_layer)
+                         weight_product_table, write_trace, Format, load_layer)
 from sparseaccel.errors import ConfigurationError, FormatError
 
 from pathlib import Path
@@ -32,13 +31,6 @@ def test_stream_brick_orders_by_offset():
 def test_stream_brick_threshold():
     crit = IneffCriterion.abs_threshold(2)
     assert stream_brick(np.array([1, 5, 0, 2], dtype=np.int16), crit) == [(1, 5)]
-
-
-def test_stream_brick_weightaware():
-    vals = np.array([1, 0, 0, 4], dtype=np.int16)
-    prod = np.array([False, False, False, True])
-    assert stream_brick_weightaware(vals, ZERO, prod) == [(0, 1)]
-    assert stream_brick_weightaware(vals, ZERO, np.ones(4, dtype=bool)) == []
 
 
 def test_raw_source_detects_at_fetch():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparseaccel import (ActTensor, CviaiStore, Format, IneffCriterion, RoeStore,
                          ViaiStore, ZERO, ZfnafStore, decode_roe, decode_viai,
@@ -13,6 +13,8 @@ from sparseaccel import (ActTensor, CviaiStore, Format, IneffCriterion, RoeStore
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
+from helpers import slow_container_bytes
+
 # header layout, rebuilt here from first principles so the byte-level
 # goldens do not lean on the code under test
 HDR = struct.Struct(">BIIIIHBH")
@@ -21,6 +23,13 @@ TAG = {"raw": 0, "zfnaf": 1, "roe": 2, "viai": 3, "cviai": 4}
 
 def header(fmt: str, x=1, y=1, i=4, li=4, b=4, kind=0, param=0) -> bytes:
     return HDR.pack(TAG[fmt], x, y, i, li, b, kind, param)
+
+
+def bitstream(*fields) -> bytes:
+    """(value, width) fields MSB first, zero padded to whole bytes."""
+    text = "".join(format(v, f"0{w}b") if w else "" for v, w in fields)
+    text += "0" * (-len(text) % 8)
+    return int(text, 2).to_bytes(len(text) // 8, "big")
 
 
 def one_brick(values) -> Brick:
@@ -140,6 +149,10 @@ def test_roe_rejects_dirty_padding():
     body = bytes.fromhex("8000000000000000" + "80")
     with pytest.raises(FormatError, match="padding"):
         RoeStore.from_bytes(header("roe") + body)
+    # three whole pairs fill 54 of 64 payload bits; the 10 left hold no pair
+    full = bitstream((1, 1), (0, 2), (1, 16), (1, 2), (2, 16), (2, 2), (3, 16), (3, 2), (1, 8))
+    with pytest.raises(FormatError, match="padding"):
+        RoeStore.from_bytes(header("roe") + full)
 
 
 def test_roe_raw_mode_streams_every_offset():
@@ -289,6 +302,138 @@ def test_store_roundtrip_property(x, y, nb, brick, spec, seed):
         assert np.array_equal(store.decode(), expected), fmt
         back = deserialize_store(store.to_bytes())
         assert np.array_equal(back.decode(), expected), fmt
+
+
+ALL_FORMATS = (Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3),
+    st.sampled_from([1, 3, 4, 5, 16, 21]), st.integers(1, 42),
+    st.sampled_from(["zero", "abs:3", "abs:300", "pow2:2", "pow2:9"]),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 4, 4, "zero", 1.0, 0)      # empty CVIAI pool, zero-width pointers
+@example(2, 1, 21, 21, "abs:3", 0.0, 1)   # RoE raw mode at a 5-bit offset width
+def test_store_bytes_match_the_slow_packer(x, y, brick, depth, spec, p_zero, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(-32768, 32768, size=(x, y, depth)).astype(np.int16)
+    arr[rng.random(arr.shape) < p_zero] = 0
+    acts = ActTensor.padded(arr, brick)
+    crit = IneffCriterion.parse(spec)
+    for fmt in ALL_FORMATS:
+        want = slow_container_bytes(fmt.value, acts.values, crit.kind, crit.param,
+                                    brick, acts.logical_i)
+        assert encode_store(fmt, acts, crit, brick).to_bytes() == want, fmt
+
+
+def assert_total(blob: bytes) -> None:
+    """A stream either fails with a FormatError or re-serializes to itself."""
+    try:
+        store = deserialize_store(blob)
+    except FormatError:
+        return
+    assert store.to_bytes() == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=96))
+def test_arbitrary_bytes_load_only_if_they_round_trip(blob):
+    assert_total(blob)
+    for tag in TAG.values():
+        assert_total(bytes([tag]) + blob)
+
+
+@st.composite
+def valid_blobs(draw):
+    fmt = draw(st.sampled_from(ALL_FORMATS))
+    brick = draw(st.sampled_from([1, 3, 4, 5]))
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2)), brick * draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.integers(-40, 40, size=dims).astype(np.int16)
+    crit = IneffCriterion.parse(draw(st.sampled_from(["zero", "abs:5", "pow2:3"])))
+    return encode_store(fmt, ActTensor(arr), crit, brick).to_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_blobs(), st.integers(0, 2**16), st.integers(0, 255))
+def test_mutated_bytes_load_only_if_they_round_trip(blob, where, byte):
+    pos = where % len(blob)
+    assert_total(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_blobs(), st.data())
+def test_random_payloads_load_only_if_they_round_trip(blob, data):
+    keep = HDR.size + (8 if blob[0] == TAG["cviai"] else 0)
+    n = len(blob) - keep
+    assert_total(blob[:keep] + data.draw(st.binary(min_size=n, max_size=n)))
+
+
+# -- hostile streams, one named case each -----------------------------------
+
+def test_decoders_reject_trailing_bytes():
+    for fmt in ALL_FORMATS:
+        blob = encode_store(fmt, tensor([1, 0, 2, 0]), ZERO, brick=4).to_bytes()
+        with pytest.raises(FormatError, match="trailing"):
+            deserialize_store(blob + b"\0\0")
+
+
+def test_decoders_reject_nonzero_pad_bits():
+    # at brick 3 every format leaves pad bits in its last byte
+    for fmt in ALL_FORMATS:
+        blob = encode_store(fmt, tensor([1, 0, 2]), ZERO, brick=3).to_bytes()
+        with pytest.raises(FormatError, match="pad bits"):
+            deserialize_store(blob[:-1] + bytes([blob[-1] | 1]))
+
+
+def test_decoders_reject_logical_depth_outside_depth():
+    body = ZfnafStore.encode(tensor([1, 0, 2, 0]), ZERO, brick=4).to_bytes()[HDR.size:]
+    for li in (0, 5, 9):
+        with pytest.raises(FormatError, match="logical depth"):
+            deserialize_store(header("zfnaf", li=li) + body)
+
+
+def test_decoders_reject_zero_dims():
+    for dims in ({"x": 0}, {"y": 0}, {"i": 0, "li": 0}, {"b": 0}):
+        for fmt in ("zfnaf", "roe", "viai"):
+            with pytest.raises(FormatError, match="empty tensor"):
+                deserialize_store(header(fmt, **dims))
+        with pytest.raises(FormatError, match="empty tensor"):
+            deserialize_store(header("cviai", **dims) + struct.pack(">Q", 0))
+
+
+def test_decoders_check_payload_size_before_allocating():
+    with pytest.raises(TruncatedError):
+        deserialize_store(header("zfnaf", x=1 << 16, y=1 << 16) + bytes(9))
+    with pytest.raises(TruncatedError):
+        deserialize_store(header("viai", x=2**32 - 1, y=2**32 - 1) + bytes(9))
+    with pytest.raises(TruncatedError):
+        deserialize_store(header("cviai") + struct.pack(">Q", 2**64 - 1) + bytes(8))
+
+
+def test_pair_offsets_must_address_the_brick():
+    # brick 3 has 2-bit offsets, so a stored offset of 3 names no sample
+    zfnaf = bitstream((1, 16), (3, 2), (0, 18), (0, 18))
+    with pytest.raises(FormatError, match="outside a brick of 3"):
+        deserialize_store(header("zfnaf", i=3, li=3, b=3) + zfnaf)
+    roe = bitstream((1, 1), (3, 2), (1, 16), (0, 30))
+    with pytest.raises(FormatError, match="outside a brick of 3"):
+        deserialize_store(header("roe", i=3, li=3, b=3) + roe)
+    good = bitstream((1, 1), (2, 2), (1, 16), (0, 30))
+    assert deserialize_store(header("roe", i=3, li=3, b=3) + good).brick_pairs(0, 0, 0) == [(2, 1)]
+
+
+def test_cviai_rejects_pointers_off_the_prefix_sum():
+    head = header("cviai", y=2) + struct.pack(">Q", 3)
+    fields = [(0b1001, 4), (0b0100, 4), (1, 16), (4, 16), (3, 16), (0, 2)]
+    blob = head + bitstream(*fields, (2, 2))
+    arr = np.array([1, 0, 0, 4, 0, 3, 0, 0], dtype=np.int16).reshape(1, 2, 4)
+    assert encode_cviai(ActTensor(arr), ZERO, brick=4).to_bytes() == blob
+    assert CviaiStore.from_bytes(blob).brick_pairs(0, 1, 0) == [(1, 3)]
+    with pytest.raises(FormatError, match="prefix sums"):
+        CviaiStore.from_bytes(head + bitstream(*fields, (1, 2)))
 
 
 # -- footprints ------------------------------------------------------------
