@@ -27,15 +27,15 @@ from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
 from .dispatch import (BankLayout, DispatchEvent, DispatchRun, EmptyBrickCost,
                        RawDispatchSource, SyncPolicy, format_trace, run_dispatch,
                        stream_brick, write_trace)
-from .sim import (ARCH_RUNNERS, CycleReport, TileConfig, encode_outputs,
-                  run_arch, run_baseline, run_cnv, run_cnv2, weight_product_table)
+from .sim import (CycleReport, TileConfig, encode_outputs, run_arch, run_baseline,
+                  run_cnv, run_cnv2, weight_product_table)
 from .workloads import (LayerData, SyntheticSpec, gen_synthetic, load_layer,
                         save_layer)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCH_RUNNERS", "ActTensor", "BadMagicError", "BankLayout", "BoundsError",
+    "ActTensor", "BadMagicError", "BankLayout", "BoundsError",
     "Brick", "ConfigurationError", "CviaiStore", "CycleReport", "DispatchEvent",
     "DispatchRun", "EmptyBrickCost", "FilterSet", "Format", "FormatError",
     "FootprintReport", "GroupScope", "IneffCriterion", "LayerConfig", "LayerData",

@@ -12,20 +12,33 @@ In weight-aware mode a product table marks offsets whose weights are
 ineffectual in every resident filter, and the dispatcher drops those pairs
 too.
 
+The walk is computed for the whole layer at once. Every source hands over
+one front-packed pair table (`pair_table`: per-brick offsets, values and
+pair counts, in (x, y, brick) order); the dispatcher gathers its rows for
+every brick slot of every window, drops dead offsets, ranks the surviving
+pairs of each brick and stamps each pair with its cycle: the window's start,
+plus the start of the brick set (lockstep) or of the brick within its lane
+(window sync), plus the pair's rank.
+
 Events carry a cycle stamp, the lane, and either a pair or an idle marker.
-Trace lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``.
+A run keeps them as two columns over the (cycles x lanes) grid, cycle-major
+and in lane order within a cycle, and builds `DispatchEvent` objects only on
+access. Trace lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from .encodings import _front_pack
 from .errors import ConfigurationError, FormatError
 from .sparsity import ZERO, IneffCriterion, effectual_mask
-from .tensor import ActTensor, LayerConfig, window_slices
+from .tensor import ActTensor, LayerConfig
 
 
 class SyncPolicy(enum.Enum):
@@ -57,13 +70,60 @@ class DispatchEvent:
         return f"{self.cycle},{self.lane},{self.offset},{self.value}"
 
 
+class EventColumns(Sequence):
+    """A run's events as read-only offset and value columns.
+
+    Event i is cycle i // lanes on lane i % lanes; an offset of -1 marks an
+    idle lane-cycle, whose value is 0. Indexing builds `DispatchEvent`
+    objects on demand, and the columns compare equal to any sequence holding
+    the same events.
+    """
+
+    __hash__ = None
+
+    def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int):
+        offsets.flags.writeable = False
+        values.flags.writeable = False
+        self.offsets = offsets
+        self.values = values
+        self.lanes = lanes
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def _event(self, i: int, offset: int, value: int) -> DispatchEvent:
+        cycle, lane = divmod(i, self.lanes)
+        if offset < 0:
+            return DispatchEvent(cycle, lane)
+        return DispatchEvent(cycle, lane, offset, value)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"event {index} outside a stream of {len(self)}")
+        return self._event(i, int(self.offsets[i]), int(self.values[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventColumns(lanes={self.lanes}, cycles={len(self) // self.lanes})"
+
+
 @dataclass(frozen=True)
 class BankLayout:
     """Static mapping from brick coordinates to activation memory banks.
 
     Bricks at the same depth ordinal live in the same bank, so when the
     depth brick count is a multiple of the lane count each lane only ever
-    fetches from one bank.
+    fetches from one bank. `bank_of` also takes equal-shaped coordinate
+    arrays.
     """
 
     nm_banks: int = 16
@@ -74,15 +134,6 @@ class BankLayout:
 
     def bank_of(self, x: int, y: int, ib: int) -> int:
         return ib % self.nm_banks
-
-
-@dataclass
-class BrickBufferState:
-    """One lane's slot in the brick buffer: current brick plus pending offsets."""
-
-    lane: int
-    coord: tuple[int, int, int] | None = None
-    pending: list[tuple[int, int]] = field(default_factory=list)
 
 
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
@@ -104,8 +155,9 @@ def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
 class RawDispatchSource:
     """Detection-at-fetch source: a dense tensor plus a criterion.
 
-    Presents the same `brick_pairs` interface as the encoded stores, with
-    the comparator bank applied at fetch time instead of at encode time.
+    Presents the same `brick_pairs` and `pair_table` interface as the
+    encoded stores, with the comparator bank applied at fetch time instead
+    of at encode time.
     """
 
     def __init__(self, acts: ActTensor, crit: IneffCriterion = ZERO, brick: int = 16):
@@ -122,12 +174,21 @@ class RawDispatchSource:
         base = ib * self.brick
         return stream_brick(self.acts.values[x, y, base : base + self.brick], self.crit)
 
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Front-packed pairs of every brick, the comparators run over the whole tensor."""
+        vals = self.acts.values.reshape(-1, self.brick)
+        return _front_pack(vals, self.crit.effectual(vals))
+
 
 @dataclass
 class DispatchRun:
-    """Full event trace of one traversal plus its summary counters."""
+    """Full event trace of one traversal plus its summary counters.
 
-    events: list[DispatchEvent]
+    ``events`` holds ``lanes * cycles`` events, cycle-major and in lane
+    order within a cycle.
+    """
+
+    events: EventColumns
     cycles: int
     broadcasts: int
     lanes: int
@@ -135,20 +196,29 @@ class DispatchRun:
     fetch_pointers: dict[int, int]
 
     def lane_stream(self, lane: int) -> list[tuple[int, int]]:
-        """The (offset, value) pairs one lane sent, in cycle order."""
-        return [(e.offset, e.value) for e in self.events
-                if e.lane == lane and not e.is_idle]
+        """The (offset, value) pairs one lane sent, in cycle order; none for
+        a lane outside 0..lanes-1."""
+        if not 0 <= lane < self.lanes:
+            return []
+        offsets = self.events.offsets[lane::self.lanes]
+        sent = offsets >= 0
+        values = self.events.values[lane::self.lanes]
+        return list(zip(offsets[sent].tolist(), values[sent].tolist()))
 
 
 def _source_geometry(source) -> tuple[tuple[int, int, int], int]:
     dims = getattr(source, "dims", None)
     brick = getattr(source, "brick", None)
-    if dims is None or brick is None:
+    if dims is None or brick is None or not hasattr(source, "pair_table"):
         raise ConfigurationError(
-            f"{type(source).__name__} does not expose dims and brick; "
+            f"{type(source).__name__} does not expose dims, brick and pair_table; "
             "expected an encoded store or RawDispatchSource"
         )
     return tuple(dims), int(brick)
+
+
+def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
+    return np.cumsum(a, axis=axis) - a
 
 
 def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
@@ -175,6 +245,8 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
         raise FormatError(f"source dims {dims} do not match layer "
                           f"({layer.x}, {layer.y}, {layer.i})")
     layer.check_brick(brick)
+    if lanes < 1:
+        raise ConfigurationError(f"lane count must be at least 1, got {lanes}")
     nb = layer.i // brick
     if prod_table is not None:
         prod_table = np.asarray(prod_table, dtype=bool)
@@ -184,81 +256,60 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                 f"({layer.fx}, {layer.fy}, {nb}, {brick})"
             )
     banks = banks or BankLayout(nm_banks=lanes)
+    offsets, values, counts = source.pair_table()
 
-    buffers = [BrickBufferState(lane) for lane in range(lanes)]
-    fetch_pointers: dict[int, int] = {}
-    events: list[DispatchEvent] = []
-    busy = [0] * lanes
-    cycle = 0
-    one_cycle_drain = empty_brick_cost is EmptyBrickCost.ONE_CYCLE
+    # brick coordinates of every (window, slot), slots in `window_bricks`
+    # order; slot s goes to lane s % lanes in brick set s // lanes
+    n_slots = layer.fx * layer.fy * nb
+    fx, fy, ib = np.unravel_index(np.arange(n_slots), (layer.fx, layer.fy, nb))
+    wx, wy = np.unravel_index(np.arange(layer.ox * layer.oy), (layer.ox, layer.oy))
+    x = wx[:, None] * layer.stride + fx
+    y = wy[:, None] * layer.stride + fy
+    rows = (x * layer.y + y) * nb + ib                       # (windows, slots)
 
-    def load(lane: int, coord: tuple[int, int, int], wx: int, wy: int) -> list[tuple[int, int]]:
-        x, y, ib = coord
-        pairs = source.brick_pairs(x, y, ib)
-        if prod_table is not None:
-            fx = x - wx * layer.stride
-            fy = y - wy * layer.stride
-            dead = prod_table[fx, fy, ib]
-            pairs = [(o, v) for o, v in pairs if not dead[o]]
-        bank = banks.bank_of(x, y, ib)
-        fetch_pointers[bank] = fetch_pointers.get(bank, 0) + 1
-        buffers[lane].coord = coord
-        buffers[lane].pending = list(pairs)
-        return pairs
+    pair_offsets = offsets[rows]                             # (windows, slots, B)
+    live = np.arange(brick) < counts[rows][..., None]
+    if prod_table is not None:
+        dead = prod_table.reshape(n_slots, brick)
+        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]
+    rank = np.cumsum(live, axis=2) - 1
+    sent = live.sum(axis=2)
+    cost = np.maximum(sent, 1) if empty_brick_cost is EmptyBrickCost.ONE_CYCLE else sent
 
-    for wa in window_slices(layer, lanes, brick):
-        if policy is SyncPolicy.BRICKSET_LOCKSTEP:
-            n_sets = max(len(l) for l in wa.lanes)
-            for s in range(n_sets):
-                sends: list[list[tuple[int, int]]] = []
-                costs = []
-                for lane in range(lanes):
-                    if s < len(wa.lanes[lane]):
-                        pairs = load(lane, wa.lanes[lane][s], wa.wx, wa.wy)
-                        sends.append(pairs)
-                        costs.append(max(len(pairs), 1) if one_cycle_drain else len(pairs))
-                    else:
-                        sends.append([])
-                        costs.append(0)
-                set_len = max(costs)
-                for t in range(set_len):
-                    for lane in range(lanes):
-                        if t < len(sends[lane]):
-                            off, val = sends[lane][t]
-                            buffers[lane].pending.pop(0)
-                            events.append(DispatchEvent(cycle + t, lane, off, val))
-                            busy[lane] += 1
-                        else:
-                            events.append(DispatchEvent(cycle + t, lane))
-                cycle += set_len
-        else:
-            seqs: list[list[tuple[int, int] | None]] = []
-            for lane in range(lanes):
-                seq: list[tuple[int, int] | None] = []
-                for coord in wa.lanes[lane]:
-                    pairs = load(lane, coord, wa.wx, wa.wy)
-                    seq.extend(pairs)
-                    if not pairs and one_cycle_drain:
-                        seq.append(None)  # drain cycle for an empty brick
-                seqs.append(seq)
-            window_len = max(len(s) for s in seqs) if seqs else 0
-            for t in range(window_len):
-                for lane in range(lanes):
-                    if t < len(seqs[lane]) and seqs[lane][t] is not None:
-                        off, val = seqs[lane][t]
-                        events.append(DispatchEvent(cycle + t, lane, off, val))
-                        busy[lane] += 1
-                    else:
-                        events.append(DispatchEvent(cycle + t, lane))
-            cycle += window_len
+    n_sets = -(-n_slots // lanes)
+    lane_cost = np.zeros((len(rows), n_sets * lanes), dtype=np.int64)
+    lane_cost[:, :n_slots] = cost
+    lane_cost = lane_cost.reshape(len(rows), n_sets, lanes)
+    if policy is SyncPolicy.BRICKSET_LOCKSTEP:
+        set_len = lane_cost.max(axis=2)
+        slot_start = np.broadcast_to(_exclusive_cumsum(set_len, 1)[..., None], lane_cost.shape)
+        window_len = set_len.sum(axis=1)
+    else:
+        slot_start = _exclusive_cumsum(lane_cost, 1)
+        window_len = lane_cost.sum(axis=1).max(axis=1)
+    start = _exclusive_cumsum(window_len, 0)[:, None] \
+        + slot_start.reshape(len(rows), -1)[:, :n_slots]
+    cycles = int(window_len.sum())
 
-    broadcasts = sum(busy)
-    return DispatchRun(events, cycle, broadcasts, lanes, tuple(busy), fetch_pointers)
+    lane = np.broadcast_to((np.arange(n_slots) % lanes)[:, None], live.shape)[live]
+    at = ((start[..., None] + rank)[live]) * lanes + lane
+    event_offsets = np.full(cycles * lanes, -1, dtype=np.int32)
+    event_values = np.zeros(cycles * lanes, dtype=np.int16)
+    event_offsets[at] = pair_offsets[live]
+    event_values[at] = values[rows][live]
+
+    busy = np.bincount(lane, minlength=lanes)
+    bank = np.broadcast_to(banks.bank_of(x, y, ib), rows.shape)
+    fetches = np.bincount(bank.ravel())
+    return DispatchRun(EventColumns(event_offsets, event_values, lanes), cycles,
+                       int(busy.sum()), lanes, tuple(busy.tolist()),
+                       {int(b): int(n) for b, n in enumerate(fetches) if n})
 
 
 def format_trace(events) -> str:
-    """Line-oriented text form of an event stream."""
-    return "\n".join(e.trace_line() for e in events) + ("\n" if events else "")
+    """Line-oriented text form of any sequence of `DispatchEvent`."""
+    lines = [e.trace_line() for e in events]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_trace(events, path) -> None:

@@ -457,6 +457,10 @@ class _PairStore(_Store):
         n = self.counts[k]
         return list(zip(self.offsets[k, :n].tolist(), self.values[k, :n].tolist()))
 
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Front-packed ``offsets``, ``values`` and ``counts`` of every brick."""
+        return self.offsets, self.values, self.counts
+
     def decode(self) -> np.ndarray:
         live = np.arange(self.brick) < self.counts[:, None]
         out = np.zeros(self.offsets.shape, dtype=np.int16)
@@ -564,6 +568,10 @@ class ViaiStore(_Store):
         live = np.flatnonzero(self.masks[k])
         return list(zip(live.tolist(), self.values[k, live].tolist()))
 
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Front-packed offsets, values and counts of the masked-in values."""
+        return _front_pack(self.values, self.masks)
+
     def decode(self) -> np.ndarray:
         return np.where(self.masks, self.values, 0).astype(np.int16).reshape(self.dims)
 
@@ -619,6 +627,17 @@ class CviaiStore(_Store):
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
         mask, vals = self.fetch(x, y, ib)
         return list(zip(np.flatnonzero(mask).tolist(), vals.tolist()))
+
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Front-packed offsets, values and counts of every brick; the value
+        of a brick's pair of rank r is read through IR as ``packed[ir + r]``."""
+        masks = self.masks.reshape(-1, self.brick)
+        offsets, _, counts = _front_pack(masks, masks)
+        rank = np.arange(self.brick)
+        live = rank < counts[:, None]
+        values = np.zeros(masks.shape, dtype=np.int16)
+        values[live] = self.packed[(self.ir.reshape(-1, 1) + rank)[live]]
+        return offsets, values, counts
 
     def decode(self) -> np.ndarray:
         out = np.zeros(self.dims, dtype=np.int16)

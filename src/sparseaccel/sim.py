@@ -311,13 +311,6 @@ def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     return out, report
 
 
-ARCH_RUNNERS = {
-    "baseline": run_baseline,
-    "cnv": run_cnv,
-    "cnv2": run_cnv2,
-}
-
-
 def run_arch(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
              tile: TileConfig, act_crit: IneffCriterion = ZERO,
              weight_crit: IneffCriterion = ZERO, *,

@@ -16,7 +16,8 @@ with zero excluded.
 
 The binary ``.layer`` container is little endian: magic "CNVL", a u16
 version, the activation and filter dimensions at their logical (unpadded)
-depth, stride, and brick size, then the raw int16 payloads. A ``.json``
+depth, stride, and brick size, then the raw int16 payloads; a file longer
+or shorter than its header declares is rejected. A ``.json``
 variant with the same fields exists for human-editable fixtures.
 """
 
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedError, ValidationError, VersionError
+from .errors import (BadMagicError, FormatError, TruncatedError, ValidationError,
+                     VersionError)
 from .tensor import INT16_MAX, INT16_MIN, ActTensor, FilterSet, LayerConfig
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -195,6 +197,9 @@ def _load_binary(path) -> LayerData:
     need = _BIN_HEADER.size + 2 * (n_act + n_wt)
     if len(blob) < need:
         raise TruncatedError(f"{path}: {len(blob)} bytes, payload needs {need}")
+    if len(blob) > need:
+        raise FormatError(f"{path}: {len(blob) - need} trailing bytes after the "
+                          f"{need}-byte layer its header declares")
     body = np.frombuffer(blob, dtype="<i2", count=n_act + n_wt, offset=_BIN_HEADER.size)
     acts = body[:n_act].reshape(x, y, i)
     wts = body[n_act:].reshape(f, fx, fy, i)

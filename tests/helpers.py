@@ -6,10 +6,12 @@ test. If the fast paths and these ever disagree, the fast paths lose.
 """
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from sparseaccel import ActTensor, FilterSet, GroupScope, LayerConfig
+from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost, FilterSet,
+                         GroupScope, LayerConfig, SyncPolicy, window_slices)
 
 
 def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -71,6 +73,83 @@ def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit)
                                 kept = np.where(dead, 0, vals)
                             out[wx, wy, glo:ghi] += wts @ kept
     return out
+
+
+def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTEP,
+                  empty_brick_cost=EmptyBrickCost.ZERO_CYCLES, prod_table=None,
+                  banks=None):
+    """The dispatcher walked event by event, the slow twin of `run_dispatch`.
+
+    Window by window, it loads each lane's bricks through
+    `source.brick_pairs`, drops the pairs the product table marks dead and
+    emits one event per lane per cycle: lockstep brick sets cost their
+    slowest lane, window sync lets each lane drain its whole share, and an
+    empty brick costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`.
+    Returns the run's events as a list, its cycles, broadcasts, per-lane
+    busy counts and per-bank fetch counts.
+    """
+    brick = source.brick
+    banks = banks or BankLayout(nm_banks=lanes)
+    fetch_pointers = {}
+    events = []
+    busy = [0] * lanes
+    cycle = 0
+    one_cycle_drain = empty_brick_cost is EmptyBrickCost.ONE_CYCLE
+
+    def load(coord, wx, wy):
+        x, y, ib = coord
+        pairs = source.brick_pairs(x, y, ib)
+        if prod_table is not None:
+            dead = prod_table[x - wx * layer.stride, y - wy * layer.stride, ib]
+            pairs = [(o, v) for o, v in pairs if not dead[o]]
+        bank = banks.bank_of(x, y, ib)
+        fetch_pointers[bank] = fetch_pointers.get(bank, 0) + 1
+        return pairs
+
+    for wa in window_slices(layer, lanes, brick):
+        if policy is SyncPolicy.BRICKSET_LOCKSTEP:
+            for s in range(max(len(l) for l in wa.lanes)):
+                sends, costs = [], []
+                for lane in range(lanes):
+                    if s < len(wa.lanes[lane]):
+                        pairs = load(wa.lanes[lane][s], wa.wx, wa.wy)
+                        sends.append(pairs)
+                        costs.append(max(len(pairs), 1) if one_cycle_drain else len(pairs))
+                    else:
+                        sends.append([])
+                        costs.append(0)
+                set_len = max(costs)
+                for t in range(set_len):
+                    for lane in range(lanes):
+                        if t < len(sends[lane]):
+                            off, val = sends[lane][t]
+                            events.append(DispatchEvent(cycle + t, lane, off, val))
+                            busy[lane] += 1
+                        else:
+                            events.append(DispatchEvent(cycle + t, lane))
+                cycle += set_len
+        else:
+            seqs = []
+            for lane in range(lanes):
+                seq = []
+                for coord in wa.lanes[lane]:
+                    pairs = load(coord, wa.wx, wa.wy)
+                    seq.extend(pairs)
+                    if not pairs and one_cycle_drain:
+                        seq.append(None)  # drain cycle for an empty brick
+                seqs.append(seq)
+            window_len = max(len(s) for s in seqs)
+            for t in range(window_len):
+                for lane in range(lanes):
+                    if t < len(seqs[lane]) and seqs[lane][t] is not None:
+                        off, val = seqs[lane][t]
+                        events.append(DispatchEvent(cycle + t, lane, off, val))
+                        busy[lane] += 1
+                    else:
+                        events.append(DispatchEvent(cycle + t, lane))
+            cycle += window_len
+    return SimpleNamespace(events=events, cycles=cycle, broadcasts=sum(busy),
+                           per_lane_busy=tuple(busy), fetch_pointers=fetch_pointers)
 
 
 def window_brick_costs(acts: np.ndarray, stride: int, fx: int, fy: int,

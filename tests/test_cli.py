@@ -122,6 +122,17 @@ def test_run_input_errors(tmp_path):
     assert run_cli("run", "--layer", str(bad)) == 2
 
 
+def test_run_rejects_layer_with_trailing_bytes(tmp_path, capsys):
+    path = tmp_path / "long.layer"
+    assert run_cli("gen", "--dims", "4x4x16", "--filters", "2x3x3", "-o", str(path)) == 0
+    assert run_cli("run", "--layer", str(path), "--arch", "baseline") == 0
+    path.write_bytes(path.read_bytes() + b"\x00\x07")
+    capsys.readouterr()
+    assert run_cli("run", "--layer", str(path), "--arch", "baseline") == 2
+    err = capsys.readouterr().err
+    assert "trailing bytes" in err and "Traceback" not in err
+
+
 def test_run_equivalence_failure_exits_3(tmp_path, monkeypatch, capsys):
     def wrong_reference(arch, data, layer, tile, act_crit, weight_crit):
         return np.zeros((layer.ox, layer.oy, layer.f), dtype=np.int64) - 1

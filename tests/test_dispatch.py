@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost,
                          FilterSet, IneffCriterion, LayerConfig, RawDispatchSource,
-                         SyncPolicy, TileConfig, ZERO, encode_store, format_trace,
-                         run_cnv, run_cnv2, run_dispatch, stream_brick,
+                         SyncPolicy, TileConfig, ZERO, deserialize_store, encode_store,
+                         format_trace, run_cnv, run_cnv2, run_dispatch, stream_brick,
                          weight_product_table, write_trace, Format, load_layer)
 from sparseaccel.errors import ConfigurationError, FormatError
 
 from pathlib import Path
+
+from helpers import loop_dispatch
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -193,3 +196,139 @@ def test_dispatch_agrees_with_cycle_model_on_fixture():
     _, cnv2 = run_cnv2(data.acts, data.filters, layer, tile)
     assert aware.cycles == cnv2.cycles == 2
     assert aware.broadcasts == cnv2.broadcasts
+
+
+# -- the array walk against the event loop ----------------------------------
+
+CRITERIA = st.one_of(st.just("zero"),
+                     st.integers(0, 40).map(lambda t: f"abs:{t}"),
+                     st.integers(0, 6).map(lambda k: f"pow2:{k}"))
+
+
+def random_acts(draw, brick, fx, fy, stride):
+    """A depth-padded tensor covering 1-3 x 1-3 windows of the filter."""
+    ox, oy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3 * brick))  # mostly not a brick multiple: padded
+    vmax = draw(st.sampled_from([3, 40, 32767]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        arr = rng.integers(-vmax - 1, vmax + 1, size=shape)
+        arr[rng.random(shape) < rng.uniform(0.0, 1.0)] = 0
+        return arr
+
+    acts = ActTensor.padded(values((fx + stride * (ox - 1), fy + stride * (oy - 1), depth)),
+                            brick)
+    return acts, values, rng
+
+
+def lane_counts(slots):
+    """One lane, more lanes than a window has bricks, or a count that may split raggedly."""
+    return st.one_of(st.just(1), st.integers(slots + 1, slots + 4),
+                     st.integers(2, max(2, slots)))
+
+
+@st.composite
+def dispatch_cases(draw):
+    brick = draw(st.sampled_from([1, 3, 4, 16]))
+    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    acts, _, rng = random_acts(draw, brick, fx, fy, stride)
+    layer = LayerConfig(acts.x, acts.y, acts.i, fx, fy, 1, stride)
+    nb = acts.i // brick
+    crit = IneffCriterion.parse(draw(CRITERIA))
+    kind = draw(st.sampled_from(["raw", "zfnaf", "roe", "viai", "cviai"]))
+    if kind == "raw":
+        source = RawDispatchSource(acts, crit, brick)
+    else:
+        source = encode_store(Format(kind), acts, crit, brick)
+        if draw(st.booleans()):
+            source = deserialize_store(source.to_bytes())
+    prod = None
+    if draw(st.booleans()):
+        prod = rng.random((fx, fy, nb, brick)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    banks = draw(st.one_of(st.none(), st.integers(1, 5).map(BankLayout)))
+    return source, layer, dict(lanes=draw(lane_counts(fx * fy * nb)),
+                               policy=draw(st.sampled_from(SyncPolicy)),
+                               empty_brick_cost=draw(st.sampled_from(EmptyBrickCost)),
+                               prod_table=prod, banks=banks)
+
+
+def event_tuples(events):
+    return [(e.cycle, e.lane, e.offset, e.value, e.is_idle) for e in events]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dispatch_cases())
+def test_run_dispatch_matches_event_loop(case):
+    source, layer, kwargs = case
+    got = run_dispatch(source, layer, **kwargs)
+    want = loop_dispatch(source, layer, **kwargs)
+    assert event_tuples(got.events) == event_tuples(want.events)
+    assert got.events == want.events
+    assert (got.cycles, got.broadcasts, got.per_lane_busy, got.fetch_pointers) == \
+        (want.cycles, want.broadcasts, want.per_lane_busy, want.fetch_pointers)
+    assert len(got.events) == kwargs["lanes"] * got.cycles
+    assert format_trace(got.events) == format_trace(want.events)
+    for lane in range(-2, kwargs["lanes"] + 2):  # out-of-range lanes sent nothing
+        assert got.lane_stream(lane) == [(e.offset, e.value) for e in want.events
+                                         if e.lane == lane and not e.is_idle]
+
+
+def test_events_index_like_a_list():
+    t = acts_1d([1, 0, 0, 0, 2, 3, 0, 0, 0, 0, 0, 0, 4, 0, 0, 6])
+    layer = LayerConfig(x=1, y=1, i=16, fx=1, fy=1, f=1)
+    src = RawDispatchSource(t, ZERO, brick=4)
+    got = run_dispatch(src, layer, lanes=2).events
+    want = loop_dispatch(src, layer, lanes=2).events
+    assert len(got) == len(want) == 8
+    for i in range(-len(want), len(want)):
+        assert got[i] == want[i]
+    for sl in (slice(None), slice(2, 7), slice(None, None, -1), slice(-3, None),
+               slice(1, 8, 3), slice(5, 2)):
+        assert got[sl] == want[sl]
+    for i in (8, -9):
+        with pytest.raises(IndexError):
+            got[i]
+    assert got != want[:-1] and got != want[::-1] and got != "events"
+    assert got == run_dispatch(src, layer, lanes=2).events
+    assert got != run_dispatch(src, layer, lanes=3).events
+    idle = RawDispatchSource(acts_1d([0] * 16), ZERO, brick=4)
+    assert run_dispatch(idle, layer, lanes=2).events == run_dispatch(idle, layer, lanes=3).events == []
+    with pytest.raises(ValueError):
+        got.offsets[0] = 3  # the columns are read-only
+
+
+# -- standing agreement with the cycle model ---------------------------------
+
+@st.composite
+def model_cases(draw):
+    brick = draw(st.sampled_from([1, 3, 4, 16]))
+    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    acts, values, _ = random_acts(draw, brick, fx, fy, stride)
+    f = draw(st.integers(1, 6))
+    filters = FilterSet.padded(values((f, fx, fy, acts.logical_i)), brick)
+    layer = LayerConfig.from_tensors(acts, filters, stride)
+    tiles = draw(st.integers(1, 3))
+    tile = TileConfig(tiles=tiles, filters_per_tile=-(-f // tiles) + draw(st.integers(0, 2)),
+                      lanes=draw(lane_counts(fx * fy * (acts.i // brick))), brick=brick,
+                      sync=draw(st.sampled_from(SyncPolicy)),
+                      empty_brick=draw(st.sampled_from(EmptyBrickCost)))
+    return (acts, filters, layer, tile, IneffCriterion.parse(draw(CRITERIA)),
+            IneffCriterion.parse(draw(CRITERIA)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_cases())
+def test_cycle_model_matches_dispatcher(case):
+    """One pass (`resident >= f`), pass-wide groups: run_cnv is the raw
+    source's walk, and run_cnv2 the walk with the weight product table."""
+    acts, filters, layer, tile, act_crit, weight_crit = case
+    raw = RawDispatchSource(acts, act_crit, tile.brick)
+    kwargs = dict(lanes=tile.lanes, policy=tile.sync, empty_brick_cost=tile.empty_brick)
+    _, cnv = run_cnv(acts, filters, layer, tile, act_crit)
+    _, cnv2 = run_cnv2(acts, filters, layer, tile, act_crit, weight_crit)
+    prod = weight_product_table(filters, weight_crit, tile.brick)
+    for report, walk in ((cnv, run_dispatch(raw, layer, **kwargs)),
+                         (cnv2, run_dispatch(raw, layer, prod_table=prod, **kwargs))):
+        assert (report.cycles, report.broadcasts, report.per_lane_busy) == \
+            (walk.cycles, walk.broadcasts, walk.per_lane_busy), report.arch

@@ -6,8 +6,8 @@ import pytest
 
 from sparseaccel import (ActTensor, FilterSet, LayerData, SyntheticSpec,
                          gen_synthetic, load_layer, save_layer)
-from sparseaccel.errors import (BadMagicError, TruncatedError, ValidationError,
-                                VersionError)
+from sparseaccel.errors import (BadMagicError, FormatError, TruncatedError,
+                                ValidationError, VersionError)
 
 PIN_SPEC = dict(x=2, y=2, i=8, f=2, fx=1, fy=1, p_act_zero=0.5,
                 p_wt_zero=0.25, vmin=-10, vmax=10, seed=42, brick=8)
@@ -125,6 +125,14 @@ def test_layer_file_roundtrip(tmp_path, name):
     assert back.filters.logical_i == 20
     assert back.stride == data.stride and back.brick == data.brick
     assert back.layer_config() == data.layer_config()
+
+
+def test_load_layer_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "case.layer"
+    save_layer(path, roundtrip_data())
+    path.write_bytes(path.read_bytes() + b"\x00\x07")
+    with pytest.raises(FormatError, match="2 trailing bytes"):
+        load_layer(path)
 
 
 def test_save_rejects_mismatched_logical_depths(tmp_path):
