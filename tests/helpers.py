@@ -153,13 +153,16 @@ def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTE
 
 
 def window_brick_costs(acts: np.ndarray, stride: int, fx: int, fy: int,
-                       brick: int, dead=None) -> list[list[int]]:
+                       brick: int, dead=None, crit=None) -> list[list[int]]:
     """Effectual-position count of every brick of every window.
 
     Windows in (wx, wy) order; bricks within a window in filter-x, then
     filter-y, then depth order. `dead` maps a depth position to True when
     all resident weights there are skippable; those positions never count.
+    `crit` (an `IneffCriterion`, zero when None) decides which activations
+    are effectual, through `_slow_effectual`.
     """
+    kind, param = (crit.kind, crit.param) if crit is not None else ("zero", 0)
     x, y, i = acts.shape
     nb = i // brick
     costs = []
@@ -172,7 +175,8 @@ def window_brick_costs(acts: np.ndarray, stride: int, fx: int, fy: int,
                         n = 0
                         for o in range(brick):
                             d = ib * brick + o
-                            if acts[wx * stride + a, wy * stride + b, d] == 0:
+                            v = int(acts[wx * stride + a, wy * stride + b, d])
+                            if not _slow_effectual(v, kind, param):
                                 continue
                             if dead is not None and dead[a][b][d]:
                                 continue
@@ -202,6 +206,86 @@ def window_sync_cycles(costs: list[list[int]], lanes: int, one_cycle: bool = Fal
             per_lane[k % lanes] += c
         total += max(per_lane)
     return total
+
+
+def cycle_report_oracle(arch: str, acts, filters, layer, tile, act_crit, weight_crit,
+                        fmt: str) -> SimpleNamespace:
+    """Every `CycleReport` field and the output of one machine, restated from `sim`.
+
+    Filters run in passes of `tile.resident`. The baseline's lanes take each
+    window's positions round robin (position p on lane p mod lanes), so a
+    window costs ceil(positions / lanes) cycles per pass. The skipping
+    machines cost each brick its surviving offsets: cnv drops ineffectual
+    activations, cnv2 also the offsets where every weight of a filter group
+    is ineffectual. A group is the pass's filters, or each tile's under
+    PER_TILE scope. Each group is sent its own surviving offsets and performs
+    them once per filter; the lanes wait for the slowest group, so a brick's
+    pass cost is its maximum over the groups, reduced by the sync policy,
+    and brick k of a window is busy on lane k mod lanes. The footprint is
+    the output's container size in `fmt` (the `encodings` docstring), under
+    the criterion the machine skips by, zero for the baseline.
+    """
+    lanes, brick = tile.lanes, tile.brick
+    passes = [(lo, min(lo + tile.resident, layer.f)) for lo in range(0, layer.f, tile.resident)]
+    n_windows = layer.ox * layer.oy
+    positions = layer.window_positions
+    busy = [0] * lanes
+    if arch == "baseline":
+        cycles = len(passes) * n_windows * -(-positions // lanes)
+        for p in range(positions):
+            busy[p % lanes] += len(passes) * n_windows
+        performed = n_windows * positions * layer.f
+        broadcasts = len(passes) * n_windows * positions
+        kind, param = "zero", 0
+    else:
+        reduce = (lockstep_cycles if tile.sync is SyncPolicy.BRICKSET_LOCKSTEP
+                  else window_sync_cycles)
+        cycles = performed = broadcasts = 0
+        for lo, hi in passes:
+            step = hi - lo
+            if arch == "cnv2" and tile.group_scope is GroupScope.PER_TILE:
+                step = tile.filters_per_tile
+            group_costs = []
+            for glo in range(lo, hi, step):
+                ghi = min(glo + step, hi)
+                dead = None
+                if arch == "cnv2":
+                    dead = [[[not any(_slow_effectual(int(filters.values[n, fa, fb, d]),
+                                                      weight_crit.kind, weight_crit.param)
+                                      for n in range(glo, ghi))
+                              for d in range(layer.i)]
+                             for fb in range(layer.fy)]
+                            for fa in range(layer.fx)]
+                costs = window_brick_costs(acts.values, layer.stride, layer.fx, layer.fy,
+                                           brick, dead, act_crit)
+                sent = sum(sum(window) for window in costs)
+                broadcasts += sent
+                performed += sent * (ghi - glo)
+                group_costs.append(costs)
+            pass_costs = [[max(group[w][k] for group in group_costs)
+                           for k in range(len(group_costs[0][w]))]
+                          for w in range(n_windows)]
+            cycles += reduce(pass_costs, lanes, tile.empty_brick is EmptyBrickCost.ONE_CYCLE)
+            for window in pass_costs:
+                for k, c in enumerate(window):
+                    busy[k % lanes] += c
+        kind, param = act_crit.kind, act_crit.param
+
+    data = SimpleNamespace(acts=acts, filters=filters)
+    out = window_reference_output(arch, data, layer, tile, act_crit, weight_crit)
+    n_bricks = layer.ox * layer.oy * -(-layer.f // brick)  # depth padded to a brick multiple
+    kept = sum(_slow_effectual(int(v), kind, param) for v in out.reshape(-1))
+    ob = (brick - 1).bit_length()
+    footprint = {"raw": n_bricks * brick * 16,
+                 "zfnaf": n_bricks * brick * (16 + ob),
+                 "roe": n_bricks * (1 + brick * 16),
+                 "viai": n_bricks * brick * (1 + 16),
+                 "cviai": n_bricks * brick + kept * 16 + n_bricks * kept.bit_length()}[fmt]
+    return SimpleNamespace(
+        out=out, arch=arch, cycles=cycles, macs_performed=performed,
+        macs_skipped=n_windows * positions * layer.f - performed, broadcasts=broadcasts,
+        footprint_bits=footprint, utilization=sum(busy) / (lanes * cycles) if cycles else 0.0,
+        per_lane_busy=tuple(busy))
 
 
 def sprinkle_zeros(rng: np.random.Generator, arr: np.ndarray, p: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, EmptyBrickCost, FilterSet, Format, GroupScope,
                          IneffCriterion, LayerConfig, RawDispatchSource, SyncPolicy,
@@ -7,8 +8,8 @@ from sparseaccel import (ActTensor, EmptyBrickCost, FilterSet, Format, GroupScop
                          run_cnv, run_cnv2, run_dispatch, weight_product_table)
 from sparseaccel.errors import ConfigurationError
 
-from helpers import (lockstep_cycles, random_layer, window_brick_costs,
-                     window_sync_cycles)
+from helpers import (cycle_report_oracle, lockstep_cycles, random_layer,
+                     window_brick_costs, window_sync_cycles)
 
 
 def small_tile(lanes=16, **kw) -> TileConfig:
@@ -109,6 +110,61 @@ def test_cnv_agrees_with_event_walker():
         assert rep.cycles == walk.cycles
         assert rep.broadcasts == walk.broadcasts
         assert rep.per_lane_busy == walk.per_lane_busy
+
+
+# -- every report field against the oracle ----------------------------------
+
+CRITERIA = st.sampled_from(["zero", "abs:1", "abs:4", "abs:30", "pow2:1", "pow2:3"])
+
+
+@st.composite
+def machine_cases(draw):
+    brick = draw(st.sampled_from([1, 3, 4, 8, 16]))
+    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ox, oy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 2 * brick + 4))  # often not a brick multiple: padded
+    f = draw(st.integers(1, 7))
+    vmax = draw(st.sampled_from([3, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        arr = rng.integers(-vmax, vmax + 1, size=shape)
+        arr[rng.random(shape) < rng.uniform(0.0, 1.0)] = 0
+        return arr
+
+    acts = ActTensor.padded(values((fx + stride * (ox - 1), fy + stride * (oy - 1), depth)),
+                            brick)
+    filters = FilterSet.padded(values((f, fx, fy, depth)), brick)
+    layer = LayerConfig.from_tensors(acts, filters, stride)
+    slots = fx * fy * (acts.i // brick)
+    tile = TileConfig(tiles=draw(st.integers(1, 3)), filters_per_tile=draw(st.integers(1, 3)),
+                      lanes=draw(st.integers(1, slots + 2)), brick=brick,
+                      sync=draw(st.sampled_from(SyncPolicy)),
+                      empty_brick=draw(st.sampled_from(EmptyBrickCost)),
+                      group_scope=draw(st.sampled_from(GroupScope)))
+    return (acts, filters, layer, tile, IneffCriterion.parse(draw(CRITERIA)),
+            IneffCriterion.parse(draw(CRITERIA)), draw(st.sampled_from(Format)))
+
+
+REPORT_FIELDS = ("arch", "cycles", "macs_performed", "macs_skipped", "broadcasts",
+                 "footprint_bits", "utilization", "per_lane_busy")
+
+
+@settings(max_examples=200, deadline=None)
+@given(machine_cases())
+def test_reports_match_oracle(case):
+    """All three machines, multi-pass, both scopes, both sync policies, both
+    empty-brick costs and non-zero criteria: every report field and the
+    output equal the pure-Python oracle."""
+    acts, filters, layer, tile, act_crit, weight_crit, fmt = case
+    for arch in ("baseline", "cnv", "cnv2"):
+        out, rep = run_arch(arch, acts, filters, layer, tile, act_crit, weight_crit,
+                            out_format=fmt)
+        want = cycle_report_oracle(arch, acts, filters, layer, tile, act_crit,
+                                   weight_crit, fmt.value)
+        assert np.array_equal(out, want.out), arch
+        assert {k: getattr(rep, k) for k in REPORT_FIELDS} == \
+            {k: getattr(want, k) for k in REPORT_FIELDS}
 
 
 # -- conservation and report wiring ------------------------------------------
