@@ -295,8 +295,7 @@ def cmd_run(args) -> int:
                   "fx": layer.fx, "fy": layer.fy, "stride": layer.stride,
                   "brick": data.brick},
         "tile": {"tiles": tile.tiles, "filters_per_tile": tile.filters_per_tile,
-                 "lanes": tile.lanes, "brick": tile.brick,
-                 "nbin_depth": tile.nbin_depth, "sync": tile.sync.value,
+                 "lanes": tile.lanes, "brick": tile.brick, "sync": tile.sync.value,
                  "empty_brick": tile.empty_brick.value,
                  "group_scope": tile.group_scope.value},
         "criteria": {"activation": act_crit.spec(), "weight": weight_crit.spec()},

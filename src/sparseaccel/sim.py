@@ -17,6 +17,7 @@ returned untruncated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,13 +37,12 @@ class TileConfig:
     filters_per_tile: int = 16
     lanes: int = 16
     brick: int = 16
-    nbin_depth: int = 64
     sync: SyncPolicy = SyncPolicy.BRICKSET_LOCKSTEP
     empty_brick: EmptyBrickCost = EmptyBrickCost.ZERO_CYCLES
     group_scope: GroupScope = GroupScope.PASS_WIDE
 
     def __post_init__(self):
-        for name in ("tiles", "filters_per_tile", "lanes", "brick", "nbin_depth"):
+        for name in ("tiles", "filters_per_tile", "lanes", "brick"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigurationError(f"tile field {name} must be a positive int, got {v!r}")
@@ -70,19 +70,10 @@ class CycleReport:
                    "broadcasts", "footprint_bits", "utilization")
 
     def to_record(self) -> dict:
-        return {
-            "arch": self.arch,
-            "cycles": self.cycles,
-            "macs_performed": self.macs_performed,
-            "macs_skipped": self.macs_skipped,
-            "broadcasts": self.broadcasts,
-            "footprint_bits": self.footprint_bits,
-            "utilization": self.utilization,
-        }
+        return {c: getattr(self, c) for c in self.CSV_COLUMNS}
 
     def to_csv_row(self) -> list[str]:
-        rec = self.to_record()
-        return [str(rec[c]) for c in self.CSV_COLUMNS]
+        return [str(v) for v in self.to_record().values()]
 
 
 def _validate(acts: ActTensor, filters: FilterSet, layer: LayerConfig, tile: TileConfig) -> None:
@@ -103,22 +94,12 @@ def _pass_ranges(f: int, resident: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + resident, f)) for lo in range(0, f, resident)]
 
 
-def _window_costs(per_brick: np.ndarray, layer: LayerConfig, brick: int) -> np.ndarray:
-    """Gather per-brick counts into (ox, oy, bricks_per_window) window views."""
-    fx, fy, nb = layer.fx, layer.fy, per_brick.shape[2]
-    wins = sliding_window_view(per_brick, (fx, fy, nb))[::layer.stride, ::layer.stride, 0]
-    return wins.reshape(layer.ox, layer.oy, fx * fy * nb)
-
-
 def _reduce_cycles(costs: np.ndarray, lanes: int, sync: SyncPolicy,
                    one_cycle_drain: bool) -> int:
     """Window cycle totals from per-brick costs under one sync policy."""
     ox, oy, w = costs.shape
     eff = np.maximum(costs, 1) if one_cycle_drain else costs
-    n_sets = -(-w // lanes)
-    padded = np.zeros((ox, oy, n_sets * lanes), dtype=np.int64)
-    padded[:, :, :w] = eff
-    grid = padded.reshape(ox, oy, n_sets, lanes)
+    grid = np.pad(eff, ((0, 0), (0, 0), (0, -w % lanes))).reshape(ox, oy, -1, lanes)
     if sync is SyncPolicy.BRICKSET_LOCKSTEP:
         per_window = grid.max(axis=3).sum(axis=2)
     else:
@@ -134,10 +115,6 @@ def _lane_busy(counts: np.ndarray, lanes: int) -> np.ndarray:
                        minlength=lanes).astype(np.int64)
 
 
-def _utilization(busy_total: int, lanes: int, cycles: int) -> float:
-    return busy_total / (lanes * cycles) if cycles else 0.0
-
-
 def encode_outputs(output, fmt: Format, crit: IneffCriterion = ZERO,
                    brick: int = 16) -> FootprintReport:
     """Footprint of the produced output tensor in the chosen storage format.
@@ -149,13 +126,30 @@ def encode_outputs(output, fmt: Format, crit: IneffCriterion = ZERO,
     return footprint_bits(fmt, output, crit, brick)
 
 
+def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
+            cycles: int, performed: int, broadcasts: int, busy: np.ndarray,
+            crit: IneffCriterion, out_format: Format) -> CycleReport:
+    total_macs = layer.ox * layer.oy * layer.window_positions * layer.f
+    return CycleReport(
+        arch=arch,
+        cycles=cycles,
+        macs_performed=performed,
+        macs_skipped=total_macs - performed,
+        broadcasts=broadcasts,
+        footprint_bits=encode_outputs(out, out_format, crit, tile.brick).total_bits,
+        utilization=int(busy.sum()) / (tile.lanes * cycles) if cycles else 0.0,
+        per_lane_busy=tuple(int(v) for v in busy),
+    )
+
+
 def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                  tile: TileConfig, *, out_format: Format = Format.ZFNAF
                  ) -> tuple[np.ndarray, CycleReport]:
     """Dense machine: every position of every window is multiplied.
 
     Cycles are passes * windows * ceil(window_positions / lanes); the lanes
-    share each window's positions round robin.
+    share each window's positions round robin, not its bricks, so the
+    counts are closed form.
     """
     _validate(acts, filters, layer, tile)
     out = dense_conv(acts, filters, layer)
@@ -164,64 +158,12 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     n_windows = layer.ox * layer.oy
     n_passes = len(_pass_ranges(layer.f, tile.resident))
     cycles = n_passes * n_windows * (-(-k // tile.lanes))
-    total_macs = n_windows * k * layer.f
 
     busy = np.full(tile.lanes, k // tile.lanes, dtype=np.int64)
     busy[: k % tile.lanes] += 1
     busy *= n_windows * n_passes
-
-    report = CycleReport(
-        arch="baseline",
-        cycles=cycles,
-        macs_performed=total_macs,
-        macs_skipped=0,
-        broadcasts=n_passes * n_windows * k,
-        footprint_bits=encode_outputs(out, out_format, ZERO, tile.brick).total_bits,
-        utilization=_utilization(int(busy.sum()), tile.lanes, cycles),
-        per_lane_busy=tuple(int(v) for v in busy),
-    )
-    return out, report
-
-
-def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
-            tile: TileConfig, act_crit: IneffCriterion = ZERO, *,
-            out_format: Format = Format.ZFNAF) -> tuple[np.ndarray, CycleReport]:
-    """Activation-skipping machine.
-
-    Each lane spends one cycle per effectual activation of its brick; the
-    sync policy decides how lane imbalance turns into stalls. Ineffectual
-    activations are zeroed before the functional convolution, which changes
-    nothing under the zero criterion.
-    """
-    _validate(acts, filters, layer, tile)
-    eff = act_crit.effectual(acts.values)
-    eff_acts = np.where(eff, acts.values, 0).astype(np.int16)
-    out = conv3d(eff_acts, filters.values, layer.stride)
-
-    nb = layer.i // tile.brick
-    counts = eff.reshape(layer.x, layer.y, nb, tile.brick).sum(axis=3, dtype=np.int64)
-    costs = _window_costs(counts, layer, tile.brick)
-    pass_cycles = _reduce_cycles(costs, tile.lanes, tile.sync,
-                                 tile.empty_brick is EmptyBrickCost.ONE_CYCLE)
-
-    n_passes = len(_pass_ranges(layer.f, tile.resident))
-    cycles = n_passes * pass_cycles
-    eff_positions = int(costs.sum())
-    performed = eff_positions * layer.f
-    total_macs = layer.ox * layer.oy * layer.window_positions * layer.f
-    busy = _lane_busy(costs, tile.lanes) * n_passes
-
-    report = CycleReport(
-        arch="cnv",
-        cycles=cycles,
-        macs_performed=performed,
-        macs_skipped=total_macs - performed,
-        broadcasts=n_passes * eff_positions,
-        footprint_bits=encode_outputs(out, out_format, act_crit, tile.brick).total_bits,
-        utilization=_utilization(int(busy.sum()), tile.lanes, cycles),
-        per_lane_busy=tuple(int(v) for v in busy),
-    )
-    return out, report
+    return out, _report("baseline", out, layer, tile, cycles, n_windows * k * layer.f,
+                        n_passes * n_windows * k, busy, ZERO, out_format)
 
 
 def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
@@ -242,11 +184,79 @@ def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
     return ineff.reshape(hi - lo, filters.fx, filters.fy, nb, brick).all(axis=0)
 
 
+def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
+                  tile: TileConfig, act_crit: IneffCriterion,
+                  weight_crit: IneffCriterion | None, out_format: Format
+                  ) -> tuple[np.ndarray, CycleReport]:
+    """The cnv/cnv2 pipeline: skip mask, then per-brick cost, then sync reduction.
+
+    The skip mask is the activation criterion's effectual bits in each
+    window's bricks; with a weight criterion (cnv2) each filter group also
+    drops the offsets its `weight_product_table` marks dead. A brick costs
+    its surviving offsets, a pass costs the group maximum of each brick,
+    and the sync policy reduces that to cycles. Without weight products
+    every pass walks the same costs, so cnv reduces them once and repeats
+    the result per pass. The output is one convolution of the effectual
+    activations with each filter's weights zeroed where its group skips.
+    """
+    _validate(acts, filters, layer, tile)
+    b, nb = tile.brick, layer.i // tile.brick
+    eff = act_crit.effectual(acts.values)
+    windows = sliding_window_view(
+        eff.reshape(layer.x, layer.y, nb, b), (layer.fx, layer.fy, nb, b)
+    )[::layer.stride, ::layer.stride, 0, 0]  # (ox, oy, fx, fy, nb, b)
+
+    weights = filters.values
+    passes, repeat = _pass_ranges(layer.f, tile.resident), 1
+    step = tile.filters_per_tile if tile.group_scope is GroupScope.PER_TILE else tile.resident
+    if weight_crit is None:
+        passes, repeat, step = [(0, layer.f)], len(passes), layer.f
+    else:
+        weights = weights.copy()
+    cycles = performed = broadcasts = 0
+    busy = np.zeros(tile.lanes, dtype=np.int64)
+    for lo, hi in passes:
+        group_costs = []
+        for glo in range(lo, hi, step):
+            ghi = min(glo + step, hi)
+            keep = windows
+            if weight_crit is not None:
+                dead = weight_product_table(filters, weight_crit, b, glo, ghi)
+                weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
+                keep = windows & ~dead
+            costs = keep.sum(axis=-1, dtype=np.int64).reshape(layer.ox, layer.oy, -1)
+            sent = int(costs.sum())
+            broadcasts += repeat * sent
+            performed += sent * (ghi - glo)
+            group_costs.append(costs)
+        pass_costs = reduce(np.maximum, group_costs)
+        cycles += repeat * _reduce_cycles(pass_costs, tile.lanes, tile.sync,
+                                          tile.empty_brick is EmptyBrickCost.ONE_CYCLE)
+        busy += repeat * _lane_busy(pass_costs, tile.lanes)
+
+    out = conv3d(np.where(eff, acts.values, 0), weights, layer.stride)
+    return out, _report(arch, out, layer, tile, cycles, performed, broadcasts, busy,
+                        act_crit, out_format)
+
+
+def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
+            tile: TileConfig, act_crit: IneffCriterion = ZERO, *,
+            out_format: Format = Format.ZFNAF) -> tuple[np.ndarray, CycleReport]:
+    """Activation-skipping machine.
+
+    Each lane spends one cycle per effectual activation of its brick; the
+    sync policy decides how lane imbalance turns into stalls. Ineffectual
+    activations are zeroed before the functional convolution, which changes
+    nothing under the zero criterion.
+    """
+    return _run_skipping("cnv", acts, filters, layer, tile, act_crit, None, out_format)
+
+
 def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
              tile: TileConfig, act_crit: IneffCriterion = ZERO,
              weight_crit: IneffCriterion = ZERO, *,
              out_format: Format = Format.ZFNAF) -> tuple[np.ndarray, CycleReport]:
-    """Activation- and weight-skipping machine.
+    """Activation- and weight-skipping machine: the cnv pipeline plus weight products.
 
     A position is skipped when the activation is ineffectual or when every
     filter in the group (pass-wide by default, per tile otherwise) has an
@@ -254,61 +264,10 @@ def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     functional output as well, which is a no-op under zero criteria because
     the removed products are zero.
     """
-    _validate(acts, filters, layer, tile)
     if weight_crit is None:
         raise ConfigurationError("cnv2 requires a weight criterion")
-    eff = act_crit.effectual(acts.values)
-    eff_acts = np.where(eff, acts.values, 0).astype(np.int16)
-
-    b = tile.brick
-    nb = layer.i // b
-    eff_bits = eff.reshape(layer.x, layer.y, nb, b)
-    eff_windows = sliding_window_view(
-        eff_bits, (layer.fx, layer.fy, nb, b)
-    )[::layer.stride, ::layer.stride, 0, 0]  # (ox, oy, fx, fy, nb, b)
-
-    out = np.zeros((layer.ox, layer.oy, layer.f), dtype=np.int64)
-    cycles = 0
-    performed = 0
-    broadcasts = 0
-    busy = np.zeros(tile.lanes, dtype=np.int64)
-    one_cycle = tile.empty_brick is EmptyBrickCost.ONE_CYCLE
-    w_shape = (layer.fx, layer.fy, layer.i)
-
-    for lo, hi in _pass_ranges(layer.f, tile.resident):
-        if tile.group_scope is GroupScope.PASS_WIDE:
-            groups = [(lo, hi)]
-        else:
-            groups = [(g, min(g + tile.filters_per_tile, hi))
-                      for g in range(lo, hi, tile.filters_per_tile)]
-        group_costs = []
-        for glo, ghi in groups:
-            prod = weight_product_table(filters, weight_crit, b, glo, ghi)
-            keep = eff_windows & ~prod
-            counts = keep.sum(axis=-1, dtype=np.int64).reshape(
-                layer.ox, layer.oy, layer.fx * layer.fy * nb)
-            group_costs.append(counts)
-            sent = int(counts.sum())
-            broadcasts += sent
-            performed += sent * (ghi - glo)
-            masked = np.where(prod.reshape(w_shape), 0, filters.values[glo:ghi])
-            out[:, :, glo:ghi] = conv3d(eff_acts, masked, layer.stride)
-        pass_costs = np.max(np.stack(group_costs), axis=0)
-        busy += _lane_busy(pass_costs, tile.lanes)
-        cycles += _reduce_cycles(pass_costs, tile.lanes, tile.sync, one_cycle)
-
-    total_macs = layer.ox * layer.oy * layer.window_positions * layer.f
-    report = CycleReport(
-        arch="cnv2",
-        cycles=cycles,
-        macs_performed=performed,
-        macs_skipped=total_macs - performed,
-        broadcasts=broadcasts,
-        footprint_bits=encode_outputs(out, out_format, act_crit, tile.brick).total_bits,
-        utilization=_utilization(int(busy.sum()), tile.lanes, cycles),
-        per_lane_busy=tuple(int(v) for v in busy),
-    )
-    return out, report
+    return _run_skipping("cnv2", acts, filters, layer, tile, act_crit, weight_crit,
+                         out_format)
 
 
 def run_arch(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,

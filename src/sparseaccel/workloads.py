@@ -18,7 +18,10 @@ The binary ``.layer`` container is little endian: magic "CNVL", a u16
 version, the activation and filter dimensions at their logical (unpadded)
 depth, stride, and brick size, then the raw int16 payloads; a file longer
 or shorter than its header declares is rejected. A ``.json``
-variant with the same fields exists for human-editable fixtures.
+variant with the same fields exists for human-editable fixtures; its
+header fields and payload entries must be JSON integers (not bools or
+floats) within the binary header's field ranges and int16, and its
+dimensions, stride and brick must be at least 1.
 """
 
 from __future__ import annotations
@@ -224,6 +227,23 @@ def _save_json(path, data: LayerData) -> None:
         fh.write("\n")
 
 
+_U16, _U32 = (1 << 16) - 1, (1 << 32) - 1  # the binary header's field ranges
+
+
+def _json_ints(path, key: str, value, lo: int, hi: int, count: int | None = None) -> list:
+    """`value` as a list of JSON integers in [lo, hi], of length `count` if given.
+
+    Bools and floats are not JSON integers: `true` or `1.5` is rejected, not
+    read as 1.
+    """
+    if not isinstance(value, list) or count is not None and len(value) != count:
+        raise FormatError(f"{path}: {key} must be a list of {count or 'any number of'} integers")
+    for n, v in enumerate(value):
+        if type(v) is not int or not lo <= v <= hi:
+            raise FormatError(f"{path}: {key}[{n}] is {v!r}, expected an integer in [{lo}, {hi}]")
+    return value
+
+
 def _load_json(path) -> LayerData:
     try:
         with open(path) as fh:
@@ -232,17 +252,18 @@ def _load_json(path) -> LayerData:
         raise BadMagicError(f"{path}: not a JSON layer file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != _MAGIC.decode():
         raise BadMagicError(f"{path}: missing or wrong format field")
-    if doc.get("version") != _VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != _VERSION:
         raise VersionError(f"{path}: version {doc.get('version')}, expected {_VERSION}")
     try:
-        x, y, i = (int(v) for v in doc["dims"])
-        f, fx, fy = (int(v) for v in doc["filters"])
-        stride = int(doc["stride"])
-        brick = int(doc["brick"])
-        acts = np.asarray(doc["activations"], dtype=np.int64)
-        wts = np.asarray(doc["weights"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TruncatedError(f"{path}: incomplete layer document ({exc})") from None
+        x, y, i = _json_ints(path, "dims", doc["dims"], 1, _U32, 3)
+        f, fx, fy = _json_ints(path, "filters", doc["filters"], 1, _U32, 3)
+        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 1, _U16) for k in ("stride", "brick"))
+        acts = np.array(_json_ints(path, "activations", doc["activations"], INT16_MIN, INT16_MAX),
+                        dtype=np.int16)
+        wts = np.array(_json_ints(path, "weights", doc["weights"], INT16_MIN, INT16_MAX),
+                       dtype=np.int16)
+    except KeyError as exc:
+        raise TruncatedError(f"{path}: incomplete layer document (no {exc} field)") from None
     if acts.size != x * y * i or wts.size != f * fx * fy * i:
         raise TruncatedError(
             f"{path}: payload sizes {acts.size}/{wts.size} do not match the header dims"

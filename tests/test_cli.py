@@ -110,6 +110,28 @@ def test_run_zero_cycles_reports_null_speedup(tmp_path):
     assert rows["cnv"]["utilization"] == 0.0
 
 
+def test_report_tile_block_has_no_nbin_depth(tmp_path, capsys):
+    """Reports no longer carry `nbin_depth`; older reports that do still
+    validate and merge."""
+    jout = tmp_path / "new.json"
+    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--json-out", str(jout)) == 0
+    doc = json.loads(jout.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert "nbin_depth" not in doc["tile"]
+    assert not hasattr(TileConfig(), "nbin_depth")
+
+    old = dict(doc, tile=dict(doc["tile"], nbin_depth=64))
+    jsonschema.validate(old, SCHEMA)
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    merged = tmp_path / "merged.csv"
+    capsys.readouterr()
+    assert run_cli("compare", str(tmp_path / "old.json"), str(jout), "-o", str(merged)) == 0
+    with open(merged) as fh:
+        table = list(csv.reader(fh))
+    assert [r[1] for r in table[1:7]] == ["baseline", "cnv", "cnv2"] * 2
+    assert "geomean speedup cnv2: 2.000000" in capsys.readouterr().out
+
+
 def test_run_input_errors(tmp_path):
     assert run_cli("run", "--layer", str(tmp_path / "missing.layer")) == 2
     assert run_cli("run") == 2  # neither --layer nor synthetic geometry
@@ -131,6 +153,18 @@ def test_run_rejects_layer_with_trailing_bytes(tmp_path, capsys):
     assert run_cli("run", "--layer", str(path), "--arch", "baseline") == 2
     err = capsys.readouterr().err
     assert "trailing bytes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims, acts", [([-2, -2, 4], [1] * 16),  # sizes agree
+                                        ([1, 1, 4], [1.5, 2, 3, 4])])
+def test_run_rejects_malformed_json_layer(tmp_path, capsys, dims, acts):
+    doc = {"format": "CNVL", "version": 1, "dims": dims, "filters": [1, 1, 1],
+           "stride": 1, "brick": 4, "activations": acts, "weights": [1, 1, 1, 1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--layer", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "expected an integer" in err and "Traceback" not in err
 
 
 def test_run_equivalence_failure_exits_3(tmp_path, monkeypatch, capsys):

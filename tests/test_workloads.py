@@ -3,10 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, FilterSet, LayerData, SyntheticSpec,
                          gen_synthetic, load_layer, save_layer)
-from sparseaccel.errors import (BadMagicError, FormatError, TruncatedError,
+from sparseaccel.errors import (BadMagicError, FormatError, SparseAccelError, TruncatedError,
                                 ValidationError, VersionError)
 
 PIN_SPEC = dict(x=2, y=2, i=8, f=2, fx=1, fy=1, p_act_zero=0.5,
@@ -212,6 +213,89 @@ def test_json_error_taxonomy(tmp_path):
     p.write_text(json.dumps(doc))
     data = load_layer(p)
     assert data.acts.values.reshape(-1).tolist() == [1, 2, 3, 4]
+
+
+JSON_DOC = {"format": "CNVL", "version": 1, "dims": [1, 1, 4], "filters": [1, 1, 1],
+            "stride": 1, "brick": 4, "activations": [1, 2, 3, 4], "weights": [1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", [-2, -2, 4]),  # the payload size still matches x * y * i
+    ("dims", [0, 1, 4]),
+    ("filters", [1, 0, 1]),
+    ("stride", 0),
+    ("brick", -4),
+    ("dims", [1, 1]),
+    ("dims", 4),
+])
+def test_json_layer_rejects_bad_dims(tmp_path, field, value):
+    doc = {**JSON_DOC, field: value}
+    if field == "dims" and isinstance(value, list) and len(value) == 3:
+        doc["activations"] = [1] * (value[0] * value[1] * value[2])  # sizes agree
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf": {field}(\[\d\] is| must be)"):
+        load_layer(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("activations", [1.5, 2, 3, 4]),  # would truncate to 1
+    ("weights", [1, 1, True, 1]),
+    ("brick", True),  # would load as brick 1
+    ("stride", 1.0),
+    ("dims", [1.0, 1, 4]),
+    ("activations", [1, 2, 3, "4"]),
+    ("activations", [1, 2, 3, None]),
+])
+def test_json_layer_rejects_non_integers(tmp_path, field, value):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({**JSON_DOC, field: value}))
+    with pytest.raises(FormatError, match=rf": {field}\[\d\] is"):
+        load_layer(p)
+
+
+def test_json_layer_rejects_out_of_range_values(tmp_path):
+    p = tmp_path / "f.json"
+    for bad in (1 << 15, -(1 << 15) - 1, 10 ** 30):
+        p.write_text(json.dumps({**JSON_DOC, "activations": [1, 2, 3, bad]}))
+        with pytest.raises(FormatError, match="activations"):
+            load_layer(p)
+    p.write_text(json.dumps({**JSON_DOC, "brick": 1 << 16}))
+    with pytest.raises(FormatError, match="brick"):
+        load_layer(p)
+    p.write_text(json.dumps({**JSON_DOC, "version": True}))
+    with pytest.raises(VersionError):
+        load_layer(p)
+    p.write_text(json.dumps({**JSON_DOC, "activations": [-(1 << 15), 2, 3, (1 << 15) - 1]}))
+    assert load_layer(p).acts.values.reshape(-1).tolist() == [-(1 << 15), 2, 3, (1 << 15) - 1]
+
+
+NEAR_INTS = (st.integers(-2, 5) | st.booleans() | st.floats(-2, 5) | st.integers()
+             | st.none() | st.text(max_size=2))
+JSON_VALUES = NEAR_INTS | st.lists(NEAR_INTS, max_size=5) | st.dictionaries(
+    st.text(max_size=2), NEAR_INTS, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(JSON_DOC)), JSON_VALUES, max_size=3),
+       st.sets(st.sampled_from(sorted(JSON_DOC)), max_size=2))
+def test_json_layer_loader_is_total(tmp_path_factory, replace, drop):
+    """Any field replaced by any JSON value, or dropped, either raises the
+    package's own error or loads exactly what the document says."""
+    doc = {k: v for k, v in {**JSON_DOC, **replace}.items() if k not in drop}
+    p = tmp_path_factory.mktemp("j") / "f.json"
+    p.write_text(json.dumps(doc))
+    try:
+        data = load_layer(p)
+    except SparseAccelError:
+        return
+    header = doc["dims"] + doc["filters"] + [doc["stride"], doc["brick"]]
+    assert all(type(v) is int and v >= 1 for v in header)
+    assert (data.stride, data.brick) == (doc["stride"], doc["brick"])
+    x, y, i = doc["dims"]
+    assert data.acts.values[:, :, :i].reshape(-1).tolist() == doc["activations"]
+    assert data.filters.values[..., :i].reshape(-1).tolist() == doc["weights"]
+    assert all(type(v) is int for v in doc["activations"] + doc["weights"])
 
 
 def test_json_and_binary_agree(tmp_path):
