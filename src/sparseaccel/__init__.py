@@ -13,9 +13,8 @@ The package splits into layers that can be used independently:
 
 from .errors import (BadMagicError, BoundsError, ConfigurationError, FormatError,
                      SparseAccelError, TruncatedError, ValidationError, VersionError)
-from .tensor import (ActTensor, Brick, FilterSet, LayerConfig, WindowAssignment,
-                     brick_at, conv3d, dense_conv, pad_depth, window_bricks,
-                     window_slices)
+from .tensor import (ActTensor, Brick, FilterSet, LayerConfig, brick_at, conv3d,
+                     dense_conv, pad_depth, window_bricks)
 from .sparsity import (GroupScope, IneffCriterion, ZERO, can_skip, effectual_mask,
                        is_product, is_vector, mask_from_string, mask_to_string)
 from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
@@ -27,8 +26,8 @@ from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
 from .dispatch import (BankLayout, DispatchEvent, DispatchRun, EmptyBrickCost,
                        RawDispatchSource, SyncPolicy, format_trace, run_dispatch,
                        stream_brick, write_trace)
-from .sim import (CycleReport, TileConfig, encode_outputs, run_arch, run_baseline,
-                  run_cnv, run_cnv2, weight_product_table)
+from .sim import (CycleReport, TileConfig, run_arch, run_baseline, run_cnv, run_cnv2,
+                  weight_product_table)
 from .workloads import (LayerData, SyntheticSpec, gen_synthetic, load_layer,
                         save_layer)
 
@@ -41,14 +40,14 @@ __all__ = [
     "FootprintReport", "GroupScope", "IneffCriterion", "LayerConfig", "LayerData",
     "RawDispatchSource", "RoeBrick", "RoeStore", "SparseAccelError", "SyncPolicy",
     "SyntheticSpec", "TileConfig", "TruncatedError", "ValidationError",
-    "VersionError", "ViaiBrick", "ViaiStore", "WindowAssignment", "ZERO",
+    "VersionError", "ViaiBrick", "ViaiStore", "ZERO",
     "ZfnafBrick", "ZfnafStore", "brick_at", "can_skip", "conv3d", "decode_roe",
     "decode_viai", "decode_zfnaf", "dense_conv", "deserialize_store",
-    "effectual_mask", "encode_cviai", "encode_outputs", "encode_roe",
+    "effectual_mask", "encode_cviai", "encode_roe",
     "encode_store", "encode_viai", "encode_zfnaf", "footprint_bits",
     "format_trace", "gen_synthetic", "is_product", "is_vector", "load_layer",
     "mask_from_string", "mask_to_string", "offset_bits_for", "pad_depth",
     "pointer_bits_for", "run_arch", "run_baseline", "run_cnv", "run_cnv2",
     "run_dispatch", "save_layer", "stream_brick", "weight_product_table",
-    "window_bricks", "window_slices", "write_trace",
+    "window_bricks", "write_trace",
 ]

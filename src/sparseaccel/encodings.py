@@ -75,11 +75,6 @@ def _roe_fits(pairs, brick: int):
     return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS
 
 
-def _pairs_for(values: np.ndarray, crit: IneffCriterion) -> list[tuple[int, int]]:
-    keep = crit.effectual(values)
-    return [(int(j), int(values[j])) for j in np.flatnonzero(keep)]
-
-
 # ---------------------------------------------------------------------------
 # the field packer
 # ---------------------------------------------------------------------------
@@ -132,7 +127,9 @@ def _unpack(body: bytes, nbits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-brick codecs
+# per-brick codecs: each view is read off a one-row store of its format, so
+# the store owns the rule for which values are kept and `_container_bits`
+# the container size
 # ---------------------------------------------------------------------------
 
 
@@ -152,23 +149,21 @@ class ZfnafBrick:
 
     @property
     def container_bits(self) -> int:
-        return self.brick * (VALUE_BITS + self.offset_bits)
-
-    def decode_values(self) -> np.ndarray:
-        out = np.zeros(self.brick, dtype=np.int16)
-        for off, val in self.pairs:
-            out[off] = val
-        return out
+        return _container_bits(Format.ZFNAF, 1, self.brick)
 
 
 def encode_zfnaf(brick: Brick, crit: IneffCriterion = ZERO) -> ZfnafBrick:
     """Encode one brick; ineffectual values are dropped, offsets kept."""
-    return ZfnafBrick(brick.x, brick.y, brick.i, brick.size, _pairs_for(brick.values, crit))
+    store = ZfnafStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
+    return ZfnafBrick(brick.x, brick.y, brick.i, brick.size, store.brick_pairs(0, 0, 0))
 
 
 def decode_zfnaf(zb: ZfnafBrick) -> Brick:
     """Inverse of `encode_zfnaf` up to zeroing of the dropped positions."""
-    return Brick(zb.x, zb.y, zb.i, zb.decode_values())
+    out = np.zeros(zb.brick, dtype=np.int16)
+    for off, val in zb.pairs:
+        out[off] = val
+    return Brick(zb.x, zb.y, zb.i, out)
 
 
 @dataclass
@@ -189,7 +184,7 @@ class RoeBrick:
 
     @property
     def container_bits(self) -> int:
-        return 1 + self.brick * VALUE_BITS
+        return _container_bits(Format.ROE, 1, self.brick)
 
     def bits_used(self, offset_bits: int | None = None) -> int:
         """Bits the stored form occupies inside the container.
@@ -202,25 +197,19 @@ class RoeBrick:
         ob = self.offset_bits if offset_bits is None else offset_bits
         return 1 + len(self.pairs) * (VALUE_BITS + ob)
 
-    def decode_values(self) -> np.ndarray:
-        if not self.encoded:
-            return self.raw.copy()
-        out = np.zeros(self.brick, dtype=np.int16)
-        for off, val in self.pairs:
-            out[off] = val
-        return out
-
 
 def encode_roe(brick: Brick, crit: IneffCriterion = ZERO) -> RoeBrick:
     """Encode one brick, falling back to raw storage when pairs do not fit."""
-    pairs = _pairs_for(brick.values, crit)
-    if _roe_fits(len(pairs), brick.size):
-        return RoeBrick(brick.x, brick.y, brick.i, brick.size, True, pairs=pairs)
-    return RoeBrick(brick.x, brick.y, brick.i, brick.size, False, raw=brick.values.copy())
+    store = RoeStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
+    if store.encoded[0]:
+        return RoeBrick(brick.x, brick.y, brick.i, brick.size, True, store.brick_pairs(0, 0, 0))
+    return RoeBrick(brick.x, brick.y, brick.i, brick.size, False, raw=store.values[0])
 
 
 def decode_roe(rb: RoeBrick) -> Brick:
-    return Brick(rb.x, rb.y, rb.i, rb.decode_values())
+    if rb.encoded:
+        return decode_zfnaf(rb)  # the same (offset, value) pairs
+    return Brick(rb.x, rb.y, rb.i, rb.raw.copy())
 
 
 @dataclass
@@ -245,19 +234,17 @@ class ViaiBrick:
 
     @property
     def container_bits(self) -> int:
-        return self.brick * (1 + VALUE_BITS)
-
-    def decode_values(self) -> np.ndarray:
-        return np.where(self.mask, self.values, 0).astype(np.int16)
+        return _container_bits(Format.VIAI, 1, self.brick)
 
 
 def encode_viai(brick: Brick, crit: IneffCriterion = ZERO) -> ViaiBrick:
-    return ViaiBrick(brick.x, brick.y, brick.i, crit.effectual(brick.values), brick.values.copy())
+    store = ViaiStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
+    return ViaiBrick(brick.x, brick.y, brick.i, store.masks[0], store.values[0])
 
 
 def decode_viai(vb: ViaiBrick) -> Brick:
     """Masked-off positions decode to zero even if a raw value was kept there."""
-    return Brick(vb.x, vb.y, vb.i, vb.decode_values())
+    return Brick(vb.x, vb.y, vb.i, np.where(vb.mask, vb.values, 0).astype(np.int16))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispatch import EmptyBrickCost, SyncPolicy
-from .encodings import Format, FootprintReport, footprint_bits
+from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
 from .tensor import ActTensor, FilterSet, LayerConfig, conv3d, dense_conv
@@ -72,23 +72,6 @@ class CycleReport:
     def to_record(self) -> dict:
         return {c: getattr(self, c) for c in self.CSV_COLUMNS}
 
-    def to_csv_row(self) -> list[str]:
-        return [str(v) for v in self.to_record().values()]
-
-
-def _validate(acts: ActTensor, filters: FilterSet, layer: LayerConfig, tile: TileConfig) -> None:
-    if acts.dims != (layer.x, layer.y, layer.i):
-        raise ConfigurationError(
-            f"activation dims {acts.dims} do not match layer ({layer.x}, {layer.y}, {layer.i})"
-        )
-    shape = (filters.count, filters.fx, filters.fy, filters.i)
-    if shape != (layer.f, layer.fx, layer.fy, layer.i):
-        raise ConfigurationError(
-            f"filter dims {shape} do not match layer "
-            f"({layer.f}, {layer.fx}, {layer.fy}, {layer.i})"
-        )
-    layer.check_brick(tile.brick)
-
 
 def _pass_ranges(f: int, resident: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + resident, f)) for lo in range(0, f, resident)]
@@ -115,17 +98,6 @@ def _lane_busy(counts: np.ndarray, lanes: int) -> np.ndarray:
                        minlength=lanes).astype(np.int64)
 
 
-def encode_outputs(output, fmt: Format, crit: IneffCriterion = ZERO,
-                   brick: int = 16) -> FootprintReport:
-    """Footprint of the produced output tensor in the chosen storage format.
-
-    Output depth is the filter axis; it is padded to a brick multiple for
-    container accounting. Value fields count at the formats' 16-bit width
-    even though the in-memory outputs are untruncated sums.
-    """
-    return footprint_bits(fmt, output, crit, brick)
-
-
 def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
             cycles: int, performed: int, broadcasts: int, busy: np.ndarray,
             crit: IneffCriterion, out_format: Format) -> CycleReport:
@@ -136,7 +108,9 @@ def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
         macs_performed=performed,
         macs_skipped=total_macs - performed,
         broadcasts=broadcasts,
-        footprint_bits=encode_outputs(out, out_format, crit, tile.brick).total_bits,
+        # the output's depth is its filter axis, padded to a brick multiple for
+        # the container; value fields count 16 bits though the sums are wider
+        footprint_bits=footprint_bits(out_format, out, crit, tile.brick).total_bits,
         utilization=int(busy.sum()) / (tile.lanes * cycles) if cycles else 0.0,
         per_lane_busy=tuple(int(v) for v in busy),
     )
@@ -151,7 +125,8 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     share each window's positions round robin, not its bricks, so the
     counts are closed form.
     """
-    _validate(acts, filters, layer, tile)
+    layer.check_tensors(acts, filters)
+    layer.check_brick(tile.brick)
     out = dense_conv(acts, filters, layer)
 
     k = layer.window_positions
@@ -199,7 +174,8 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     the result per pass. The output is one convolution of the effectual
     activations with each filter's weights zeroed where its group skips.
     """
-    _validate(acts, filters, layer, tile)
+    layer.check_tensors(acts, filters)
+    layer.check_brick(tile.brick)
     b, nb = tile.brick, layer.i // tile.brick
     eff = act_crit.effectual(acts.values)
     windows = sliding_window_view(

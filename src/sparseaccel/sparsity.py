@@ -58,10 +58,6 @@ class IneffCriterion:
         return ~self.ineffectual(values)
 
     @classmethod
-    def zero(cls) -> "IneffCriterion":
-        return cls("zero")
-
-    @classmethod
     def abs_threshold(cls, t: int) -> "IneffCriterion":
         return cls("abs", t)
 

@@ -51,16 +51,16 @@ def pad_depth(arr: np.ndarray, brick: int) -> np.ndarray:
     return np.pad(arr, widths)
 
 
-class ActTensor:
-    """Activation tensor with axes (x, y, i), feature index fastest.
+class _DepthTensor:
+    """int16 values whose last axis is the depth, with its pre-padding
+    ``logical_i``; subclasses fix the number of axes."""
 
-    ``logical_i`` records the pre-padding depth; it equals the stored depth
-    unless the tensor was depth padded to a brick multiple.
-    """
+    _ndim: int
+    _what: str
 
     def __init__(self, values, logical_i: int | None = None):
-        self.values = _as_int16(values, 3, "activation tensor")
-        depth = self.values.shape[2]
+        self.values = _as_int16(values, self._ndim, self._what)
+        depth = self.values.shape[-1]
         if logical_i is None:
             logical_i = depth
         if not 1 <= int(logical_i) <= depth:
@@ -70,10 +70,20 @@ class ActTensor:
         self.logical_i = int(logical_i)
 
     @classmethod
-    def padded(cls, values, brick: int) -> "ActTensor":
+    def padded(cls, values, brick: int):
         """Build a tensor whose depth is padded up to a multiple of ``brick``."""
-        arr = _as_int16(values, 3, "activation tensor")
-        return cls(pad_depth(arr, brick), logical_i=arr.shape[2])
+        arr = _as_int16(values, cls._ndim, cls._what)
+        return cls(pad_depth(arr, brick), logical_i=arr.shape[-1])
+
+
+class ActTensor(_DepthTensor):
+    """Activation tensor with axes (x, y, i), feature index fastest.
+
+    ``logical_i`` records the pre-padding depth; it equals the stored depth
+    unless the tensor was depth padded to a brick multiple.
+    """
+
+    _ndim, _what = 3, "activation tensor"
 
     @property
     def x(self) -> int:
@@ -102,24 +112,10 @@ class ActTensor:
         return f"ActTensor(dims={self.dims}, logical_i={self.logical_i})"
 
 
-class FilterSet:
+class FilterSet(_DepthTensor):
     """Weight tensor with axes (f, x, y, i); all filters share one shape."""
 
-    def __init__(self, values, logical_i: int | None = None):
-        self.values = _as_int16(values, 4, "filter set")
-        depth = self.values.shape[3]
-        if logical_i is None:
-            logical_i = depth
-        if not 1 <= int(logical_i) <= depth:
-            raise ConfigurationError(
-                f"logical depth {logical_i} outside [1, {depth}]"
-            )
-        self.logical_i = int(logical_i)
-
-    @classmethod
-    def padded(cls, values, brick: int) -> "FilterSet":
-        arr = _as_int16(values, 4, "filter set")
-        return cls(pad_depth(arr, brick), logical_i=arr.shape[3])
+    _ndim, _what = 4, "filter set"
 
     @property
     def count(self) -> int:
@@ -184,6 +180,18 @@ class LayerConfig:
     def window_positions(self) -> int:
         """Number of multiply positions in one window."""
         return self.fx * self.fy * self.i
+
+    def check_tensors(self, acts: ActTensor, filters: FilterSet) -> None:
+        """Raise unless the tensors have exactly this layer's shape."""
+        if acts.dims != (self.x, self.y, self.i):
+            raise ConfigurationError(
+                f"activation dims {acts.dims} do not match layer ({self.x}, {self.y}, {self.i})"
+            )
+        if filters.values.shape != (self.f, self.fx, self.fy, self.i):
+            raise ConfigurationError(
+                f"filter dims {filters.values.shape} do not match layer "
+                f"({self.f}, {self.fx}, {self.fy}, {self.i})"
+            )
 
     def check_brick(self, brick: int) -> None:
         if brick < 1 or self.i % brick != 0:
@@ -255,33 +263,6 @@ def window_bricks(layer: LayerConfig, wx: int, wy: int, brick: int = 16) -> list
     ]
 
 
-@dataclass(frozen=True)
-class WindowAssignment:
-    """Lane-to-brick assignment for one output window."""
-
-    wx: int
-    wy: int
-    lanes: tuple[tuple[tuple[int, int, int], ...], ...]
-
-
-def window_slices(layer: LayerConfig, lanes: int = 16, brick: int = 16):
-    """Yield the per-lane brick lists for every window, in window order.
-
-    Brick k of a window (in the `window_bricks` order) goes to lane k mod
-    ``lanes``; each lane's bricks keep the traversal order. When a window has
-    fewer bricks than lanes the tail lanes receive none.
-    """
-    if lanes < 1:
-        raise ConfigurationError(f"lane count must be at least 1, got {lanes}")
-    layer.check_brick(brick)
-    for wx in range(layer.ox):
-        for wy in range(layer.oy):
-            per_lane: list[list[tuple[int, int, int]]] = [[] for _ in range(lanes)]
-            for k, coord in enumerate(window_bricks(layer, wx, wy, brick)):
-                per_lane[k % lanes].append(coord)
-            yield WindowAssignment(wx, wy, tuple(tuple(l) for l in per_lane))
-
-
 def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
     """Strided cross-correlation with 64-bit integer accumulation.
 
@@ -306,14 +287,5 @@ def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
 
 def dense_conv(acts: ActTensor, filters: FilterSet, layer: LayerConfig) -> np.ndarray:
     """Reference convolution of the layer; output axes are (wx, wy, f)."""
-    if acts.dims != (layer.x, layer.y, layer.i):
-        raise ConfigurationError(
-            f"activation dims {acts.dims} do not match layer "
-            f"({layer.x}, {layer.y}, {layer.i})"
-        )
-    if (filters.count, filters.fx, filters.fy, filters.i) != (layer.f, layer.fx, layer.fy, layer.i):
-        raise ConfigurationError(
-            f"filter dims {filters.values.shape} do not match layer "
-            f"({layer.f}, {layer.fx}, {layer.fy}, {layer.i})"
-        )
+    layer.check_tensors(acts, filters)
     return conv3d(acts.values, filters.values, layer.stride)

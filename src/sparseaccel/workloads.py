@@ -20,8 +20,10 @@ depth, stride, and brick size, then the raw int16 payloads; a file longer
 or shorter than its header declares is rejected. A ``.json``
 variant with the same fields exists for human-editable fixtures; its
 header fields and payload entries must be JSON integers (not bools or
-floats) within the binary header's field ranges and int16, and its
-dimensions, stride and brick must be at least 1.
+floats) within the binary header's field ranges and int16. In both
+formats every dimension, the stride and the brick must be at least 1, and
+the brick may pad the depth i to at most max(2i, 16), so a small file
+cannot ask for tensors out of proportion to its payload.
 """
 
 from __future__ import annotations
@@ -204,10 +206,34 @@ def _load_binary(path) -> LayerData:
         raise FormatError(f"{path}: {len(blob) - need} trailing bytes after the "
                           f"{need}-byte layer its header declares")
     body = np.frombuffer(blob, dtype="<i2", count=n_act + n_wt, offset=_BIN_HEADER.size)
-    acts = body[:n_act].reshape(x, y, i)
-    wts = body[n_act:].reshape(f, fx, fy, i)
-    return LayerData(ActTensor.padded(acts, brick), FilterSet.padded(wts, brick),
-                     stride, brick)
+    return _layer_data(path, (x, y, i), (f, fx, fy), stride, brick, body[:n_act], body[n_act:])
+
+
+def _layer_data(path, dims, filters, stride: int, brick: int, acts: np.ndarray,
+                wts: np.ndarray) -> LayerData:
+    """The header rule both formats share, then the tensors.
+
+    Every header field must be at least 1, and the padded depth
+    ceil(i / brick) * brick at most max(2 * i, 16), so that the tensors the
+    file asks for stay within a constant factor of its payload. The flat
+    payloads must hold exactly the header's activation and weight counts.
+    """
+    header = (("dims", dims), ("filters", filters), ("stride", [stride]), ("brick", [brick]))
+    for key, values in header:
+        for n, v in enumerate(values):
+            if v < 1:
+                raise FormatError(f"{path}: {key}[{n}] is {v}, expected at least 1")
+    (x, y, i), (f, fx, fy) = dims, filters
+    padded = -(-i // brick) * brick
+    if padded > max(2 * i, 16):
+        raise FormatError(f"{path}: padded depth {padded} (depth {i}, brick {brick}) "
+                          f"exceeds max(2 * depth, 16)")
+    if acts.size != x * y * i or wts.size != f * fx * fy * i:
+        raise TruncatedError(
+            f"{path}: payload sizes {acts.size}/{wts.size} do not match the header dims"
+        )
+    return LayerData(ActTensor.padded(acts.reshape(x, y, i), brick),
+                     FilterSet.padded(wts.reshape(f, fx, fy, i), brick), stride, brick)
 
 
 def _save_json(path, data: LayerData) -> None:
@@ -255,19 +281,13 @@ def _load_json(path) -> LayerData:
     if type(doc.get("version")) is not int or doc["version"] != _VERSION:
         raise VersionError(f"{path}: version {doc.get('version')}, expected {_VERSION}")
     try:
-        x, y, i = _json_ints(path, "dims", doc["dims"], 1, _U32, 3)
-        f, fx, fy = _json_ints(path, "filters", doc["filters"], 1, _U32, 3)
-        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 1, _U16) for k in ("stride", "brick"))
+        dims = _json_ints(path, "dims", doc["dims"], 0, _U32, 3)
+        filters = _json_ints(path, "filters", doc["filters"], 0, _U32, 3)
+        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 0, _U16) for k in ("stride", "brick"))
         acts = np.array(_json_ints(path, "activations", doc["activations"], INT16_MIN, INT16_MAX),
                         dtype=np.int16)
         wts = np.array(_json_ints(path, "weights", doc["weights"], INT16_MIN, INT16_MAX),
                        dtype=np.int16)
     except KeyError as exc:
         raise TruncatedError(f"{path}: incomplete layer document (no {exc} field)") from None
-    if acts.size != x * y * i or wts.size != f * fx * fy * i:
-        raise TruncatedError(
-            f"{path}: payload sizes {acts.size}/{wts.size} do not match the header dims"
-        )
-    return LayerData(ActTensor.padded(acts.reshape(x, y, i), brick),
-                     FilterSet.padded(wts.reshape(f, fx, fy, i), brick),
-                     stride, brick)
+    return _layer_data(path, dims, filters, stride, brick, acts, wts)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost, FilterSet,
-                         GroupScope, LayerConfig, SyncPolicy, window_slices)
+                         GroupScope, LayerConfig, SyncPolicy)
 
 
 def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -73,6 +73,25 @@ def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit)
                                 kept = np.where(dead, 0, vals)
                             out[wx, wy, glo:ghi] += wts @ kept
     return out
+
+
+def window_slices(layer, lanes: int = 16, brick: int = 16):
+    """Yield the per-lane brick lists of every window, in window order.
+
+    A window's bricks run filter-x major, then filter-y, with the depth
+    ordinal fastest. Brick k goes to lane k mod ``lanes`` and each lane
+    keeps that order, so when a window has fewer bricks than lanes the tail
+    lanes receive none.
+    """
+    for wx in range(layer.ox):
+        for wy in range(layer.oy):
+            per_lane = [[] for _ in range(lanes)]
+            bricks = [(wx * layer.stride + a, wy * layer.stride + b, ib)
+                      for a in range(layer.fx) for b in range(layer.fy)
+                      for ib in range(layer.i // brick)]
+            for k, coord in enumerate(bricks):
+                per_lane[k % lanes].append(coord)
+            yield SimpleNamespace(wx=wx, wy=wy, lanes=tuple(tuple(lane) for lane in per_lane))
 
 
 def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTEP,
@@ -330,6 +349,33 @@ def _slow_effectual(value: int, kind: str, param: int) -> bool:
     if kind == "pow2":
         return abs(value) >= 1 << param
     return value != 0
+
+
+def slow_brick_codec(fmt: str, values, kind: str, param: int) -> SimpleNamespace:
+    """One brick's ZFNAf, RoE or VIAI form, restated from the `encodings` docstring.
+
+    The pairs are the (offset, value) pairs of the effectual values in offset
+    order, and the mask marks them. RoE keeps its pairs while
+    k*(16 + offset_bits) <= 16*B, so a tie encodes; it then uses 1 mode bit
+    plus k*(16 + offset_bits) bits of its container, and all of it
+    otherwise. Decoding zeroes every dropped position, except in a raw-mode
+    RoE brick, which kept every value.
+    """
+    vals = [int(v) for v in values]
+    brick = len(vals)
+    ob = (brick - 1).bit_length()
+    mask = [_slow_effectual(v, kind, param) for v in vals]
+    pairs = [(o, v) for o, (v, keep) in enumerate(zip(vals, mask)) if keep]
+    container = {"zfnaf": brick * (16 + ob), "roe": 1 + brick * 16, "viai": brick * 17}[fmt]
+    encoded = len(pairs) * (16 + ob) <= brick * 16
+    decoded = [v if keep else 0 for v, keep in zip(vals, mask)]
+    if fmt == "roe" and not encoded:
+        decoded = vals
+    return SimpleNamespace(
+        pairs=pairs, mask=mask, encoded=encoded, offset_bits=ob, container_bits=container,
+        bits_used=lambda offset_bits=ob: (1 + len(pairs) * (16 + offset_bits) if encoded
+                                          else container),
+        decoded=decoded)
 
 
 def slow_container_bytes(fmt: str, acts: np.ndarray, kind: str, param: int,

@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import math
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -165,6 +166,25 @@ def test_run_rejects_malformed_json_layer(tmp_path, capsys, dims, acts):
     assert run_cli("run", "--layer", str(path)) == 2
     err = capsys.readouterr().err
     assert "expected an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, stride, brick, message", [
+    ("zero.layer", 0, 4, "stride[0] is 0"),
+    ("wide.layer", 1, 65535, "padded depth 65535"),
+    ("wide.json", 1, 65535, "padded depth 65535"),
+])
+def test_run_rejects_layer_headers_out_of_bounds(tmp_path, capsys, name, stride, brick, message):
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps({"format": "CNVL", "version": 1, "dims": [100, 1, 1],
+                                    "filters": [1, 1, 1], "stride": stride, "brick": brick,
+                                    "activations": [1] * 100, "weights": [1]}))
+    else:
+        path.write_bytes(struct.pack("<4sHIIIIIIHH", b"CNVL", 1, 100, 1, 1, 1, 1, 1, stride, brick)
+                         + bytes(2 * 101))
+    assert run_cli("run", "--layer", str(path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_run_equivalence_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import ast
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,24 @@ from sparseaccel.errors import ConfigurationError, FormatError
 
 from pathlib import Path
 
+import helpers
 from helpers import loop_dispatch
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_oracles_borrow_no_function_from_the_package():
+    """`tests/helpers.py` may name the package's types, but its oracles
+    compute everything themselves: each name it imports is a class."""
+    tree = ast.parse(Path(helpers.__file__).read_text())
+    assert not any(alias.name.split(".")[0] == "sparseaccel" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sparseaccel"
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert isinstance(getattr(importlib.import_module(module), name), type), name
 
 
 def acts_1d(values, brick=4) -> ActTensor:

@@ -13,7 +13,7 @@ from sparseaccel import (ActTensor, CviaiStore, Format, IneffCriterion, RoeStore
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
-from helpers import slow_container_bytes
+from helpers import slow_brick_codec, slow_container_bytes
 
 # header layout, rebuilt here from first principles so the byte-level
 # goldens do not lean on the code under test
@@ -182,6 +182,52 @@ def test_viai_threshold_zeroes_on_decode():
 def test_viai_store_pairs():
     store = ViaiStore.encode(tensor([1, 2, 0, 4]), ZERO, brick=4)
     assert store.brick_pairs(0, 0, 0) == [(0, 1), (1, 2), (3, 4)]
+
+
+# -- per-brick codecs against the slow restatement --------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 4, 16, 21]),
+       st.sampled_from(["zero", "abs:3", "abs:300", "pow2:2", "pow2:9"]),
+       st.integers(0, 21), st.integers(0, 2**32 - 1))
+@example(21, "zero", 5, 0)   # 16 pairs fill RoE's 336 payload bits exactly: encoded
+@example(21, "zero", 4, 0)   # 17 pairs do not fit: raw
+@example(1, "zero", 0, 0)    # one 16-bit pair ties a 16-bit payload
+def test_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(-32768, 32768, size=brick).astype(np.int16)
+    vals[rng.permutation(brick)[:zeros]] = 0
+    b = Brick(int(rng.integers(0, 9)), int(rng.integers(0, 9)), brick * int(rng.integers(0, 9)),
+              vals)
+    crit = IneffCriterion.parse(spec)
+    want = {fmt: slow_brick_codec(fmt, vals, crit.kind, crit.param)
+            for fmt in ("zfnaf", "roe", "viai")}
+    where = (b.x, b.y, b.i)
+
+    zb, w = encode_zfnaf(b, crit), want["zfnaf"]
+    assert ((zb.x, zb.y, zb.i), zb.brick, zb.pairs) == (where, brick, w.pairs)
+    assert (zb.offset_bits, zb.container_bits) == (w.offset_bits, w.container_bits)
+    back = decode_zfnaf(zb)
+    assert ((back.x, back.y, back.i), back.values.tolist()) == (where, w.decoded)
+
+    rb, w = encode_roe(b, crit), want["roe"]
+    assert ((rb.x, rb.y, rb.i), rb.brick, rb.encoded) == (where, brick, w.encoded)
+    assert rb.pairs == (w.pairs if w.encoded else [])
+    assert (rb.raw is None) == w.encoded
+    if not w.encoded:
+        assert rb.raw.tolist() == vals.tolist()
+    assert (rb.offset_bits, rb.container_bits) == (w.offset_bits, w.container_bits)
+    assert rb.bits_used() == w.bits_used()
+    assert rb.bits_used(offset_bits=4) == w.bits_used(offset_bits=4)
+    back = decode_roe(rb)
+    assert ((back.x, back.y, back.i), back.values.tolist()) == (where, w.decoded)
+
+    vb, w = encode_viai(b, crit), want["viai"]
+    assert ((vb.x, vb.y, vb.i), vb.brick) == (where, brick)
+    assert (vb.mask.tolist(), vb.values.tolist()) == (w.mask, vals.tolist())
+    assert vb.container_bits == w.container_bits
+    back = decode_viai(vb)
+    assert ((back.x, back.y, back.i), back.values.tolist()) == (where, w.decoded)
 
 
 # -- cviai ---------------------------------------------------------------

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sparseaccel import (ActTensor, FilterSet, LayerConfig, brick_at, conv3d,
-                         dense_conv, pad_depth, window_bricks, window_slices)
+                         dense_conv, pad_depth, window_bricks)
 from sparseaccel.errors import BoundsError, ConfigurationError
 from sparseaccel.tensor import Brick
 
-from helpers import naive_conv, random_layer
+from helpers import naive_conv, random_layer, window_slices
 
 
 # -- containers ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,48 @@ def test_binary_error_taxonomy(tmp_path):
     p.write_bytes(_header() + bytes(2 * (32 + 8)))
     data = load_layer(p)  # exactly complete
     assert data.acts.dims == (2, 2, 8)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "i", "f", "fx", "fy", "stride", "brick"])
+def test_binary_header_fields_must_be_positive(tmp_path, field):
+    """The `.json` rule holds for `.layer` headers too: a zero field is a
+    `FormatError`, even when the payload matches the header."""
+    fields = {**dict(x=2, y=2, i=8, f=1, fx=1, fy=1, stride=1, brick=8), field: 0}
+    n = fields["i"] * (fields["x"] * fields["y"] + fields["f"] * fields["fx"] * fields["fy"])
+    p = tmp_path / "zero.layer"
+    p.write_bytes(_header(**fields) + bytes(2 * n))
+    with pytest.raises(FormatError, match=r"(dims|filters|stride|brick)\[\d\] is 0, expected"):
+        load_layer(p)
+
+
+@pytest.mark.parametrize("name", ["pad.layer", "pad.json"])
+def test_brick_padding_is_bounded_by_the_depth(tmp_path, name):
+    """The padded depth ceil(i/B)*B may be at most max(2i, 16), so a small
+    file cannot ask for a large allocation."""
+    def write(i, brick, x=1):
+        acts, wts = [1] * (x * i), [1] * i
+        p = tmp_path / name
+        if name.endswith(".json"):
+            p.write_text(json.dumps({**JSON_DOC, "dims": [x, 1, i], "brick": brick,
+                                     "activations": acts, "weights": wts}))
+        else:
+            p.write_bytes(_header(x=x, y=1, i=i, brick=brick)
+                          + struct.pack(f"<{len(acts) + len(wts)}h", *acts, *wts))
+        return p
+
+    assert load_layer(write(3, 16)).acts.dims == (1, 1, 16)  # the 16-sample floor
+    assert load_layer(write(9, 18)).acts.dims == (1, 1, 18)  # exactly 2i
+    with pytest.raises(FormatError, match="padded depth 19"):
+        load_layer(write(9, 19))
+    p = write(1, 65535, x=100)  # would pad to a (100, 1, 65535) tensor, 13 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="padded depth 65535"):
+            load_layer(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_json_error_taxonomy(tmp_path):
