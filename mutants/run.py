@@ -1,0 +1,202 @@
+"""Mutation audit: each named mutant must make the tests it names fail.
+
+    python3 mutants/run.py            # every mutant
+    python3 mutants/run.py NAME ...   # only these
+
+A mutant is a text patch: a file under src/, the exact old text (found
+exactly once), the new text, and the tests that should kill it. The script
+copies src/, tests/ and the data the tests read into a temporary directory,
+checks that the named tests pass there unpatched, then applies one mutant at
+a time and runs `pytest -x -q` on its tests against the copy. A mutant whose
+tests still pass survives. Exit status: 0 when every mutant is killed, 1
+when any survives, 2 when a patch no longer applies or a clean run fails.
+
+Standard library only; the repository itself is never modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "fixtures", "docs", "demos")
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    why: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # -- geometry rules ------------------------------------------------------
+    Mutant("brick-size-no-lower-bound", "a brick below 1 is not refused",
+           "src/sparseaccel/tensor.py",
+           '    if brick < 1:\n'
+           '        raise ConfigurationError(f"brick size must be at least 1, got {brick}")\n'
+           '    return -(-depth // brick) * brick\n',
+           '    return -(-depth // brick) * brick\n',
+           ("tests/test_tensor.py::test_brick_sizes_below_one_are_configuration_errors",
+            "tests/test_tensor.py::test_pad_depth")),
+    Mutant("padded-depth-floor", "the depth is rounded down to a brick multiple",
+           "src/sparseaccel/tensor.py",
+           "    return -(-depth // brick) * brick\n",
+           "    return depth // brick * brick\n",
+           ("tests/test_tensor.py::test_pad_depth",
+            "tests/test_workloads.py::test_brick_padding_is_bounded_by_the_depth")),
+    Mutant("save-layer-skips-header-check", "the writer ignores the loaders' header rule",
+           "src/sparseaccel/workloads.py",
+           "    _check_header(path, a.shape, w.shape[:3], data.stride, data.brick)\n",
+           "",
+           ("tests/test_workloads.py::test_save_layer_refuses_what_the_loaders_refuse",)),
+    Mutant("padding-bound-floor-15", "the padding bound's floor of 16 becomes 15",
+           "src/sparseaccel/workloads.py",
+           "    if padded > max(2 * i, 16):\n",
+           "    if padded > max(2 * i, 15):\n",
+           ("tests/test_workloads.py::test_brick_padding_is_bounded_by_the_depth",)),
+    Mutant("bank-by-brick-set", "fetches are counted per brick set, not per lane bank",
+           "src/sparseaccel/dispatch.py",
+           "np.bincount(ib % lanes)",
+           "np.bincount(ib // lanes)",
+           ("tests/test_dispatch.py::test_fetch_pointers_count_bank_loads",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    # -- the dispatcher ------------------------------------------------------
+    Mutant("dispatch-rank-off-by-one", "every pair is sent one cycle late",
+           "src/sparseaccel/dispatch.py",
+           "    rank = np.cumsum(live, axis=2) - 1\n",
+           "    rank = np.cumsum(live, axis=2)\n",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("dispatch-inclusive-window-starts", "each window starts after its own end",
+           "src/sparseaccel/dispatch.py",
+           "    start = _exclusive_cumsum(window_len, 0)[:, None] \\\n",
+           "    start = np.cumsum(window_len, 0)[:, None] \\\n",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("dispatch-drain-ignored", "an empty brick never costs its drain cycle",
+           "src/sparseaccel/dispatch.py",
+           "    cost = np.maximum(sent, 1) if empty_brick_cost is EmptyBrickCost.ONE_CYCLE else sent\n",
+           "    cost = sent\n",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("dispatch-product-table-ignored", "dead weight offsets are still sent",
+           "src/sparseaccel/dispatch.py",
+           "        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]\n",
+           "",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    # -- the cycle model -----------------------------------------------------
+    Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
+           "src/sparseaccel/sim.py",
+           "    pass_costs = reduce(np.maximum, group_costs)\n",
+           "    pass_costs = reduce(np.minimum, group_costs)\n",
+           ("tests/test_sim.py::test_reports_match_oracle",)),
+    Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
+           "src/sparseaccel/sim.py",
+           "    eff = act_crit.effectual(acts.values)\n"
+           "    windows = sliding_window_view(\n"
+           "        eff.reshape(",
+           "    eff = act_crit.effectual(acts.values)\n"
+           "    windows = sliding_window_view(\n"
+           "        (acts.values != 0).reshape(",
+           ("tests/test_sim.py::test_reports_match_oracle",)),
+    # -- codecs --------------------------------------------------------------
+    Mutant("roe-fit-strict", "a RoE brick that exactly fits is stored raw",
+           "src/sparseaccel/encodings.py",
+           "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
+           "    return pairs * (VALUE_BITS + offset_bits_for(brick)) < brick * VALUE_BITS\n",
+           ("tests/test_encodings.py",)),
+    # -- the CLI -------------------------------------------------------------
+    Mutant("reference-float32-gemm", "the reference check sums in float32",
+           "src/sparseaccel/cli.py",
+           "(kept @ wts.T.astype(np.float64))",
+           "(kept.astype(np.float32) @ wts.T.astype(np.float32))",
+           ("tests/test_cli.py::test_reference_output_exact_at_int16_extremes",
+            "tests/test_cli.py::test_reference_output_matches_window_loop")),
+    Mutant("atomic-write-leaks-oserror", "a report into a missing directory is a traceback",
+           "src/sparseaccel/cli.py",
+           "    except OSError as exc:\n"
+           '        raise ValidationError(f"cannot write {path}: {exc}") from None\n',
+           "    except ValueError as exc:\n"
+           '        raise ValidationError(f"cannot write {path}: {exc}") from None\n',
+           ("tests/test_cli.py::test_reports_into_a_missing_directory_exit_2",)),
+    Mutant("compare-accepts-any-rows", "compare merges rows that are not report rows",
+           "src/sparseaccel/cli.py",
+           "        if not isinstance(rows, list) or not all(map(_mergeable, rows)):\n",
+           "        if not isinstance(rows, list):\n",
+           ("tests/test_cli.py::test_compare_rejects_malformed_rows",)),
+)
+
+
+def _pytest(work: Path, tests) -> tuple[int, str]:
+    # no bytecode cache: a patch of the same size within the same second
+    # would otherwise run from the stale .pyc of the previous text
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = ap.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        stale = [m.name for m in chosen if (ROOT / m.file).read_text().count(m.old) != 1]
+        if stale:
+            print(f"stale mutants (old text not found exactly once): {', '.join(stale)}")
+            return 2
+        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        rc, last = _pytest(work, tests)
+        if rc != 0:
+            print(f"the unpatched tests fail ({last}); no mutant can be judged")
+            return 2
+
+        survivors, errors = [], []
+        for m in chosen:
+            path = work / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            rc, last = _pytest(work, m.tests)
+            path.write_text(original)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(rc, "ERROR")
+            print(f"{verdict:8} {m.name:34} {time.perf_counter() - start:6.1f} s  {last}",
+                  flush=True)
+            if rc == 0:
+                print(f"         unguarded: {m.why}")
+                survivors.append(m.name)
+            elif rc != 1:
+                errors.append(m.name)
+
+    print(f"{len(chosen)} mutants: {len(chosen) - len(survivors) - len(errors)} killed, "
+          f"{len(survivors)} survived, {len(errors)} errors")
+    return 1 if survivors else 2 if errors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

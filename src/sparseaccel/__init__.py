@@ -23,7 +23,7 @@ from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
                         encode_store, encode_zfnaf, encode_viai, decode_viai,
                         decode_roe, footprint_bits, offset_bits_for,
                         pointer_bits_for)
-from .dispatch import (BankLayout, DispatchEvent, DispatchRun, EmptyBrickCost,
+from .dispatch import (DispatchEvent, DispatchRun, EmptyBrickCost,
                        RawDispatchSource, SyncPolicy, format_trace, run_dispatch,
                        stream_brick, write_trace)
 from .sim import (CycleReport, TileConfig, run_arch, run_baseline, run_cnv, run_cnv2,
@@ -34,7 +34,7 @@ from .workloads import (LayerData, SyntheticSpec, gen_synthetic, load_layer,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActTensor", "BadMagicError", "BankLayout", "BoundsError",
+    "ActTensor", "BadMagicError", "BoundsError",
     "Brick", "ConfigurationError", "CviaiStore", "CycleReport", "DispatchEvent",
     "DispatchRun", "EmptyBrickCost", "FilterSet", "Format", "FormatError",
     "FootprintReport", "GroupScope", "IneffCriterion", "LayerConfig", "LayerData",

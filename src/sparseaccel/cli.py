@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -109,50 +110,52 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 def _atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def _add_synth_flags(p: argparse.ArgumentParser, require: bool) -> None:
-    p.add_argument("--dims", type=str, required=require,
-                   help="input extent as XxYxI, e.g. 8x8x32")
-    p.add_argument("--filters", type=str, required=require,
-                   help="filter bank as FxFXxFY, e.g. 4x3x3")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--brick", type=int, default=16, help="brick size B")
-    p.add_argument("--pa", type=float, default=0.0, help="activation zero probability")
-    p.add_argument("--pw", type=float, default=0.0, help="weight zero probability")
-    p.add_argument("--vmin", type=int, default=-128)
-    p.add_argument("--vmax", type=int, default=127)
-    p.add_argument("--seed", type=int, default=0)
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dims", type=str, help="input extent as XxYxI, e.g. 8x8x32")
+    p.add_argument("--filters", type=str, help="filter bank as FxFXxFY, e.g. 4x3x3")
+    p.add_argument("--stride", type=int, default=SyntheticSpec.stride)
+    p.add_argument("--brick", type=int, default=SyntheticSpec.brick, help="brick size B")
+    p.add_argument("--pa", type=float, default=SyntheticSpec.p_act_zero,
+                   help="activation zero probability")
+    p.add_argument("--pw", type=float, default=SyntheticSpec.p_wt_zero,
+                   help="weight zero probability")
+    p.add_argument("--vmin", type=int, default=SyntheticSpec.vmin)
+    p.add_argument("--vmax", type=int, default=SyntheticSpec.vmax)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
 
 
-def _spec_from_args(args) -> SyntheticSpec:
+def _synthetic(args) -> LayerData:
     if not args.dims or not args.filters:
         raise ValidationError("a synthetic layer needs both --dims and --filters")
     x, y, i = _parse_dims(args.dims, 3, "--dims")
     f, fx, fy = _parse_dims(args.filters, 3, "--filters")
-    return SyntheticSpec(x=x, y=y, i=i, f=f, fx=fx, fy=fy, stride=args.stride,
+    spec = SyntheticSpec(x=x, y=y, i=i, f=f, fx=fx, fy=fy, stride=args.stride,
                          p_act_zero=args.pa, p_wt_zero=args.pw,
                          vmin=args.vmin, vmax=args.vmax,
                          seed=args.seed, brick=args.brick)
+    return LayerData(*gen_synthetic(spec), spec.stride, spec.brick)
 
 
 def cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    acts, filters = gen_synthetic(spec)
-    data = LayerData(acts, filters, spec.stride, spec.brick)
+    data = _synthetic(args)
     data.layer_config()  # fail early on untileable geometry
     save_layer(args.out, data)
-    a = acts.values[:, :, :acts.logical_i]
-    w = filters.values[:, :, :, :filters.logical_i]
+    a = data.acts.values[:, :, :data.acts.logical_i]
+    w = data.filters.values[:, :, :, :data.filters.logical_i]
     print(f"wrote {args.out}")
     print(f"activations: {a.size} values, {int((a == 0).sum())} zero "
           f"({100.0 * (a == 0).mean():.1f}%)")
@@ -247,10 +250,8 @@ def cmd_run(args) -> int:
         data = load_layer(args.layer)
         source = args.layer
     else:
-        spec = _spec_from_args(args)
-        acts, filters = gen_synthetic(spec)
-        data = LayerData(acts, filters, spec.stride, spec.brick)
-        source = f"synthetic(seed={spec.seed})"
+        data = _synthetic(args)
+        source = f"synthetic(seed={args.seed})"
     layer = data.layer_config()
 
     archs = [a.strip() for a in args.arch.split(",") if a.strip()]
@@ -294,10 +295,7 @@ def cmd_run(args) -> int:
                   "logical_i": data.acts.logical_i, "f": layer.f,
                   "fx": layer.fx, "fy": layer.fy, "stride": layer.stride,
                   "brick": data.brick},
-        "tile": {"tiles": tile.tiles, "filters_per_tile": tile.filters_per_tile,
-                 "lanes": tile.lanes, "brick": tile.brick, "sync": tile.sync.value,
-                 "empty_brick": tile.empty_brick.value,
-                 "group_scope": tile.group_scope.value},
+        "tile": {k: getattr(v, "value", v) for k, v in dataclasses.asdict(tile).items()},
         "criteria": {"activation": act_crit.spec(), "weight": weight_crit.spec()},
         "encoding": out_format.value,
         "rows": rows,
@@ -354,6 +352,14 @@ def _print_table(rows: list[dict], columns=REPORT_COLUMNS) -> None:
         print("  ".join(row[j].ljust(widths[j]) for j in range(len(columns))))
 
 
+def _mergeable(row) -> bool:
+    """A report row `compare` can merge: an object with a string arch, and a
+    non-bool number or null as speedup and utilization."""
+    return isinstance(row, dict) and isinstance(row.get("arch"), str) and all(
+        v is None or isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in (row.get("speedup"), row.get("utilization")))
+
+
 def cmd_compare(args) -> int:
     merged: list[dict] = []
     speedups: dict[str, list[float]] = {}
@@ -364,6 +370,9 @@ def cmd_compare(args) -> int:
             rows = doc["rows"]
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from None
+        if not isinstance(rows, list) or not all(map(_mergeable, rows)):
+            raise ValidationError(f"cannot read report {path}: rows must be objects with a "
+                                  "string arch and numeric or null speedup and utilization")
         for row in rows:
             entry = {"source": path}
             entry.update(row)
@@ -397,25 +406,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic layer file")
-    _add_synth_flags(p_gen, require=False)
+    _add_synth_flags(p_gen)
     p_gen.add_argument("-o", "--out", required=True, help="output .layer or .json path")
     p_gen.add_argument("--config", help="flat key=value defaults file")
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="simulate one layer")
     p_run.add_argument("--layer", help="layer file to load (.layer or .json)")
-    _add_synth_flags(p_run, require=False)
+    _add_synth_flags(p_run)
     p_run.add_argument("--arch", default="baseline,cnv,cnv2",
                        help="comma list from baseline,cnv,cnv2")
-    p_run.add_argument("--tiles", type=int, default=16)
-    p_run.add_argument("--filters-per-tile", type=int, default=16)
-    p_run.add_argument("--lanes", type=int, default=16)
+    p_run.add_argument("--tiles", type=int, default=TileConfig.tiles)
+    p_run.add_argument("--filters-per-tile", type=int, default=TileConfig.filters_per_tile)
+    p_run.add_argument("--lanes", type=int, default=TileConfig.lanes)
     p_run.add_argument("--sync", choices=[p.value for p in SyncPolicy],
-                       default=SyncPolicy.BRICKSET_LOCKSTEP.value)
+                       default=TileConfig.sync.value)
     p_run.add_argument("--empty-brick", choices=[c.value for c in EmptyBrickCost],
-                       default=EmptyBrickCost.ZERO_CYCLES.value)
+                       default=TileConfig.empty_brick.value)
     p_run.add_argument("--group-scope", choices=[g.value for g in GroupScope],
-                       default=GroupScope.PASS_WIDE.value)
+                       default=TileConfig.group_scope.value)
     p_run.add_argument("--act-crit", default="zero", help="zero | abs:T | pow2:K")
     p_run.add_argument("--wt-crit", default="zero", help="zero | abs:T | pow2:K")
     p_run.add_argument("--encoding", choices=[f.value for f in Format],

@@ -20,6 +20,10 @@ pairs of each brick and stamps each pair with its cycle: the window's start,
 plus the start of the brick set (lockstep) or of the brick within its lane
 (window sync), plus the pair's rank.
 
+Activation memory has one bank per lane, and bricks at the same depth
+ordinal share a bank, so brick ib is fetched from bank ib % lanes; a run's
+fetch pointers count the brick loads per bank.
+
 Events carry a cycle stamp, the lane, and either a pair or an idle marker.
 A run keeps them as two columns over the (cycles x lanes) grid, cycle-major
 and in lane order within a cycle, and builds `DispatchEvent` objects only on
@@ -116,26 +120,6 @@ class EventColumns(Sequence):
         return f"EventColumns(lanes={self.lanes}, cycles={len(self) // self.lanes})"
 
 
-@dataclass(frozen=True)
-class BankLayout:
-    """Static mapping from brick coordinates to activation memory banks.
-
-    Bricks at the same depth ordinal live in the same bank, so when the
-    depth brick count is a multiple of the lane count each lane only ever
-    fetches from one bank. `bank_of` also takes equal-shaped coordinate
-    arrays.
-    """
-
-    nm_banks: int = 16
-
-    def __post_init__(self):
-        if self.nm_banks < 1:
-            raise ConfigurationError(f"bank count must be at least 1, got {self.nm_banks}")
-
-    def bank_of(self, x: int, y: int, ib: int) -> int:
-        return ib % self.nm_banks
-
-
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
     """Emit (offset, value) pairs for the effectual values, ascending offset.
 
@@ -224,7 +208,7 @@ def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
 def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                  policy: SyncPolicy = SyncPolicy.BRICKSET_LOCKSTEP,
                  empty_brick_cost: EmptyBrickCost = EmptyBrickCost.ZERO_CYCLES,
-                 prod_table=None, banks: BankLayout | None = None) -> DispatchRun:
+                 prod_table=None) -> DispatchRun:
     """Walk every window of the layer and produce the timed event stream.
 
     Args:
@@ -238,16 +222,16 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
 
     Returns:
         DispatchRun with events (cycle-major, lane order within a cycle),
-        total cycles, and the broadcast count (non-idle events).
+        total cycles, the broadcast count (non-idle events) and the brick
+        fetches per activation memory bank.
     """
     dims, brick = _source_geometry(source)
     if dims != (layer.x, layer.y, layer.i):
         raise FormatError(f"source dims {dims} do not match layer "
                           f"({layer.x}, {layer.y}, {layer.i})")
-    layer.check_brick(brick)
+    nb = layer.check_brick(brick)
     if lanes < 1:
         raise ConfigurationError(f"lane count must be at least 1, got {lanes}")
-    nb = layer.i // brick
     if prod_table is not None:
         prod_table = np.asarray(prod_table, dtype=bool)
         if prod_table.shape != (layer.fx, layer.fy, nb, brick):
@@ -255,7 +239,6 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                 f"product table shape {prod_table.shape} != "
                 f"({layer.fx}, {layer.fy}, {nb}, {brick})"
             )
-    banks = banks or BankLayout(nm_banks=lanes)
     offsets, values, counts = source.pair_table()
 
     # brick coordinates of every (window, slot), slots in `window_bricks`
@@ -299,8 +282,8 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
     event_values[at] = values[rows][live]
 
     busy = np.bincount(lane, minlength=lanes)
-    bank = np.broadcast_to(banks.bank_of(x, y, ib), rows.shape)
-    fetches = np.bincount(bank.ravel())
+    # one bank per lane: brick ib is fetched from bank ib % lanes, once per window
+    fetches = np.bincount(ib % lanes) * len(rows)
     return DispatchRun(EventColumns(event_offsets, event_values, lanes), cycles,
                        int(busy.sum()), lanes, tuple(busy.tolist()),
                        {int(b): int(n) for b, n in enumerate(fetches) if n})

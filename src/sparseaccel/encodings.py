@@ -375,16 +375,8 @@ class _Store:
     def dims(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.i)
 
-    @property
-    def bricks_per_column(self) -> int:
-        return self.i // self.brick
-
-    @property
-    def brick_count(self) -> int:
-        return self.x * self.y * self.bricks_per_column
-
     def _index(self, x: int, y: int, ib: int) -> int:
-        nb = self.bricks_per_column
+        nb = self.i // self.brick
         if not (0 <= x < self.x and 0 <= y < self.y and 0 <= ib < nb):
             raise BoundsError(f"brick ({x}, {y}, {ib}) outside ({self.x}, {self.y}, {nb})")
         return (x * self.y + y) * nb + ib

@@ -26,7 +26,8 @@ from .dispatch import EmptyBrickCost, SyncPolicy
 from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
-from .tensor import ActTensor, FilterSet, LayerConfig, conv3d, dense_conv
+from .tensor import (ActTensor, FilterSet, LayerConfig, _depth_bricks, _positive_fields,
+                     conv3d, dense_conv)
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,8 @@ class TileConfig:
     group_scope: GroupScope = GroupScope.PASS_WIDE
 
     def __post_init__(self):
-        for name in ("tiles", "filters_per_tile", "lanes", "brick"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(f"tile field {name} must be a positive int, got {v!r}")
+        _positive_fields(self, ("tiles", "filters_per_tile", "lanes", "brick"), "tile",
+                         ConfigurationError)
 
     @property
     def resident(self) -> int:
@@ -152,10 +151,8 @@ def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
     hi = filters.count if hi is None else hi
     if not 0 <= lo < hi <= filters.count:
         raise ConfigurationError(f"filter range [{lo}, {hi}) invalid for {filters.count} filters")
-    if filters.i % brick != 0:
-        raise ConfigurationError(f"filter depth {filters.i} not a multiple of brick {brick}")
+    nb = _depth_bricks(filters.i, brick)
     ineff = weight_crit.ineffectual(filters.values[lo:hi])
-    nb = filters.i // brick
     return ineff.reshape(hi - lo, filters.fx, filters.fy, nb, brick).all(axis=0)
 
 
@@ -175,8 +172,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     activations with each filter's weights zeroed where its group skips.
     """
     layer.check_tensors(acts, filters)
-    layer.check_brick(tile.brick)
-    b, nb = tile.brick, layer.i // tile.brick
+    b, nb = tile.brick, layer.check_brick(tile.brick)
     eff = act_crit.effectual(acts.values)
     windows = sliding_window_view(
         eff.reshape(layer.x, layer.y, nb, b), (layer.fx, layer.fy, nb, b)

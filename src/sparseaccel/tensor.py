@@ -40,11 +40,31 @@ def _as_int16(values, ndim: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int16)
 
 
-def pad_depth(arr: np.ndarray, brick: int) -> np.ndarray:
-    """Zero pad the last axis up to the next multiple of ``brick``."""
+def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless every named field of ``obj`` is a positive int."""
+    for name in names:
+        v = getattr(obj, name)
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise error(f"{what} field {name} must be a positive int, got {v!r}")
+
+
+def _padded_depth(depth: int, brick: int) -> int:
+    """``depth`` zero padded up to a brick multiple: ceil(depth / brick) * brick."""
     if brick < 1:
         raise ConfigurationError(f"brick size must be at least 1, got {brick}")
-    pad = (-arr.shape[-1]) % brick
+    return -(-depth // brick) * brick
+
+
+def _depth_bricks(depth: int, brick: int) -> int:
+    """Bricks along ``depth``, which must be a whole number of bricks."""
+    if _padded_depth(depth, brick) != depth:
+        raise ConfigurationError(f"depth {depth} is not a multiple of brick size {brick}")
+    return depth // brick
+
+
+def pad_depth(arr: np.ndarray, brick: int) -> np.ndarray:
+    """Zero pad the last axis up to the next multiple of ``brick``."""
+    pad = _padded_depth(arr.shape[-1], brick) - arr.shape[-1]
     if pad == 0:
         return arr
     widths = [(0, 0)] * (arr.ndim - 1) + [(0, pad)]
@@ -102,11 +122,7 @@ class ActTensor(_DepthTensor):
         return self.values.shape
 
     def brick_count(self, brick: int) -> int:
-        if self.i % brick != 0:
-            raise ConfigurationError(
-                f"depth {self.i} is not a multiple of brick size {brick}"
-            )
-        return self.i // brick
+        return _depth_bricks(self.i, brick)
 
     def __repr__(self) -> str:
         return f"ActTensor(dims={self.dims}, logical_i={self.logical_i})"
@@ -154,10 +170,8 @@ class LayerConfig:
     stride: int = 1
 
     def __post_init__(self):
-        for name in ("x", "y", "i", "fx", "fy", "f", "stride"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(f"layer field {name} must be a positive int, got {v!r}")
+        _positive_fields(self, ("x", "y", "i", "fx", "fy", "f", "stride"), "layer",
+                         ConfigurationError)
         if self.fx > self.x or self.fy > self.y:
             raise ConfigurationError(
                 f"filter extent ({self.fx}, {self.fy}) exceeds input ({self.x}, {self.y})"
@@ -193,11 +207,9 @@ class LayerConfig:
                 f"({self.f}, {self.fx}, {self.fy}, {self.i})"
             )
 
-    def check_brick(self, brick: int) -> None:
-        if brick < 1 or self.i % brick != 0:
-            raise ConfigurationError(
-                f"depth {self.i} is not a multiple of brick size {brick}"
-            )
+    def check_brick(self, brick: int) -> int:
+        """Bricks per depth column; raises unless ``brick`` tiles the depth."""
+        return _depth_bricks(self.i, brick)
 
     @classmethod
     def from_tensors(cls, acts: ActTensor, filters: FilterSet, stride: int = 1) -> "LayerConfig":
@@ -232,13 +244,11 @@ class Brick:
 
 def brick_at(acts: ActTensor, x: int, y: int, brick_index: int, brick: int = 16) -> Brick:
     """Copy out the brick at spatial position (x, y) and depth ordinal ``brick_index``."""
-    acts.brick_count(brick)
+    nb = acts.brick_count(brick)
     if not (0 <= x < acts.x and 0 <= y < acts.y):
         raise BoundsError(f"position ({x}, {y}) outside ({acts.x}, {acts.y})")
-    if not 0 <= brick_index < acts.i // brick:
-        raise BoundsError(
-            f"brick index {brick_index} outside [0, {acts.i // brick})"
-        )
+    if not 0 <= brick_index < nb:
+        raise BoundsError(f"brick index {brick_index} outside [0, {nb})")
     base = brick_index * brick
     return Brick(x, y, base, acts.values[x, y, base : base + brick].copy())
 
@@ -249,10 +259,9 @@ def window_bricks(layer: LayerConfig, wx: int, wy: int, brick: int = 16) -> list
     Order is x-major, then y, with the depth ordinal fastest, so consecutive
     entries at the same (x, y) step through the depth bricks first.
     """
-    layer.check_brick(brick)
+    nb = layer.check_brick(brick)
     if not (0 <= wx < layer.ox and 0 <= wy < layer.oy):
         raise BoundsError(f"window ({wx}, {wy}) outside ({layer.ox}, {layer.oy})")
-    nb = layer.i // brick
     x0 = wx * layer.stride
     y0 = wy * layer.stride
     return [

@@ -23,7 +23,8 @@ header fields and payload entries must be JSON integers (not bools or
 floats) within the binary header's field ranges and int16. In both
 formats every dimension, the stride and the brick must be at least 1, and
 the brick may pad the depth i to at most max(2i, 16), so a small file
-cannot ask for tensors out of proportion to its payload.
+cannot ask for tensors out of proportion to its payload. The writer applies
+the same header rule, so it never writes a file the loaders refuse.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import (BadMagicError, FormatError, TruncatedError, ValidationError,
                      VersionError)
-from .tensor import INT16_MAX, INT16_MIN, ActTensor, FilterSet, LayerConfig
+from .tensor import (INT16_MAX, INT16_MIN, ActTensor, FilterSet, LayerConfig, _padded_depth,
+                     _positive_fields)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -83,10 +85,8 @@ class SyntheticSpec:
     brick: int = 16
 
     def __post_init__(self):
-        for name in ("x", "y", "i", "f", "fx", "fy", "stride", "brick"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"spec field {name} must be a positive int, got {v!r}")
+        _positive_fields(self, ("x", "y", "i", "f", "fx", "fy", "stride", "brick"), "spec",
+                         ValidationError)
         for name in ("p_act_zero", "p_wt_zero"):
             p = getattr(self, name)
             if not 0.0 <= float(p) <= 1.0:
@@ -99,8 +99,8 @@ class SyntheticSpec:
             raise ValidationError("value range [0, 0] leaves no nonzero values to draw")
 
     def layer_config(self) -> LayerConfig:
-        pad_i = self.i + (-self.i) % self.brick
-        return LayerConfig(self.x, self.y, pad_i, self.fx, self.fy, self.f, self.stride)
+        return LayerConfig(self.x, self.y, _padded_depth(self.i, self.brick),
+                           self.fx, self.fy, self.f, self.stride)
 
 
 def _draw(seed: int, zero_salt: int, value_salt: int, count: int,
@@ -148,12 +148,15 @@ _BIN_HEADER = struct.Struct("<4sHIIIIIIHH")  # magic, version, x, y, i, f, fx, f
 
 
 def save_layer(path, data: LayerData) -> None:
-    """Write a layer file; the suffix picks binary (.layer) or JSON (.json)."""
+    """Write a layer file; the suffix picks binary (.layer) or JSON (.json).
+    A layer that breaks the loaders' header rule is refused, not written."""
+    a, w = _logical_views(data)
+    _check_header(path, a.shape, w.shape[:3], data.stride, data.brick)
     try:
         if str(path).endswith(".json"):
-            _save_json(path, data)
+            _save_json(path, a, w, data.stride, data.brick)
         else:
-            _save_binary(path, data)
+            _save_binary(path, a, w, data.stride, data.brick)
     except OSError as exc:
         raise ValidationError(f"cannot write layer file {path}: {exc}") from None
 
@@ -176,11 +179,8 @@ def _logical_views(data: LayerData) -> tuple[np.ndarray, np.ndarray]:
     return data.acts.values[:, :, :li], data.filters.values[:, :, :, :li]
 
 
-def _save_binary(path, data: LayerData) -> None:
-    a, w = _logical_views(data)
-    header = _BIN_HEADER.pack(_MAGIC, _VERSION, a.shape[0], a.shape[1], a.shape[2],
-                              w.shape[0], w.shape[1], w.shape[2],
-                              data.stride, data.brick)
+def _save_binary(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> None:
+    header = _BIN_HEADER.pack(_MAGIC, _VERSION, *a.shape, *w.shape[:3], stride, brick)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(a, dtype="<i2").tobytes())
@@ -209,25 +209,36 @@ def _load_binary(path) -> LayerData:
     return _layer_data(path, (x, y, i), (f, fx, fy), stride, brick, body[:n_act], body[n_act:])
 
 
-def _layer_data(path, dims, filters, stride: int, brick: int, acts: np.ndarray,
-                wts: np.ndarray) -> LayerData:
-    """The header rule both formats share, then the tensors.
+_U16, _U32 = (1 << 16) - 1, (1 << 32) - 1  # the binary header's field ranges
 
-    Every header field must be at least 1, and the padded depth
-    ceil(i / brick) * brick at most max(2 * i, 16), so that the tensors the
-    file asks for stay within a constant factor of its payload. The flat
-    payloads must hold exactly the header's activation and weight counts.
+
+def _check_header(path, dims, filters, stride: int, brick: int) -> None:
+    """The header rule of both formats, for reading and for writing.
+
+    Every field must be at least 1 and fit its binary header field, and the
+    padded depth ceil(i / brick) * brick at most max(2 * i, 16), so that
+    the tensors a file asks for stay within a constant factor of its
+    payload.
     """
-    header = (("dims", dims), ("filters", filters), ("stride", [stride]), ("brick", [brick]))
-    for key, values in header:
+    header = (("dims", dims, _U32), ("filters", filters, _U32), ("stride", [stride], _U16),
+              ("brick", [brick], _U16))
+    for key, values, hi in header:
         for n, v in enumerate(values):
-            if v < 1:
-                raise FormatError(f"{path}: {key}[{n}] is {v}, expected at least 1")
-    (x, y, i), (f, fx, fy) = dims, filters
-    padded = -(-i // brick) * brick
+            if not 1 <= v <= hi:
+                raise FormatError(f"{path}: {key}[{n}] is {v}, expected an integer in [1, {hi}]")
+    i = dims[2]
+    padded = _padded_depth(i, brick)
     if padded > max(2 * i, 16):
         raise FormatError(f"{path}: padded depth {padded} (depth {i}, brick {brick}) "
                           f"exceeds max(2 * depth, 16)")
+
+
+def _layer_data(path, dims, filters, stride: int, brick: int, acts: np.ndarray,
+                wts: np.ndarray) -> LayerData:
+    """The header rule, then the tensors; the flat payloads must hold exactly
+    the header's activation and weight counts."""
+    _check_header(path, dims, filters, stride, brick)
+    (x, y, i), (f, fx, fy) = dims, filters
     if acts.size != x * y * i or wts.size != f * fx * fy * i:
         raise TruncatedError(
             f"{path}: payload sizes {acts.size}/{wts.size} do not match the header dims"
@@ -236,24 +247,20 @@ def _layer_data(path, dims, filters, stride: int, brick: int, acts: np.ndarray,
                      FilterSet.padded(wts.reshape(f, fx, fy, i), brick), stride, brick)
 
 
-def _save_json(path, data: LayerData) -> None:
-    a, w = _logical_views(data)
+def _save_json(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> None:
     doc = {
         "format": _MAGIC.decode(),
         "version": _VERSION,
         "dims": list(a.shape),
         "filters": list(w.shape[:3]),
-        "stride": data.stride,
-        "brick": data.brick,
+        "stride": stride,
+        "brick": brick,
         "activations": [int(v) for v in a.reshape(-1)],
         "weights": [int(v) for v in w.reshape(-1)],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-_U16, _U32 = (1 << 16) - 1, (1 << 32) - 1  # the binary header's field ranges
 
 
 def _json_ints(path, key: str, value, lo: int, hi: int, count: int | None = None) -> list:

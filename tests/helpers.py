@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost, FilterSet,
+from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost, FilterSet,
                          GroupScope, LayerConfig, SyncPolicy)
 
 
@@ -95,8 +95,7 @@ def window_slices(layer, lanes: int = 16, brick: int = 16):
 
 
 def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTEP,
-                  empty_brick_cost=EmptyBrickCost.ZERO_CYCLES, prod_table=None,
-                  banks=None):
+                  empty_brick_cost=EmptyBrickCost.ZERO_CYCLES, prod_table=None):
     """The dispatcher walked event by event, the slow twin of `run_dispatch`.
 
     Window by window, it loads each lane's bricks through
@@ -105,10 +104,10 @@ def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTE
     slowest lane, window sync lets each lane drain its whole share, and an
     empty brick costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`.
     Returns the run's events as a list, its cycles, broadcasts, per-lane
-    busy counts and per-bank fetch counts.
+    busy counts and per-bank fetch counts, with one bank per lane and brick
+    ib in bank ib % lanes.
     """
     brick = source.brick
-    banks = banks or BankLayout(nm_banks=lanes)
     fetch_pointers = {}
     events = []
     busy = [0] * lanes
@@ -121,7 +120,7 @@ def loop_dispatch(source, layer, *, lanes=16, policy=SyncPolicy.BRICKSET_LOCKSTE
         if prod_table is not None:
             dead = prod_table[x - wx * layer.stride, y - wy * layer.stride, ib]
             pairs = [(o, v) for o, v in pairs if not dead[o]]
-        bank = banks.bank_of(x, y, ib)
+        bank = ib % lanes
         fetch_pointers[bank] = fetch_pointers.get(bank, 0) + 1
         return pairs
 

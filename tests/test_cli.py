@@ -51,6 +51,18 @@ def test_gen_rejects_bad_dims(tmp_path):
                    "--pa", "1.5", "-o", str(tmp_path / "x.layer")) == 2
 
 
+@pytest.mark.parametrize("name", ["x.layer", "x.json"])
+def test_gen_refuses_a_layer_the_loaders_would_refuse(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert run_cli("gen", "--dims", "4x4x8", "--filters", "1x1x1", "--brick", "32",
+                   "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "padded depth 32" in err and "Traceback" not in err
+    assert not out.exists()
+    # the bound is for files: the same layer still runs in process
+    assert run_cli("run", "--dims", "4x4x8", "--filters", "1x1x1", "--brick", "32") == 0
+
+
 def test_gen_requires_geometry(tmp_path):
     assert run_cli("gen", "-o", str(tmp_path / "x.layer")) == 2
 
@@ -131,6 +143,16 @@ def test_report_tile_block_has_no_nbin_depth(tmp_path, capsys):
         table = list(csv.reader(fh))
     assert [r[1] for r in table[1:7]] == ["baseline", "cnv", "cnv2"] * 2
     assert "geomean speedup cnv2: 2.000000" in capsys.readouterr().out
+
+
+def test_run_tile_block_defaults_to_tile_config(tmp_path):
+    jout = tmp_path / "r.json"
+    assert run_cli("run", "--layer", str(FIXTURE), "--json-out", str(jout)) == 0
+    want = TileConfig(brick=load_layer(FIXTURE).brick)
+    assert json.loads(jout.read_text())["tile"] == {
+        "tiles": want.tiles, "filters_per_tile": want.filters_per_tile, "lanes": want.lanes,
+        "brick": want.brick, "sync": want.sync.value, "empty_brick": want.empty_brick.value,
+        "group_scope": want.group_scope.value}
 
 
 def test_run_input_errors(tmp_path):
@@ -334,6 +356,20 @@ def test_json_out_overwrites_atomically(tmp_path):
     assert not list(tmp_path.glob(".tmp-*"))
 
 
+@pytest.mark.parametrize("command", ["json", "csv", "compare"])
+def test_reports_into_a_missing_directory_exit_2(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "out")
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"rows": [{"arch": "cnv", "speedup": 2.0}]}))
+    run = ["run", "--layer", str(FIXTURE), *FIXTURE_TILE]
+    argv = {"json": run + ["--json-out", target], "csv": run + ["--csv-out", target],
+            "compare": ["compare", str(report), "-o", target]}[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 # -- config files -----------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):
@@ -412,3 +448,16 @@ def test_compare_rejects_bad_report(tmp_path):
     bad.write_text("[1, 2, 3]")
     assert run_cli("compare", str(bad)) == 2
     assert run_cli("compare", str(tmp_path / "nope.json")) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [1], 5, [{"arch": ["x"], "speedup": 2}], [{"speedup": 2.0}],
+    [{"arch": "cnv", "speedup": True}, {"arch": "cnv", "speedup": 4.0}],
+    [{"arch": "cnv", "speedup": "2"}], [{"arch": "cnv", "utilization": "high"}],
+])
+def test_compare_rejects_malformed_rows(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rows": rows}))
+    assert run_cli("compare", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "cannot read report" in err and "Traceback" not in err

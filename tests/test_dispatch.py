@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseaccel import (ActTensor, BankLayout, DispatchEvent, EmptyBrickCost,
+from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          FilterSet, IneffCriterion, LayerConfig, RawDispatchSource,
                          SyncPolicy, TileConfig, ZERO, deserialize_store, encode_store,
                          format_trace, run_cnv, run_cnv2, run_dispatch, stream_brick,
@@ -165,9 +165,8 @@ def test_fetch_pointers_count_bank_loads():
     src = RawDispatchSource(t, ZERO, brick=4)
     run = run_dispatch(src, layer, lanes=4)
     assert run.fetch_pointers == {0: 1, 1: 1, 2: 1, 3: 1}
-    run2 = run_dispatch(src, layer, lanes=2, banks=BankLayout(nm_banks=2))
+    run2 = run_dispatch(src, layer, lanes=2)
     assert run2.fetch_pointers == {0: 2, 1: 2}
-    assert BankLayout(4).bank_of(3, 7, 6) == 2
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -264,11 +263,10 @@ def dispatch_cases(draw):
     prod = None
     if draw(st.booleans()):
         prod = rng.random((fx, fy, nb, brick)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
-    banks = draw(st.one_of(st.none(), st.integers(1, 5).map(BankLayout)))
     return source, layer, dict(lanes=draw(lane_counts(fx * fy * nb)),
                                policy=draw(st.sampled_from(SyncPolicy)),
                                empty_brick_cost=draw(st.sampled_from(EmptyBrickCost)),
-                               prod_table=prod, banks=banks)
+                               prod_table=prod)
 
 
 def event_tuples(events):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sparseaccel import (ActTensor, FilterSet, LayerConfig, brick_at, conv3d,
-                         dense_conv, pad_depth, window_bricks)
+from sparseaccel import (ActTensor, FilterSet, LayerConfig, RawDispatchSource, ZERO, brick_at,
+                         conv3d, dense_conv, pad_depth, weight_product_table, window_bricks)
 from sparseaccel.errors import BoundsError, ConfigurationError
 from sparseaccel.tensor import Brick
 
@@ -52,6 +52,19 @@ def test_pad_depth():
     assert pad_depth(arr, 3).shape == (1, 1, 6)  # already a multiple
     with pytest.raises(ConfigurationError):
         pad_depth(arr, 0)
+
+
+@pytest.mark.parametrize("brick", [0, -4])
+def test_brick_sizes_below_one_are_configuration_errors(brick):
+    acts = ActTensor(np.ones((1, 1, 8), dtype=np.int16))
+    filters = FilterSet(np.ones((1, 1, 1, 8), dtype=np.int16))
+    calls = [lambda: acts.brick_count(brick),
+             lambda: RawDispatchSource(acts, ZERO, brick),
+             lambda: weight_product_table(filters, ZERO, brick),
+             lambda: brick_at(acts, 0, 0, 0, brick=brick)]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            call()
 
 
 def test_padded_constructor_keeps_logical_depth():

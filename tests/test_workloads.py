@@ -144,6 +144,22 @@ def test_save_rejects_mismatched_logical_depths(tmp_path):
         save_layer(tmp_path / "bad.layer", LayerData(acts, filts, 1, 16))
 
 
+@pytest.mark.parametrize("suffix", [".layer", ".json"])
+@pytest.mark.parametrize("depth, brick, stride, message", [
+    (8, 32, 1, "padded depth 32"),
+    (8, 16, 0, "stride"),
+    (40000, 65536, 1, "brick"),  # pads within 2i, but wider than the u16 header field
+])
+def test_save_layer_refuses_what_the_loaders_refuse(tmp_path, suffix, depth, brick, stride,
+                                                    message):
+    acts = ActTensor.padded(np.ones((1, 1, depth), dtype=np.int16), brick)
+    filters = FilterSet.padded(np.ones((1, 1, 1, depth), dtype=np.int16), brick)
+    path = tmp_path / f"x{suffix}"
+    with pytest.raises(FormatError, match=message):
+        save_layer(path, LayerData(acts, filters, stride, brick))
+    assert not path.exists()
+
+
 def test_load_missing_file():
     with pytest.raises(ValidationError):
         load_layer("definitely-not-here.layer")
