@@ -73,6 +73,34 @@ MUTANTS = (
            "np.bincount(ib // lanes)",
            ("tests/test_dispatch.py::test_fetch_pointers_count_bank_loads",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("conv-float32-gemm", "the convolution's GEMMs sum in float32",
+           "src/sparseaccel/tensor.py",
+           "acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(np.float64)",
+           "acc += slab[:, d0:d1].astype(np.float32) @ w[:, dx, dy, d0:d1].T.astype(np.float32)",
+           ("tests/test_tensor.py::test_conv3d_no_int16_overflow",
+            "tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle")),
+    Mutant("conv-slab-stride-ignored", "each offset's slab is read without the stride",
+           "src/sparseaccel/tensor.py",
+           "            slab = a[dx:dx + stride * (ox - 1) + 1:stride,\n"
+           "                     dy:dy + stride * (oy - 1) + 1:stride].astype(np.float64)\n",
+           "            slab = a[dx:dx + ox, dy:dy + oy].astype(np.float64)\n",
+           ("tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle",)),
+    Mutant("conv-depth-split-off-by-one", "a split depth skips one sample between chunks",
+           "src/sparseaccel/tensor.py",
+           "            for d0 in range(0, depth, step):\n",
+           "            for d0 in range(0, depth, step + 1):\n",
+           ("tests/test_tensor.py::test_conv3d_split_path_is_exact",)),
+    Mutant("abs-bound-strict", "a value at the abs threshold counts as effectual",
+           "src/sparseaccel/sparsity.py",
+           "        inside &= v <= t\n",
+           "        inside &= v < t\n",
+           ("tests/test_sparsity.py::test_ineffectual_matches_the_restated_criteria",)),
+    Mutant("generator-counter-from-lo", "each chunk's counters start at n, not n + 1",
+           "src/sparseaccel/workloads.py",
+           "    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
+           "    n = np.arange(lo, hi, dtype=np.uint64)\n",
+           ("tests/test_workloads.py::test_generator_matches_the_restated_stream_across_small_chunks",
+            "tests/test_workloads.py::test_generator_matches_the_restated_stream_across_real_chunks")),
     # -- the dispatcher ------------------------------------------------------
     Mutant("dispatch-rank-off-by-one", "every pair is sent one cycle late",
            "src/sparseaccel/dispatch.py",
@@ -97,8 +125,8 @@ MUTANTS = (
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",
-           "    pass_costs = reduce(np.maximum, group_costs)\n",
-           "    pass_costs = reduce(np.minimum, group_costs)\n",
+           "np.maximum(pass_costs, costs, out=pass_costs)",
+           "np.minimum(pass_costs, costs, out=pass_costs)",
            ("tests/test_sim.py::test_reports_match_oracle",)),
     Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
            "src/sparseaccel/sim.py",

@@ -246,6 +246,9 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def cmd_run(args) -> int:
+    for path in (args.json_out, args.csv_out):  # fail before any work is done
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValidationError(f"cannot write {path}: its directory does not exist")
     if args.layer:
         data = load_layer(args.layer)
         source = args.layer

@@ -17,7 +17,6 @@ returned untruncated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -188,7 +187,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     cycles = performed = broadcasts = 0
     busy = np.zeros(tile.lanes, dtype=np.int64)
     for lo, hi in passes:
-        group_costs = []
+        pass_costs = None  # running maximum of the group costs
         for glo in range(lo, hi, step):
             ghi = min(glo + step, hi)
             keep = windows
@@ -200,8 +199,10 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
             sent = int(costs.sum())
             broadcasts += repeat * sent
             performed += sent * (ghi - glo)
-            group_costs.append(costs)
-        pass_costs = reduce(np.maximum, group_costs)
+            if pass_costs is None:
+                pass_costs = costs
+            else:
+                np.maximum(pass_costs, costs, out=pass_costs)
         cycles += repeat * _reduce_cycles(pass_costs, tile.lanes, tile.sync,
                                           tile.empty_brick is EmptyBrickCost.ONE_CYCLE)
         busy += repeat * _lane_busy(pass_costs, tile.lanes)

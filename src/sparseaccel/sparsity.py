@@ -6,6 +6,10 @@ use the opposite polarity, True = ineffectual, because the skip predicate
 consumes them directly: a position can be skipped when every resident
 filter's weight there is ineffectual or the activation itself is.
 
+Criteria compare integer values in their own dtype against a symmetric
+bound, so classifying an int16 tensor allocates only boolean arrays and
+the most negative value of any integer type is never wrapped by abs.
+
 When a mask is rendered as a string, offset 0 is the leftmost character.
 """
 
@@ -27,7 +31,8 @@ class IneffCriterion:
 
     kind "zero":  value == 0.
     kind "abs":   |value| <= param. param = 0 behaves exactly like "zero".
-    kind "pow2":  |value| < 2**param. param = 0 leaves only 0 ineffectual.
+    kind "pow2":  |value| < 2**param, that is |value| <= 2**param - 1.
+                  param = 0 leaves only 0 ineffectual.
 
     Every kind classifies 0 as ineffectual, which the codecs rely on.
     """
@@ -48,11 +53,18 @@ class IneffCriterion:
             raise ValidationError(f"pow2 exponent {self.param} outside [0, 16]")
 
     def ineffectual(self, values) -> np.ndarray:
-        """Boolean array, True where a value's products may be dropped."""
-        mag = np.abs(np.asarray(values, dtype=np.int64))
-        if self.kind == "pow2":
-            return mag < (1 << self.param)
-        return mag <= (self.param if self.kind == "abs" else 0)
+        """Boolean array, True where an integer value's products may be dropped.
+
+        Values are compared in their own dtype against the bound t
+        (|value| <= t), so nothing is widened and no magnitude can wrap.
+        """
+        v = np.asarray(values)
+        t = (1 << self.param) - 1 if self.kind == "pow2" else self.param
+        if t == 0:
+            return v == 0
+        inside = v >= -t
+        inside &= v <= t
+        return inside
 
     def effectual(self, values) -> np.ndarray:
         return ~self.ineffectual(values)

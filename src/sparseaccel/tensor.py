@@ -7,8 +7,9 @@ of the brick size the array is zero padded up to the next multiple at
 ingestion and the original depth is kept as ``logical_i``; padding never
 changes convolution results because the weights are padded the same way.
 
-All stored samples are signed 16-bit. The reference convolution accumulates
-in 64-bit and returns the untruncated sums.
+All stored samples are signed 16-bit. The reference convolution, `conv3d`,
+sums the products exactly in float64 GEMMs and returns the untruncated
+int64 sums.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundsError, ConfigurationError
 
@@ -272,26 +272,56 @@ def window_bricks(layer: LayerConfig, wx: int, wy: int, brick: int = 16) -> list
     ]
 
 
+# An int16 x int16 product is at most 2**30 in magnitude, so a float64 sum of
+# at most 2**23 of them stays within 2**53 and is exact.
+_MAX_EXACT_TERMS = 1 << 23
+
+
 def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
-    """Strided cross-correlation with 64-bit integer accumulation.
+    """Strided cross-correlation of int16 values with exact integer sums.
+
+    For each filter offset (dx, dy) the strided (ox * oy, i) slab of the
+    input is multiplied by that offset's (i, f) weights in one float64
+    GEMM. The float64 accumulator is flushed into the int64 output before
+    it holds more than ``_MAX_EXACT_TERMS`` products, and a depth deeper
+    than that is split, so every float64 sum is exact.
 
     Args:
-        acts_values: (X, Y, I) integer array.
-        filter_values: (F, Fx, Fy, I) integer array.
+        acts_values: (X, Y, I) integer array with values in int16.
+        filter_values: (F, Fx, Fy, I) integer array with values in int16.
         stride: window step along x and y.
 
     Returns:
         (Ox, Oy, F) int64 array of untruncated sums.
     """
-    a = np.asarray(acts_values, dtype=np.int64)
-    w = np.asarray(filter_values, dtype=np.int64)
-    fx, fy, depth = w.shape[1:]
+    a = _as_int16(acts_values, 3, "activations")
+    w = _as_int16(filter_values, 4, "filters")
+    f, fx, fy, depth = w.shape
     if a.shape[2] != depth:
         raise ConfigurationError(
             f"filter depth {depth} does not match input depth {a.shape[2]}"
         )
-    wins = sliding_window_view(a, (fx, fy, depth))[::stride, ::stride, 0]
-    return np.einsum("xyabc,fabc->xyf", wins, w)
+    ox = (a.shape[0] - fx) // stride + 1
+    oy = (a.shape[1] - fy) // stride + 1
+    acc = np.zeros((ox * oy, f), dtype=np.float64)
+    terms, flushed = 0, 0  # products in acc; int64 sums of earlier accumulators
+    step = min(depth, _MAX_EXACT_TERMS)
+    for dx in range(fx):
+        for dy in range(fy):
+            slab = a[dx:dx + stride * (ox - 1) + 1:stride,
+                     dy:dy + stride * (oy - 1) + 1:stride].astype(np.float64)
+            slab = slab.reshape(ox * oy, depth)
+            for d0 in range(0, depth, step):
+                d1 = min(d0 + step, depth)
+                if terms + d1 - d0 > _MAX_EXACT_TERMS:
+                    flushed = flushed + acc.astype(np.int64)
+                    acc[:] = 0.0
+                    terms = 0
+                acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(np.float64)
+                terms += d1 - d0
+    out = acc.astype(np.int64)
+    out += flushed
+    return out.reshape(ox, oy, f)
 
 
 def dense_conv(acts: ActTensor, filters: FilterSet, layer: LayerConfig) -> np.ndarray:

@@ -12,7 +12,9 @@ Four fixed salts separate the activation-zero, activation-value,
 weight-zero, and weight-value streams; n counts positions in C order. A
 position is zeroed when the top 53 bits of its zero-stream word fall below
 round(p * 2**53), and nonzero values map a value-stream word onto the range
-with zero excluded.
+with zero excluded. Streams are drawn in fixed chunks of counters into one
+int16 array, so generating a layer never holds a whole-tensor uint64
+temporary; the chunking does not change a single value.
 
 The binary ``.layer`` container is little endian: magic "CNVL", a u16
 version, the activation and filter dimensions at their logical (unpadded)
@@ -49,6 +51,8 @@ SALT_ACT_VALUE = 0x414356414C554500
 SALT_WT_ZERO = 0x57545A45524F5300
 SALT_WT_VALUE = 0x575456414C554500
 
+_CHUNK = 1 << 14  # positions drawn per step; bounds the generator's temporaries
+
 
 def _mix(v: np.ndarray) -> np.ndarray:
     v = v.astype(np.uint64, copy=True)
@@ -60,9 +64,13 @@ def _mix(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _words(seed: int, salt: int, count: int) -> np.ndarray:
-    base = _mix(np.array([np.uint64((seed ^ salt) & 0xFFFFFFFFFFFFFFFF)]))[0]
-    n = np.arange(1, count + 1, dtype=np.uint64)
+def _stream_base(seed: int, salt: int) -> np.uint64:
+    return _mix(np.array([np.uint64((seed ^ salt) & 0xFFFFFFFFFFFFFFFF)]))[0]
+
+
+def _words(base: np.uint64, lo: int, hi: int) -> np.ndarray:
+    """Words of one stream for positions n in [lo, hi): counters n + 1."""
+    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
     return _mix(base + n * _GOLDEN)
 
 
@@ -106,16 +114,22 @@ class SyntheticSpec:
 def _draw(seed: int, zero_salt: int, value_salt: int, count: int,
           p_zero: float, vmin: int, vmax: int) -> np.ndarray:
     threshold = np.uint64(round(float(p_zero) * float(1 << 53)))
-    zero = (_words(seed, zero_salt, count) >> np.uint64(11)) < threshold
+    zero_base = _stream_base(seed, zero_salt)
+    value_base = _stream_base(seed, value_salt)
 
     span = vmax - vmin + 1
     skip_zero = vmin <= 0 <= vmax
-    nonzero_span = span - 1 if skip_zero else span
-    idx = (_words(seed, value_salt, count) % np.uint64(nonzero_span)).astype(np.int64)
-    vals = vmin + idx
-    if skip_zero:
-        vals = np.where(vals >= 0, vals + 1, vals)  # skip over 0 in the range
-    return np.where(zero, 0, vals).astype(np.int16)
+    nonzero_span = np.uint64(span - 1 if skip_zero else span)
+    out = np.empty(count, dtype=np.int16)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        zero = (_words(zero_base, lo, hi) >> np.uint64(11)) < threshold
+        vals = vmin + (_words(value_base, lo, hi) % nonzero_span).astype(np.int64)
+        if skip_zero:
+            vals += vals >= 0  # skip over 0 in the range
+        vals[zero] = 0
+        out[lo:hi] = vals
+    return out
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[ActTensor, FilterSet]:

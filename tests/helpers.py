@@ -34,6 +34,15 @@ def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.nda
     return np.asarray(out, dtype=np.int64)
 
 
+def einsum_conv(acts, weights, stride: int = 1) -> np.ndarray:
+    """Strided cross-correlation as one int64 einsum over sliding windows."""
+    a = np.asarray(acts, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.int64)
+    fx, fy, depth = w.shape[1:]
+    wins = np.lib.stride_tricks.sliding_window_view(a, (fx, fy, depth))[::stride, ::stride, 0]
+    return np.einsum("xyabc,fabc->xyf", wins, w)
+
+
 def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit) -> np.ndarray:
     """Window-by-window, brick-by-brick output of one machine, in int64.
 
@@ -442,3 +451,35 @@ def slow_container_bytes(fmt: str, acts: np.ndarray, kind: str, param: int,
                 put(v, 16)
     pad = -nbits % 8
     return head + (acc << pad).to_bytes((nbits + pad) // 8, "big")
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix(v: int) -> int:
+    v ^= v >> 30
+    v = v * 0xBF58476D1CE4E5B9 & _M64
+    v ^= v >> 27
+    v = v * 0x94D049BB133111EB & _M64
+    return v ^ v >> 31
+
+
+def slow_draw(seed: int, zero_salt: int, value_salt: int, count: int,
+              p_zero: float, vmin: int, vmax: int) -> list[int]:
+    """One stream pair of the generator, restated from the `workloads` docstring.
+
+    word(seed, salt, n) = mix(mix(seed XOR salt) + (n + 1) * golden) mod 2**64;
+    position n is zero when the top 53 bits of its zero-stream word fall
+    below round(p * 2**53), and otherwise takes its value-stream word
+    modulo the count of nonzero values in [vmin, vmax], counted up from
+    vmin with 0 left out.
+    """
+    def word(salt: int, n: int) -> int:
+        base = _splitmix((seed ^ salt) & _M64)
+        return _splitmix((base + (n + 1) * 0x9E3779B97F4A7C15) & _M64)
+
+    nonzero = [v for v in range(vmin, vmax + 1) if v != 0]
+    threshold = round(p_zero * (1 << 53))
+    return [0 if word(zero_salt, n) >> 11 < threshold
+            else nonzero[word(value_salt, n) % len(nonzero)]
+            for n in range(count)]

@@ -370,6 +370,18 @@ def test_reports_into_a_missing_directory_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("flag", ["--json-out", "--csv-out"])
+def test_run_checks_report_directories_before_simulating(tmp_path, monkeypatch, capsys, flag):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run_arch", must_not_run)
+    target = str(tmp_path / "missing" / "r.out")
+    assert run_cli("run", "--dims", "4x4x8", "--filters", "1x1x1", flag, target) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+
+
 # -- config files -----------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sparseaccel import (IneffCriterion, ZERO, can_skip, effectual_mask,
                          is_product, is_vector, mask_from_string, mask_to_string)
 from sparseaccel.errors import ValidationError
+
+from helpers import _slow_effectual
 
 
 # -- criterion classification --------------------------------------------
@@ -140,3 +142,28 @@ def test_partition_is_total(values, spec):
     eff = crit.effectual(vals)
     assert np.array_equal(ineff, ~eff)
     assert crit.ineffectual(np.zeros(1, dtype=np.int16))[0]
+
+
+@st.composite
+def typed_values(draw):
+    dtype = np.dtype(draw(st.sampled_from(["int16", "int32", "int64"])))
+    info = np.iinfo(dtype)
+    edges = st.sampled_from([info.min, info.min + 1, -65536, -65535, -1, 0, 1,
+                             65535, 65536, info.max])
+    value = st.one_of(edges, st.integers(info.min, info.max)).filter(
+        lambda v: info.min <= v <= info.max)
+    return np.array(draw(st.lists(value, min_size=1, max_size=24)), dtype=dtype)
+
+
+CRITERIA = st.one_of(st.just(IneffCriterion()),
+                     st.integers(0, 65535).map(IneffCriterion.abs_threshold),
+                     st.integers(0, 16).map(IneffCriterion.power_of_two))
+
+
+@given(typed_values(), CRITERIA)
+@example(np.array([np.iinfo(np.int64).min], dtype=np.int64), IneffCriterion())
+@example(np.array([np.iinfo(np.int64).min], dtype=np.int64), IneffCriterion.power_of_two(16))
+def test_ineffectual_matches_the_restated_criteria(values, crit):
+    want = [not _slow_effectual(int(v), crit.kind, crit.param) for v in values]
+    assert crit.ineffectual(values).tolist() == want
+    assert crit.effectual(values).tolist() == [not w for w in want]

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, FilterSet, LayerConfig, RawDispatchSource, ZERO, brick_at,
                          conv3d, dense_conv, pad_depth, weight_product_table, window_bricks)
 from sparseaccel.errors import BoundsError, ConfigurationError
+import sparseaccel.tensor as tensor
 from sparseaccel.tensor import Brick
 
-from helpers import naive_conv, random_layer, window_slices
+from helpers import einsum_conv, naive_conv, random_layer, window_slices
 
 
 # -- containers ---------------------------------------------------------
@@ -210,6 +214,13 @@ def test_conv3d_no_int16_overflow():
     out = conv3d(acts, wts)
     assert out[0, 0, 0] == 16 * 32767 * -32768
     assert out[0, 0, 0] == int(naive_conv(acts, wts)[0, 0, 0])
+    # 9 * 64 = 576 products of 2**30 each: the float64 sums must stay exact
+    acts = np.full((5, 5, 64), -32768, dtype=np.int16)
+    wts = np.full((2, 3, 3, 64), -32768, dtype=np.int16)
+    wts[1] = 32767
+    out = conv3d(acts, wts)
+    assert (out[..., 0] == 3 * 3 * 64 * 2**30).all()
+    assert (out[..., 1] == 3 * 3 * 64 * -32768 * 32767).all()
 
 
 def test_dense_conv_validates_shapes():
@@ -218,3 +229,71 @@ def test_dense_conv_validates_shapes():
     wrong = LayerConfig(x=4, y=4, i=16, fx=3, fy=3, f=3)
     with pytest.raises(ConfigurationError):
         dense_conv(acts, filts, wrong)
+
+
+@st.composite
+def conv_cases(draw):
+    """A layer's int16 tensors: random, all -32768 or all 32767, with the
+    depth padded up to a brick multiple and, like cnv2, each filter's
+    weights zeroed at its own set of offsets."""
+    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ox, oy, f = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    depth, brick = draw(st.integers(1, 40)), draw(st.sampled_from([1, 4, 16]))
+    fill = draw(st.sampled_from(["random", -32768, 32767]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_shape = (fx + stride * (ox - 1), fy + stride * (oy - 1), depth)
+    w_shape = (f, fx, fy, depth)
+    if fill == "random":
+        acts = rng.integers(-32768, 32768, size=a_shape)
+        wts = rng.integers(-32768, 32768, size=w_shape)
+    else:
+        acts, wts = np.full(a_shape, fill), np.full(w_shape, fill)
+    acts = ActTensor.padded(acts, brick).values
+    wts = FilterSet.padded(wts, brick).values
+    if draw(st.booleans()):
+        wts = np.where(rng.random(wts.shape) < rng.uniform(0.2, 0.9), 0, wts).astype(np.int16)
+    return acts, wts, stride
+
+
+@settings(max_examples=120, deadline=None)
+@given(conv_cases())
+def test_conv3d_matches_the_einsum_oracle(case):
+    acts, wts, stride = case
+    got = conv3d(acts, wts, stride)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, einsum_conv(acts, wts, stride))
+
+
+@pytest.mark.parametrize("bound", [1, 7])
+@settings(max_examples=25, deadline=None)
+@given(case=conv_cases())
+def test_conv3d_split_path_is_exact(bound, case):
+    # a bound below the depth splits it and flushes after every chunk
+    acts, wts, stride = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tensor, "_MAX_EXACT_TERMS", bound)
+        got = conv3d(acts, wts, stride)
+    assert np.array_equal(got, einsum_conv(acts, wts, stride))
+
+
+def test_conv3d_rejects_values_outside_int16():
+    with pytest.raises(ConfigurationError):
+        conv3d(np.full((2, 2, 4), 40000), np.ones((1, 1, 1, 4), dtype=np.int16))
+    with pytest.raises(ConfigurationError):
+        conv3d(np.ones((2, 2, 4), dtype=np.int16), np.ones((1, 1, 1, 8), dtype=np.int16))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv3d_peak_memory_stays_below_the_einsum():
+    rng = np.random.default_rng(3)
+    acts = rng.integers(-128, 128, size=(16, 16, 128)).astype(np.int16)
+    wts = rng.integers(-128, 128, size=(128, 3, 3, 128)).astype(np.int16)
+    assert _traced_peak(conv3d, acts, wts) < _traced_peak(einsum_conv, acts, wts)

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, FilterSet, LayerData, SyntheticSpec,
                          gen_synthetic, load_layer, save_layer)
+import sparseaccel.workloads as workloads
 from sparseaccel.errors import (BadMagicError, FormatError, SparseAccelError, TruncatedError,
                                 ValidationError, VersionError)
+
+from helpers import slow_draw
 
 PIN_SPEC = dict(x=2, y=2, i=8, f=2, fx=1, fy=1, p_act_zero=0.5,
                 p_wt_zero=0.25, vmin=-10, vmax=10, seed=42, brick=8)
@@ -79,6 +82,52 @@ def test_values_respect_range():
                            seed=2, brick=8)
     acts, _ = gen_synthetic(single)
     assert (acts.values == 3).all()
+
+
+def assert_matches_slow_draw(spec: SyntheticSpec) -> None:
+    acts, filts = gen_synthetic(spec)
+    n_acts = spec.x * spec.y * spec.i
+    n_wts = spec.f * spec.fx * spec.fy * spec.i
+    want_acts = slow_draw(spec.seed, workloads.SALT_ACT_ZERO, workloads.SALT_ACT_VALUE,
+                          n_acts, spec.p_act_zero, spec.vmin, spec.vmax)
+    want_wts = slow_draw(spec.seed, workloads.SALT_WT_ZERO, workloads.SALT_WT_VALUE,
+                         n_wts, spec.p_wt_zero, spec.vmin, spec.vmax)
+    assert acts.values[:, :, :spec.i].reshape(-1).tolist() == want_acts
+    assert filts.values[..., :spec.i].reshape(-1).tolist() == want_wts
+
+
+@pytest.mark.parametrize("spec", [
+    dict(x=3, y=5, i=5, f=4, fx=2, fy=3, p_act_zero=0.5, p_wt_zero=0.3, seed=7),
+    dict(x=4, y=4, i=6, f=3, fx=1, fy=2, vmin=2, vmax=9, p_act_zero=0.9, seed=2**64 - 1),
+    dict(x=2, y=9, i=3, f=8, fx=2, fy=2, vmin=-32768, vmax=32767, p_wt_zero=1.0, seed=12),
+    dict(x=5, y=5, i=1, f=1, fx=5, fy=5, vmin=-9, vmax=-1, p_act_zero=0.25, seed=3),
+])
+def test_generator_matches_the_restated_stream_across_small_chunks(monkeypatch, spec):
+    monkeypatch.setattr(workloads, "_CHUNK", 7)
+    spec = SyntheticSpec(**spec, brick=4)
+    assert spec.x * spec.y * spec.i >= 3 * 7 and spec.f * spec.fx * spec.fy * spec.i >= 3 * 7
+    assert_matches_slow_draw(spec)
+
+
+def test_generator_matches_the_restated_stream_across_real_chunks():
+    spec = SyntheticSpec(x=14, y=14, i=256, f=9, fx=3, fy=3, p_act_zero=0.5,
+                         p_wt_zero=0.4, vmin=-300, vmax=200, seed=8)
+    assert 3 * workloads._CHUNK < spec.x * spec.y * spec.i < 4 * workloads._CHUNK
+    assert_matches_slow_draw(spec)
+
+
+def test_generator_peak_memory_is_bounded():
+    # AlexNet conv3: 0.11 MB of activations and 1.77 MB of weights, drawn
+    # in chunks; whole-tensor uint64 words would peak near 29 MB
+    spec = SyntheticSpec(x=15, y=15, i=256, f=384, fx=3, fy=3, p_act_zero=0.5,
+                         p_wt_zero=0.4, seed=8)
+    tracemalloc.start()
+    try:
+        gen_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_generator_pads_depth():
