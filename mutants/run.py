@@ -94,7 +94,8 @@ MUTANTS = (
            "src/sparseaccel/sparsity.py",
            "        inside &= v <= t\n",
            "        inside &= v < t\n",
-           ("tests/test_sparsity.py::test_ineffectual_matches_the_restated_criteria",)),
+           ("tests/test_sparsity.py::test_abs_criterion_inclusive_threshold",
+            "tests/test_sparsity.py::test_ineffectual_matches_the_restated_criteria")),
     Mutant("generator-counter-from-lo", "each chunk's counters start at n, not n + 1",
            "src/sparseaccel/workloads.py",
            "    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
@@ -109,19 +110,53 @@ MUTANTS = (
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
     Mutant("dispatch-inclusive-window-starts", "each window starts after its own end",
            "src/sparseaccel/dispatch.py",
-           "    start = _exclusive_cumsum(window_len, 0)[:, None] \\\n",
-           "    start = np.cumsum(window_len, 0)[:, None] \\\n",
+           "    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start\n",
+           "    start = np.cumsum(window_len, 0)[:, None] + slot_start\n",
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
     Mutant("dispatch-drain-ignored", "an empty brick never costs its drain cycle",
            "src/sparseaccel/dispatch.py",
-           "    cost = np.maximum(sent, 1) if empty_brick_cost is EmptyBrickCost.ONE_CYCLE else sent\n",
+           "    cost = np.maximum(sent, 1) if empty_brick is EmptyBrickCost.ONE_CYCLE else sent\n",
            "    cost = sent\n",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",
+            "tests/test_sim.py::test_reports_match_oracle")),
     Mutant("dispatch-product-table-ignored", "dead weight offsets are still sent",
            "src/sparseaccel/dispatch.py",
            "        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]\n",
            "",
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("lane-stream-range-unchecked", "a lane outside 0..lanes-1 reads other lanes' pairs",
+           "src/sparseaccel/dispatch.py",
+           "        if not 0 <= lane < self.lanes:\n"
+           "            return []\n",
+           "",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("enum-check-removed", "a plain string falls through to the other policy",
+           "src/sparseaccel/dispatch.py",
+           "    if not isinstance(value, kind):\n"
+           '        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")\n',
+           "",
+           ("tests/test_sim.py::test_tile_config_refuses_plain_values_for_enums",
+            "tests/test_dispatch.py::test_run_dispatch_refuses_plain_values_for_enums")),
+    # -- the lane schedule, shared by the dispatcher and the cycle model -----
+    Mutant("schedule-lane-by-set", "slot s runs on lane s // lanes, not s % lanes",
+           "src/sparseaccel/dispatch.py",
+           "    return s // lanes, s % lanes\n",
+           "    return s // lanes, s // lanes\n",
+           ("tests/test_sim.py::test_reports_match_oracle",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("schedule-reductions-swapped", "lockstep and window sync swap their reductions",
+           "src/sparseaccel/dispatch.py",
+           "        return grid.max(axis=-1).sum(axis=-1)\n"
+           "    return grid.sum(axis=-2).max(axis=-1)\n",
+           "        return grid.sum(axis=-2).max(axis=-1)\n"
+           "    return grid.max(axis=-1).sum(axis=-1)\n",
+           ("tests/test_sim.py::test_reports_match_oracle",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("schedule-width-all-lanes", "the lane grid gets a column for every lane",
+           "src/sparseaccel/dispatch.py",
+           "(int(brick_set[-1]) + 1, min(lanes, slots))",
+           "(int(brick_set[-1]) + 1, lanes)",
+           ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",)),
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",
@@ -138,6 +173,11 @@ MUTANTS = (
            "        (acts.values != 0).reshape(",
            ("tests/test_sim.py::test_reports_match_oracle",)),
     # -- codecs --------------------------------------------------------------
+    Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
+           "src/sparseaccel/encodings.py",
+           "self.packed[(self.ir.reshape(-1, 1) + rank)[live]]",
+           "self.packed[(0 * self.ir.reshape(-1, 1) + rank)[live]]",
+           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
     Mutant("roe-fit-strict", "a RoE brick that exactly fits is stored raw",
            "src/sparseaccel/encodings.py",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",

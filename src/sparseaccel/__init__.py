@@ -2,7 +2,7 @@
 
 The package splits into layers that can be used independently:
 
-- `tensor`: int16 activation/filter containers, layer geometry, brick walks
+- `tensor`: int16 activation/filter containers, layer geometry, bricks
 - `sparsity`: ineffectuality criteria and the mask algebra behind skipping
 - `encodings`: ZFNAf / RoE / VIAI / CVIAI containers with exact bit accounting
 - `dispatch`: per-lane offset streaming and cycle-accurate brick timing
@@ -14,7 +14,7 @@ The package splits into layers that can be used independently:
 from .errors import (BadMagicError, BoundsError, ConfigurationError, FormatError,
                      SparseAccelError, TruncatedError, ValidationError, VersionError)
 from .tensor import (ActTensor, Brick, FilterSet, LayerConfig, brick_at, conv3d,
-                     dense_conv, pad_depth, window_bricks)
+                     dense_conv, pad_depth)
 from .sparsity import (GroupScope, IneffCriterion, ZERO, can_skip, effectual_mask,
                        is_product, is_vector, mask_from_string, mask_to_string)
 from .encodings import (CviaiStore, Format, FootprintReport, RoeBrick, RoeStore,
@@ -49,5 +49,5 @@ __all__ = [
     "mask_from_string", "mask_to_string", "offset_bits_for", "pad_depth",
     "pointer_bits_for", "run_arch", "run_baseline", "run_cnv", "run_cnv2",
     "run_dispatch", "save_layer", "stream_brick", "weight_product_table",
-    "window_bricks", "write_trace",
+    "write_trace",
 ]

@@ -1,16 +1,17 @@
 """Dispatcher model: brick buffers, leading-one pair streaming, lane timing.
 
-The dispatcher walks the layer's windows, loads one brick per lane (round
-robin over the window's bricks), and streams each lane's effectual values to
-the compute tiles as (offset, value) pairs, lowest offset first, one pair
-per cycle per lane. Under the lockstep policy all lanes advance to their
-next brick together, so a lane idles once it runs out of pairs for the
-current brick set; under the window-sync policy each lane drains its whole
-share of the window before lanes realign at the window boundary.
+The dispatcher walks the layer's windows and streams each brick's effectual
+values to the compute tiles as (offset, value) pairs, lowest offset first,
+one pair per cycle per lane. In weight-aware mode a product table marks
+offsets whose weights are ineffectual in every resident filter, and the
+dispatcher drops those pairs too.
 
-In weight-aware mode a product table marks offsets whose weights are
-ineffectual in every resident filter, and the dispatcher drops those pairs
-too.
+The lane schedule lives here once; the cycle model in `sim` uses it too.
+Slot s of a window (its bricks in (fx, fy, depth brick) order) runs on lane
+s % lanes in brick set s // lanes. A window costs the sum of its brick-set
+maxima under lockstep, or its busiest lane's total under window sync; an
+empty brick costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`. Lanes
+past a window's slot count never get a brick, so they get no column.
 
 The walk is computed for the whole layer at once. Every source hands over
 one front-packed pair table (`pair_table`: per-brick offsets, values and
@@ -205,6 +206,45 @@ def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.cumsum(a, axis=axis) - a
 
 
+def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
+    """Refuse a plain value where the code branches on enum identity."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+# -- the lane schedule, shared with the cycle model --------------------------
+
+def _slot_lanes(slots: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brick set and lane of each slot: slot s runs on lane s % lanes in set s // lanes."""
+    s = np.arange(slots)
+    return s // lanes, s % lanes
+
+
+def _lane_costs(sent: np.ndarray, lanes: int, empty_brick: EmptyBrickCost) -> np.ndarray:
+    """(..., slots) pairs per brick -> (..., sets, min(lanes, slots)) cycles per
+    set and lane; the drain is charged before the padding, so padding is free."""
+    slots = sent.shape[-1]
+    cost = np.maximum(sent, 1) if empty_brick is EmptyBrickCost.ONE_CYCLE else sent
+    brick_set, lane = _slot_lanes(slots, lanes)
+    grid = np.zeros(sent.shape[:-1] + (int(brick_set[-1]) + 1, min(lanes, slots)), np.int64)
+    grid[..., brick_set, lane] = cost
+    return grid
+
+
+def _window_cycles(grid: np.ndarray, policy: SyncPolicy) -> np.ndarray:
+    """Cycles per window: its brick-set maxima summed, or its busiest lane's total."""
+    if policy is SyncPolicy.BRICKSET_LOCKSTEP:
+        return grid.max(axis=-1).sum(axis=-1)
+    return grid.sum(axis=-2).max(axis=-1)
+
+
+def _lane_busy(sent: np.ndarray, lanes: int) -> np.ndarray:
+    """Pairs each of the ``lanes`` lanes sends over all windows of (..., slots) ``sent``."""
+    per_slot = sent.reshape(-1, sent.shape[-1]).sum(axis=0, dtype=np.int64)
+    busy = _lane_costs(per_slot, lanes, EmptyBrickCost.ZERO_CYCLES).sum(axis=0)
+    return np.pad(busy, (0, lanes - len(busy)))
+
+
 def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                  policy: SyncPolicy = SyncPolicy.BRICKSET_LOCKSTEP,
                  empty_brick_cost: EmptyBrickCost = EmptyBrickCost.ZERO_CYCLES,
@@ -230,6 +270,8 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
         raise FormatError(f"source dims {dims} do not match layer "
                           f"({layer.x}, {layer.y}, {layer.i})")
     nb = layer.check_brick(brick)
+    _require_enum(policy, SyncPolicy, "policy")
+    _require_enum(empty_brick_cost, EmptyBrickCost, "empty_brick_cost")
     if lanes < 1:
         raise ConfigurationError(f"lane count must be at least 1, got {lanes}")
     if prod_table is not None:
@@ -241,8 +283,7 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
             )
     offsets, values, counts = source.pair_table()
 
-    # brick coordinates of every (window, slot), slots in `window_bricks`
-    # order; slot s goes to lane s % lanes in brick set s // lanes
+    # brick coordinates of every (window, slot), slots in (fx, fy, depth brick) order
     n_slots = layer.fx * layer.fy * nb
     fx, fy, ib = np.unravel_index(np.arange(n_slots), (layer.fx, layer.fy, nb))
     wx, wy = np.unravel_index(np.arange(layer.ox * layer.oy), (layer.ox, layer.oy))
@@ -257,31 +298,25 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
         live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]
     rank = np.cumsum(live, axis=2) - 1
     sent = live.sum(axis=2)
-    cost = np.maximum(sent, 1) if empty_brick_cost is EmptyBrickCost.ONE_CYCLE else sent
 
-    n_sets = -(-n_slots // lanes)
-    lane_cost = np.zeros((len(rows), n_sets * lanes), dtype=np.int64)
-    lane_cost[:, :n_slots] = cost
-    lane_cost = lane_cost.reshape(len(rows), n_sets, lanes)
+    grid = _lane_costs(sent, lanes, empty_brick_cost)       # (windows, sets, width)
+    window_len = _window_cycles(grid, policy)
+    brick_set, slot_lane = _slot_lanes(n_slots, lanes)
     if policy is SyncPolicy.BRICKSET_LOCKSTEP:
-        set_len = lane_cost.max(axis=2)
-        slot_start = np.broadcast_to(_exclusive_cumsum(set_len, 1)[..., None], lane_cost.shape)
-        window_len = set_len.sum(axis=1)
+        slot_start = _exclusive_cumsum(grid.max(axis=2), 1)[:, brick_set]
     else:
-        slot_start = _exclusive_cumsum(lane_cost, 1)
-        window_len = lane_cost.sum(axis=1).max(axis=1)
-    start = _exclusive_cumsum(window_len, 0)[:, None] \
-        + slot_start.reshape(len(rows), -1)[:, :n_slots]
+        slot_start = _exclusive_cumsum(grid, 1)[:, brick_set, slot_lane]
+    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start
     cycles = int(window_len.sum())
 
-    lane = np.broadcast_to((np.arange(n_slots) % lanes)[:, None], live.shape)[live]
-    at = ((start[..., None] + rank)[live]) * lanes + lane
+    lane = np.broadcast_to(slot_lane[:, None], live.shape)[live]
+    at = (start[..., None] + rank)[live] * lanes + lane
     event_offsets = np.full(cycles * lanes, -1, dtype=np.int32)
     event_values = np.zeros(cycles * lanes, dtype=np.int16)
     event_offsets[at] = pair_offsets[live]
     event_values[at] = values[rows][live]
 
-    busy = np.bincount(lane, minlength=lanes)
+    busy = _lane_busy(sent, lanes)
     # one bank per lane: brick ib is fetched from bank ib % lanes, once per window
     fetches = np.bincount(ib % lanes) * len(rows)
     return DispatchRun(EventColumns(event_offsets, event_values, lanes), cycles,

@@ -6,7 +6,9 @@ processes every position of every window. The cnv machine skips activations
 the criterion classifies ineffectual. The cnv2 machine additionally skips
 positions whose weights are ineffectual in every filter of the resident
 group, so its per-brick work is the count of offsets that survive both
-tests.
+tests. Both skippers turn per-brick work into cycles and lane busy counts
+through the dispatcher's lane schedule (`dispatch`), the same one
+`run_dispatch` stamps its events with.
 
 Filters beyond one pass's residency (tiles * filters_per_tile) are handled
 in sequential passes that repeat the activation traversal. Functional
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dispatch import EmptyBrickCost, SyncPolicy
+from .dispatch import (EmptyBrickCost, SyncPolicy, _lane_busy, _lane_costs, _require_enum,
+                       _window_cycles)
 from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
@@ -44,6 +47,9 @@ class TileConfig:
     def __post_init__(self):
         _positive_fields(self, ("tiles", "filters_per_tile", "lanes", "brick"), "tile",
                          ConfigurationError)
+        for name, kind in (("sync", SyncPolicy), ("empty_brick", EmptyBrickCost),
+                           ("group_scope", GroupScope)):
+            _require_enum(getattr(self, name), kind, name)
 
     @property
     def resident(self) -> int:
@@ -75,27 +81,6 @@ def _pass_ranges(f: int, resident: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + resident, f)) for lo in range(0, f, resident)]
 
 
-def _reduce_cycles(costs: np.ndarray, lanes: int, sync: SyncPolicy,
-                   one_cycle_drain: bool) -> int:
-    """Window cycle totals from per-brick costs under one sync policy."""
-    ox, oy, w = costs.shape
-    eff = np.maximum(costs, 1) if one_cycle_drain else costs
-    grid = np.pad(eff, ((0, 0), (0, 0), (0, -w % lanes))).reshape(ox, oy, -1, lanes)
-    if sync is SyncPolicy.BRICKSET_LOCKSTEP:
-        per_window = grid.max(axis=3).sum(axis=2)
-    else:
-        per_window = grid.sum(axis=2).max(axis=2)
-    return int(per_window.sum())
-
-
-def _lane_busy(counts: np.ndarray, lanes: int) -> np.ndarray:
-    """Non-idle cycles per lane: brick k of a window belongs to lane k mod lanes."""
-    w = counts.shape[2]
-    per_position = counts.reshape(-1, w).sum(axis=0, dtype=np.int64)
-    return np.bincount(np.arange(w) % lanes, weights=per_position,
-                       minlength=lanes).astype(np.int64)
-
-
 def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
             cycles: int, performed: int, broadcasts: int, busy: np.ndarray,
             crit: IneffCriterion, out_format: Format) -> CycleReport:
@@ -119,9 +104,9 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                  ) -> tuple[np.ndarray, CycleReport]:
     """Dense machine: every position of every window is multiplied.
 
-    Cycles are passes * windows * ceil(window_positions / lanes); the lanes
-    share each window's positions round robin, not its bricks, so the
-    counts are closed form.
+    The lanes share each window's positions round robin, not its bricks:
+    cycles are passes * windows * ceil(window_positions / lanes), and the
+    lane schedule runs with one position per slot for the busy counts.
     """
     layer.check_tensors(acts, filters)
     layer.check_brick(tile.brick)
@@ -132,9 +117,7 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     n_passes = len(_pass_ranges(layer.f, tile.resident))
     cycles = n_passes * n_windows * (-(-k // tile.lanes))
 
-    busy = np.full(tile.lanes, k // tile.lanes, dtype=np.int64)
-    busy[: k % tile.lanes] += 1
-    busy *= n_windows * n_passes
+    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes) * (n_windows * n_passes)
     return out, _report("baseline", out, layer, tile, cycles, n_windows * k * layer.f,
                         n_passes * n_windows * k, busy, ZERO, out_format)
 
@@ -165,7 +148,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     window's bricks; with a weight criterion (cnv2) each filter group also
     drops the offsets its `weight_product_table` marks dead. A brick costs
     its surviving offsets, a pass costs the group maximum of each brick,
-    and the sync policy reduces that to cycles. Without weight products
+    and the lane schedule turns that into cycles. Without weight products
     every pass walks the same costs, so cnv reduces them once and repeats
     the result per pass. The output is one convolution of the effectual
     activations with each filter's weights zeroed where its group skips.
@@ -203,8 +186,9 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
                 pass_costs = costs
             else:
                 np.maximum(pass_costs, costs, out=pass_costs)
-        cycles += repeat * _reduce_cycles(pass_costs, tile.lanes, tile.sync,
-                                          tile.empty_brick is EmptyBrickCost.ONE_CYCLE)
+        # the lane grid stays unnamed, so it is freed before conv3d runs
+        cycles += repeat * int(_window_cycles(
+            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())
         busy += repeat * _lane_busy(pass_costs, tile.lanes)
 
     out = conv3d(np.where(eff, acts.values, 0), weights, layer.stride)

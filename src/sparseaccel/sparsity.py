@@ -43,7 +43,7 @@ class IneffCriterion:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown criterion kind {self.kind!r}, expected one of {_KINDS}")
-        if not isinstance(self.param, (int, np.integer)):
+        if isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer)):
             raise ValidationError(f"criterion parameter must be an int, got {self.param!r}")
         if self.kind == "zero" and self.param != 0:
             raise ValidationError("the zero criterion takes no parameter")

@@ -41,10 +41,10 @@ def _as_int16(values, ndim: int, what: str) -> np.ndarray:
 
 
 def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
-    """Raise ``error`` unless every named field of ``obj`` is a positive int."""
+    """Raise ``error`` unless every named field of ``obj`` is a positive int (not a bool)."""
     for name in names:
         v = getattr(obj, name)
-        if not isinstance(v, (int, np.integer)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise error(f"{what} field {name} must be a positive int, got {v!r}")
 
 
@@ -251,25 +251,6 @@ def brick_at(acts: ActTensor, x: int, y: int, brick_index: int, brick: int = 16)
         raise BoundsError(f"brick index {brick_index} outside [0, {nb})")
     base = brick_index * brick
     return Brick(x, y, base, acts.values[x, y, base : base + brick].copy())
-
-
-def window_bricks(layer: LayerConfig, wx: int, wy: int, brick: int = 16) -> list[tuple[int, int, int]]:
-    """Absolute brick coordinates (x, y, brick_index) of one output window.
-
-    Order is x-major, then y, with the depth ordinal fastest, so consecutive
-    entries at the same (x, y) step through the depth bricks first.
-    """
-    nb = layer.check_brick(brick)
-    if not (0 <= wx < layer.ox and 0 <= wy < layer.oy):
-        raise BoundsError(f"window ({wx}, {wy}) outside ({layer.ox}, {layer.oy})")
-    x0 = wx * layer.stride
-    y0 = wy * layer.stride
-    return [
-        (x0 + fx, y0 + fy, ib)
-        for fx in range(layer.fx)
-        for fy in range(layer.fy)
-        for ib in range(nb)
-    ]
 
 
 # An int16 x int16 product is at most 2**30 in magnitude, so a float64 sum of

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost, FilterSet,
+from sparseaccel import (ActTensor, BoundsError, DispatchEvent, EmptyBrickCost, FilterSet,
                          GroupScope, LayerConfig, SyncPolicy)
 
 
@@ -82,6 +82,19 @@ def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit)
                                 kept = np.where(dead, 0, vals)
                             out[wx, wy, glo:ghi] += wts @ kept
     return out
+
+
+def window_bricks(layer, wx: int, wy: int, brick: int = 16) -> list[tuple[int, int, int]]:
+    """Absolute brick coordinates (x, y, brick_index) of one output window.
+
+    Order is x-major, then y, with the depth ordinal fastest, so consecutive
+    entries at the same (x, y) step through the depth bricks first.
+    """
+    if not (0 <= wx < layer.ox and 0 <= wy < layer.oy):
+        raise BoundsError(f"window ({wx}, {wy}) outside ({layer.ox}, {layer.oy})")
+    return [(wx * layer.stride + a, wy * layer.stride + b, ib)
+            for a in range(layer.fx) for b in range(layer.fy)
+            for ib in range(layer.i // brick)]
 
 
 def window_slices(layer, lanes: int = 16, brick: int = 16):

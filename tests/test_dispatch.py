@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          FilterSet, IneffCriterion, LayerConfig, RawDispatchSource,
-                         SyncPolicy, TileConfig, ZERO, deserialize_store, encode_store,
-                         format_trace, run_cnv, run_cnv2, run_dispatch, stream_brick,
-                         weight_product_table, write_trace, Format, load_layer)
+                         SyncPolicy, SyntheticSpec, TileConfig, ZERO, deserialize_store,
+                         encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
+                         run_dispatch, stream_brick, weight_product_table, write_trace,
+                         Format, load_layer)
 from sparseaccel.errors import ConfigurationError, FormatError
 
 from pathlib import Path
@@ -129,6 +130,22 @@ def test_window_sync_drain_cycles():
     assert run.cycles == 2
     assert run.events[0].is_idle
     assert (run.events[1].offset, run.events[1].value) == (0, 1)
+
+
+@pytest.mark.parametrize("name, value, crit, cycles", [
+    # the plain strings used to fall through to the other member: 665 and 224 cycles
+    ("policy", SyncPolicy.BRICKSET_LOCKSTEP, ZERO, 823),
+    ("empty_brick_cost", EmptyBrickCost.ONE_CYCLE, IneffCriterion("abs", 100), 261),
+])
+def test_run_dispatch_refuses_plain_values_for_enums(name, value, crit, cycles):
+    acts, filters = gen_synthetic(SyntheticSpec(x=9, y=9, i=40, f=8, fx=3, fy=3, p_act_zero=0.6,
+                                                p_wt_zero=0.5, seed=3, brick=8))
+    layer = LayerConfig.from_tensors(acts, filters)
+    src = RawDispatchSource(acts, crit, brick=8)
+    kw = {"policy": SyncPolicy.WINDOW_SYNC, name: value}
+    with pytest.raises(ConfigurationError, match=name):
+        run_dispatch(src, layer, lanes=16, **{**kw, name: value.value})
+    assert run_dispatch(src, layer, lanes=16, **kw).cycles == cycles
 
 
 def test_product_table_drops_offsets():

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, EmptyBrickCost, FilterSet, Format, GroupScope,
                          IneffCriterion, LayerConfig, RawDispatchSource, SyncPolicy,
-                         TileConfig, ZERO, dense_conv, run_arch, run_baseline,
-                         run_cnv, run_cnv2, run_dispatch, weight_product_table)
-from sparseaccel.errors import ConfigurationError
+                         SyntheticSpec, TileConfig, ZERO, dense_conv, gen_synthetic, run_arch,
+                         run_baseline, run_cnv, run_cnv2, run_dispatch, weight_product_table)
+from sparseaccel.errors import ConfigurationError, ValidationError
 
 from helpers import (cycle_report_oracle, lockstep_cycles, random_layer,
                      window_brick_costs, window_sync_cycles)
@@ -324,6 +326,53 @@ def test_tile_config_validation():
     with pytest.raises(ConfigurationError):
         TileConfig(lanes=-4)
     assert TileConfig(tiles=3, filters_per_tile=5).resident == 15
+
+
+# 9x9x40 input, 8 3x3 filters, bricks of 8: 45 bricks per window over 16 lanes
+ENUM_SPEC = SyntheticSpec(x=9, y=9, i=40, f=8, fx=3, fy=3, p_act_zero=0.6, p_wt_zero=0.5,
+                          seed=3, brick=8)
+
+
+@pytest.mark.parametrize("field, value, arch, crit, kw, cycles", [
+    # the plain strings used to fall through to the other member: 665, 224, 1591 cycles
+    ("sync", SyncPolicy.BRICKSET_LOCKSTEP, "cnv", ZERO, {}, 823),
+    ("empty_brick", EmptyBrickCost.ONE_CYCLE, "cnv", IneffCriterion("abs", 100),
+     dict(sync=SyncPolicy.WINDOW_SYNC), 261),
+    ("group_scope", GroupScope.PER_TILE, "cnv2", ZERO, dict(tiles=2, filters_per_tile=2), 1494),
+])
+def test_tile_config_refuses_plain_values_for_enums(field, value, arch, crit, kw, cycles):
+    acts, filters = gen_synthetic(ENUM_SPEC)
+    layer = LayerConfig.from_tensors(acts, filters)
+    with pytest.raises(ConfigurationError, match=field):
+        TileConfig(lanes=16, brick=8, **kw, **{field: value.value})
+    tile = TileConfig(lanes=16, brick=8, **kw, **{field: value})
+    assert run_arch(arch, acts, filters, layer, tile, crit)[1].cycles == cycles
+
+
+def test_positive_fields_refuse_bools():
+    with pytest.raises(ConfigurationError):
+        TileConfig(lanes=True, tiles=True)
+    with pytest.raises(ConfigurationError):
+        LayerConfig(x=2, y=2, i=16, fx=1, fy=1, f=True)
+    with pytest.raises(ValidationError):
+        SyntheticSpec(x=2, y=2, i=8, f=1, fx=1, fy=True)
+    assert TileConfig(lanes=np.int64(4)).lanes == 4
+
+
+@pytest.mark.parametrize("runner", [run_cnv, run_cnv2])
+def test_lanes_past_the_window_allocate_nothing(runner):
+    """Lanes past a window's 18 bricks never get one, so 32768 lanes stay
+    under 2 MB; a grid padded to the lane count took 44.6 MB on it."""
+    acts, filters = gen_synthetic(SyntheticSpec(x=15, y=15, i=32, f=16, fx=3, fy=3))
+    layer = LayerConfig.from_tensors(acts, filters)
+    tracemalloc.start()
+    try:
+        _, report = runner(acts, filters, layer, TileConfig(lanes=32768))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert len(report.per_lane_busy) == 32768 and not any(report.per_lane_busy[18:])
 
 
 def test_run_arch_rejects_unknown():

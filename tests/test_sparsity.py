@@ -67,6 +67,13 @@ def test_criterion_validation():
         IneffCriterion("abs", 1.5)
 
 
+def test_criterion_refuses_bool_params():
+    for kind in ("zero", "abs", "pow2"):
+        with pytest.raises(ValidationError):
+            IneffCriterion(kind, kind != "zero")
+    assert IneffCriterion("abs", np.int16(3)).spec() == "abs:3"
+
+
 def test_parse_and_spec_roundtrip():
     for text, kind, param in (("zero", "zero", 0), ("abs:12", "abs", 12),
                               ("pow2:4", "pow2", 4), ("ABS:3", "abs", 3)):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparseaccel import (ActTensor, FilterSet, LayerConfig, RawDispatchSource, ZERO, brick_at,
-                         conv3d, dense_conv, pad_depth, weight_product_table, window_bricks)
+                         conv3d, dense_conv, pad_depth, weight_product_table)
 from sparseaccel.errors import BoundsError, ConfigurationError
 import sparseaccel.tensor as tensor
 from sparseaccel.tensor import Brick
 
-from helpers import einsum_conv, naive_conv, random_layer, window_slices
+from helpers import einsum_conv, naive_conv, random_layer, window_bricks, window_slices
 
 
 # -- containers ---------------------------------------------------------
