@@ -186,10 +186,20 @@ MUTANTS = (
     # -- the CLI -------------------------------------------------------------
     Mutant("reference-float32-gemm", "the reference check sums in float32",
            "src/sparseaccel/cli.py",
-           "(kept @ wts.T.astype(np.float64))",
-           "(kept.astype(np.float32) @ wts.T.astype(np.float32))",
+           "(vals @ wts[glo:ghi, sl].T)",
+           "(vals.astype(np.float32) @ wts[glo:ghi, sl].T.astype(np.float32))",
            ("tests/test_cli.py::test_reference_output_exact_at_int16_extremes",
             "tests/test_cli.py::test_reference_output_matches_window_loop")),
+    Mutant("reference-depth-unsplit", "the reference's chunk loop steps over the whole depth",
+           "src/sparseaccel/cli.py",
+           "for d0 in range(0, layer.i, MAX_EXACT_BRICK):",
+           "for d0 in range(0, layer.i, layer.i):",
+           ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",)),
+    Mutant("reference-cnv2-mask-all-filters", "the cnv2 reference masks over every filter",
+           "src/sparseaccel/cli.py",
+           "weight_crit.ineffectual(w[glo:ghi])",
+           "weight_crit.ineffectual(w)",
+           ("tests/test_cli.py::test_reference_output_matches_window_loop",)),
     Mutant("atomic-write-leaks-oserror", "a report into a missing directory is a traceback",
            "src/sparseaccel/cli.py",
            "    except OSError as exc:\n"

@@ -11,15 +11,12 @@ Exit codes: 0 success, 2 invalid input (bad parameters, malformed files,
 impossible geometry), 3 functional equivalence failure during a run.
 
 A config file is a flat ``key = value`` text file mirroring the long flag
-names (dashes or underscores); explicit flags win over config values. The
-``SPARSE_ACCEL_SIM_THREADS`` environment variable caps how many
-architecture runs execute in parallel.
+names (dashes or underscores); explicit flags win over config values.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -165,23 +162,23 @@ def cmd_gen(args) -> int:
 
 
 # An int16 x int16 product is at most 2**30 in magnitude, so a float64 GEMM
-# summing one brick of them is exact while brick * 2**30 <= 2**53.
+# summing at most MAX_EXACT_BRICK of them is exact: 2**23 * 2**30 == 2**53.
 MAX_EXACT_BRICK = 1 << 23
 
 
 def reference_output(arch: str, data: LayerData, layer: LayerConfig,
                      tile: TileConfig, act_crit: IneffCriterion,
                      weight_crit: IneffCriterion) -> np.ndarray:
-    """Per-window-brick GEMM recomputation used as the equivalence check.
+    """Per-offset GEMM recomputation used as the equivalence check.
 
-    For every filter offset (fx, fy) and depth brick, the strided slab of
-    that brick across all output windows is masked with its own skip rule
-    (effectual activations for cnv and cnv2; for cnv2 also the offsets
-    where every weight of the filter group is ineffectual) and multiplied
-    by the group's weights in one float64 GEMM, which is exact for bricks
-    up to MAX_EXACT_BRICK. Partial sums accumulate in int64. Nothing here
-    comes from the simulator, so a run's output is compared against an
-    independent path.
+    For every filter offset (fx, fy) and filter group, the strided slab of
+    that offset across all output windows is masked with the machine's own
+    skip rule (effectual activations for cnv and cnv2; for cnv2 also the
+    depth positions where every weight of the group is ineffectual) and
+    multiplied by the group's weights in float64 GEMMs over the depth, each
+    summing at most MAX_EXACT_BRICK products, so each is exact; their sums
+    accumulate in int64. Nothing here comes from the simulator, so a run's
+    output is compared against an independent path.
     """
     b = tile.brick
     if b > MAX_EXACT_BRICK:
@@ -203,52 +200,43 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
         a = np.where(act_crit.effectual(a), a, 0)
     a = a.astype(np.float64)
     w = data.filters.values
+    # (fx, fy, i) masks of the depth positions a cnv2 group keeps
+    live = [~weight_crit.ineffectual(w[glo:ghi]).all(axis=0) if arch == "cnv2" else None
+            for glo, ghi in groups]
     s = layer.stride
     out = np.zeros((layer.ox * layer.oy, layer.f), dtype=np.int64)
     for fx in range(layer.fx):
         for fy in range(layer.fy):
             slab = a[fx:fx + s * (layer.ox - 1) + 1:s,
                      fy:fy + s * (layer.oy - 1) + 1:s].reshape(layer.ox * layer.oy, layer.i)
-            for ib in range(layer.i // b):
-                sl = slice(ib * b, (ib + 1) * b)
-                vals = slab[:, sl]
-                for glo, ghi in groups:
-                    wts = w[glo:ghi, fx, fy, sl]
-                    kept = vals
-                    if arch == "cnv2":
-                        dead = weight_crit.ineffectual(wts).all(axis=0)
-                        kept = np.where(dead, 0.0, vals)
-                    out[:, glo:ghi] += (kept @ wts.T.astype(np.float64)).astype(np.int64)
+            wts = w[:, fx, fy].astype(np.float64)
+            for d0 in range(0, layer.i, MAX_EXACT_BRICK):
+                sl = slice(d0, d0 + MAX_EXACT_BRICK)
+                for (glo, ghi), keep in zip(groups, live):
+                    vals = slab[:, sl] if keep is None else slab[:, sl] * keep[fx, fy, sl]
+                    out[:, glo:ghi] += (vals @ wts[glo:ghi, sl].T).astype(np.int64)
     return out.reshape(layer.ox, layer.oy, layer.f)
 
 
 def _run_one(arch: str, data: LayerData, layer: LayerConfig, tile: TileConfig,
              act_crit: IneffCriterion, weight_crit: IneffCriterion,
-             out_format: Format) -> tuple[str, CycleReport, bool]:
+             out_format: Format) -> tuple[CycleReport, bool]:
     out, report = run_arch(arch, data.acts, data.filters, layer, tile,
                            act_crit, weight_crit, out_format=out_format)
     expected = reference_output(arch, data, layer, tile, act_crit, weight_crit)
-    return arch, report, bool(np.array_equal(out, expected))
-
-
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("SPARSE_ACCEL_SIM_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"SPARSE_ACCEL_SIM_THREADS must be an int, got {env!r}") from None
-        if cap < 1:
-            raise ValidationError("SPARSE_ACCEL_SIM_THREADS must be at least 1")
-        return min(cap, n_jobs)
-    return min(n_jobs, os.cpu_count() or 1)
+    return report, bool(np.array_equal(out, expected))
 
 
 def cmd_run(args) -> int:
     for path in (args.json_out, args.csv_out):  # fail before any work is done
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValidationError(f"cannot write {path}: its directory does not exist")
+    archs = [a.strip() for a in args.arch.split(",") if a.strip()]
+    if not archs or any(a not in ARCH_CHOICES for a in archs):
+        raise ValidationError(f"--arch must name architectures from {ARCH_CHOICES}")
+    repeated = sorted({a for a in archs if archs.count(a) > 1})
+    if repeated:
+        raise ValidationError(f"--arch names {', '.join(repeated)} more than once")
     if args.layer:
         data = load_layer(args.layer)
         source = args.layer
@@ -257,9 +245,6 @@ def cmd_run(args) -> int:
         source = f"synthetic(seed={args.seed})"
     layer = data.layer_config()
 
-    archs = [a.strip() for a in args.arch.split(",") if a.strip()]
-    if not archs or any(a not in ARCH_CHOICES for a in archs):
-        raise ValidationError(f"--arch must name architectures from {ARCH_CHOICES}")
     tile = TileConfig(tiles=args.tiles, filters_per_tile=args.filters_per_tile,
                       lanes=args.lanes, brick=data.brick,
                       sync=SyncPolicy(args.sync),
@@ -269,13 +254,8 @@ def cmd_run(args) -> int:
     weight_crit = IneffCriterion.parse(args.wt_crit)
     out_format = Format(args.encoding)
 
-    results: dict[str, tuple[CycleReport, bool]] = {}
-    with concurrent.futures.ThreadPoolExecutor(_worker_count(len(archs))) as pool:
-        futs = [pool.submit(_run_one, a, data, layer, tile, act_crit,
-                            weight_crit, out_format) for a in archs]
-        for fut in futs:
-            arch, report, ok = fut.result()
-            results[arch] = (report, ok)
+    results = {a: _run_one(a, data, layer, tile, act_crit, weight_crit, out_format)
+               for a in archs}
 
     base_cycles = results["baseline"][0].cycles if "baseline" in results else None
     rows = []

@@ -155,11 +155,14 @@ def test_run_tile_block_defaults_to_tile_config(tmp_path):
         "group_scope": want.group_scope.value}
 
 
-def test_run_input_errors(tmp_path):
+def test_run_input_errors(tmp_path, capsys):
     assert run_cli("run", "--layer", str(tmp_path / "missing.layer")) == 2
     assert run_cli("run") == 2  # neither --layer nor synthetic geometry
     assert run_cli("run", "--dims", "4x4x16", "--filters", "1x1x1",
                    "--arch", "baseline,tpu") == 2
+    assert run_cli("run", "--dims", "4x4x16", "--filters", "1x1x1",
+                   "--arch", "cnv,cnv,baseline") == 2
+    assert "--arch names cnv more than once" in capsys.readouterr().err
     assert run_cli("run", "--dims", "4x4x16", "--filters", "1x1x1",
                    "--act-crit", "fuzzy") == 2
     bad = tmp_path / "bad.layer"
@@ -337,13 +340,19 @@ def test_reference_output_exact_at_int16_extremes():
     assert (out == 3 * 3 * 64 * 2**30).all()
 
 
-def test_run_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSE_ACCEL_SIM_THREADS", "1")
-    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE) == 0
-    monkeypatch.setenv("SPARSE_ACCEL_SIM_THREADS", "0")
-    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE) == 2
-    monkeypatch.setenv("SPARSE_ACCEL_SIM_THREADS", "many")
-    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE) == 2
+def test_reference_output_splits_a_deep_depth(monkeypatch):
+    # with one brick per GEMM, each offset's depth of 5 bricks takes 5 GEMMs
+    rng = np.random.default_rng(11)
+    acts = rng.integers(-40, 41, size=(5, 4, 18))
+    wts = rng.integers(-40, 41, size=(7, 2, 2, 18))
+    acts[rng.random(acts.shape) < 0.4] = 0
+    wts[rng.random(wts.shape) < 0.4] = 0
+    data = LayerData(ActTensor.padded(acts, 4), FilterSet.padded(wts, 4), 1, 4)
+    tile = TileConfig(tiles=2, filters_per_tile=2, lanes=4, brick=4,
+                      group_scope=GroupScope.PER_TILE)
+    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", 4)
+    assert_reference_matches_window_loop(data, tile, IneffCriterion.parse("abs:3"),
+                                         IneffCriterion.parse("abs:9"))
 
 
 def test_json_out_overwrites_atomically(tmp_path):

@@ -151,20 +151,25 @@ def test_partition_is_total(values, spec):
     assert crit.ineffectual(np.zeros(1, dtype=np.int16))[0]
 
 
+CRITERIA = st.shared(st.one_of(st.just(IneffCriterion()),
+                               st.integers(0, 65535).map(IneffCriterion.abs_threshold),
+                               st.integers(0, 16).map(IneffCriterion.power_of_two)),
+                     key="criterion")
+
+
 @st.composite
 def typed_values(draw):
+    """Values of one int dtype, with fixed edges and the drawn criterion's
+    own bound: ±t and ±(t+1) for abs:t, ±(2**k-1) and ±2**k for pow2:k."""
     dtype = np.dtype(draw(st.sampled_from(["int16", "int32", "int64"])))
     info = np.iinfo(dtype)
+    crit = draw(CRITERIA)  # shared: the same criterion the test receives
+    t = (1 << crit.param) - 1 if crit.kind == "pow2" else crit.param
     edges = st.sampled_from([info.min, info.min + 1, -65536, -65535, -1, 0, 1,
-                             65535, 65536, info.max])
+                             65535, 65536, info.max, t, t + 1, -t, -t - 1])
     value = st.one_of(edges, st.integers(info.min, info.max)).filter(
         lambda v: info.min <= v <= info.max)
     return np.array(draw(st.lists(value, min_size=1, max_size=24)), dtype=dtype)
-
-
-CRITERIA = st.one_of(st.just(IneffCriterion()),
-                     st.integers(0, 65535).map(IneffCriterion.abs_threshold),
-                     st.integers(0, 16).map(IneffCriterion.power_of_two))
 
 
 @given(typed_values(), CRITERIA)
