@@ -186,14 +186,25 @@ MUTANTS = (
     # -- the CLI -------------------------------------------------------------
     Mutant("reference-float32-gemm", "the reference check sums in float32",
            "src/sparseaccel/cli.py",
-           "(vals @ wts[glo:ghi, sl].T)",
-           "(vals.astype(np.float32) @ wts[glo:ghi, sl].T.astype(np.float32))",
+           "acc[:, glo:ghi] += vals @ wts[glo:ghi, sl].T\n",
+           "acc[:, glo:ghi] += vals.astype(np.float32) @ wts[glo:ghi, sl].T.astype(np.float32)\n",
            ("tests/test_cli.py::test_reference_output_exact_at_int16_extremes",
             "tests/test_cli.py::test_reference_output_matches_window_loop")),
     Mutant("reference-depth-unsplit", "the reference's chunk loop steps over the whole depth",
            "src/sparseaccel/cli.py",
            "for d0 in range(0, layer.i, MAX_EXACT_BRICK):",
            "for d0 in range(0, layer.i, layer.i):",
+           ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",)),
+    Mutant("reference-flush-overwrites", "a flush replaces the reference's int64 sums",
+           "src/sparseaccel/cli.py",
+           "out += acc.astype(np.int64)\n                    acc[:] = 0.0\n",
+           "out = acc.astype(np.int64)\n                    acc[:] = 0.0\n",
+           ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",
+            "tests/test_cli.py::test_reference_output_flushes_exactly_at_int16_extremes")),
+    Mutant("reference-flush-keeps-acc", "the reference's accumulator is not zeroed by a flush",
+           "src/sparseaccel/cli.py",
+           "                    acc[:] = 0.0\n",
+           "",
            ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",)),
     Mutant("reference-cnv2-mask-all-filters", "the cnv2 reference masks over every filter",
            "src/sparseaccel/cli.py",

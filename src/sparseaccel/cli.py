@@ -161,8 +161,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# An int16 x int16 product is at most 2**30 in magnitude, so a float64 GEMM
-# summing at most MAX_EXACT_BRICK of them is exact: 2**23 * 2**30 == 2**53.
+# An int16 x int16 product is at most 2**30 in magnitude, so a float64 sum
+# of at most MAX_EXACT_BRICK of them is exact: 2**23 * 2**30 == 2**53.
 MAX_EXACT_BRICK = 1 << 23
 
 
@@ -175,15 +175,18 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
     that offset across all output windows is masked with the machine's own
     skip rule (effectual activations for cnv and cnv2; for cnv2 also the
     depth positions where every weight of the group is ineffectual) and
-    multiplied by the group's weights in float64 GEMMs over the depth, each
-    summing at most MAX_EXACT_BRICK products, so each is exact; their sums
-    accumulate in int64. Nothing here comes from the simulator, so a run's
-    output is compared against an independent path.
+    multiplied by the group's weights in float64 GEMMs over depth chunks of
+    at most MAX_EXACT_BRICK. Every GEMM adds into one float64 (windows x
+    filters) accumulator, which is moved into the int64 output before it
+    would hold more than MAX_EXACT_BRICK products, and once more at the end,
+    so every float64 sum is exact. Nothing here comes from the simulator, so
+    a run's output is compared against an independent path.
     """
     b = tile.brick
     if b > MAX_EXACT_BRICK:
         raise ValidationError(
-            f"brick {b} exceeds {MAX_EXACT_BRICK}, the largest the reference sums exactly")
+            f"brick {b} exceeds {MAX_EXACT_BRICK}, the most int16 products one float64 "
+            "sum holds exactly; the reference check takes no larger brick")
     if arch == "cnv2":
         groups = []
         for lo in range(0, layer.f, tile.resident):
@@ -205,6 +208,8 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
             for glo, ghi in groups]
     s = layer.stride
     out = np.zeros((layer.ox * layer.oy, layer.f), dtype=np.int64)
+    acc = np.zeros(out.shape, dtype=np.float64)
+    terms = 0  # products in each entry of acc since it was last flushed
     for fx in range(layer.fx):
         for fy in range(layer.fy):
             slab = a[fx:fx + s * (layer.ox - 1) + 1:s,
@@ -212,9 +217,16 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
             wts = w[:, fx, fy].astype(np.float64)
             for d0 in range(0, layer.i, MAX_EXACT_BRICK):
                 sl = slice(d0, d0 + MAX_EXACT_BRICK)
+                depth = min(layer.i - d0, MAX_EXACT_BRICK)
+                if terms + depth > MAX_EXACT_BRICK:
+                    out += acc.astype(np.int64)
+                    acc[:] = 0.0
+                    terms = 0
                 for (glo, ghi), keep in zip(groups, live):
                     vals = slab[:, sl] if keep is None else slab[:, sl] * keep[fx, fy, sl]
-                    out[:, glo:ghi] += (vals @ wts[glo:ghi, sl].T).astype(np.int64)
+                    acc[:, glo:ghi] += vals @ wts[glo:ghi, sl].T
+                terms += depth
+    out += acc.astype(np.int64)
     return out.reshape(layer.ox, layer.oy, layer.f)
 
 

@@ -6,6 +6,7 @@ test. If the fast paths and these ever disagree, the fast paths lose.
 """
 
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,16 @@ def einsum_conv(acts, weights, stride: int = 1) -> np.ndarray:
     fx, fy, depth = w.shape[1:]
     wins = np.lib.stride_tricks.sliding_window_view(a, (fx, fy, depth))[::stride, ::stride, 0]
     return np.einsum("xyabc,fabc->xyf", wins, w)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def window_reference_output(arch: str, data, layer, tile, act_crit, weight_crit) -> np.ndarray:

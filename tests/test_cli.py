@@ -15,7 +15,7 @@ import sparseaccel.sim as sim
 from sparseaccel import (ActTensor, FilterSet, GroupScope, IneffCriterion, LayerData,
                          TileConfig, ValidationError, load_layer)
 
-from helpers import window_reference_output
+from helpers import einsum_conv, traced_peak, window_reference_output
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "weight_skip_demo.json"
@@ -329,7 +329,7 @@ def test_reference_output_matches_window_loop(case):
     assert_reference_matches_window_loop(*case)
 
 
-def test_reference_output_exact_at_int16_extremes():
+def assert_exact_at_int16_extremes():
     acts = np.full((4, 4, 64), -32768)
     wts = np.full((5, 3, 3, 64), -32768)
     data = LayerData(ActTensor(acts), FilterSet(wts), 1, 16)
@@ -340,8 +340,21 @@ def test_reference_output_exact_at_int16_extremes():
     assert (out == 3 * 3 * 64 * 2**30).all()
 
 
-def test_reference_output_splits_a_deep_depth(monkeypatch):
-    # with one brick per GEMM, each offset's depth of 5 bricks takes 5 GEMMs
+def test_reference_output_exact_at_int16_extremes():
+    assert_exact_at_int16_extremes()
+
+
+def test_reference_output_flushes_exactly_at_int16_extremes(monkeypatch):
+    # each offset's depth of 64 takes 4 GEMMs of 16, each flushed before the next
+    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", 16)
+    assert_exact_at_int16_extremes()
+
+
+# MAX_EXACT_BRICK 4 and 7 cut each offset's depth of 20 into chunks that do
+# and do not divide it, flushing before every chunk; 48 flushes after every
+# second offset, with no depth split
+@pytest.mark.parametrize("max_terms", [4, 7, 48])
+def test_reference_output_splits_a_deep_depth(monkeypatch, max_terms):
     rng = np.random.default_rng(11)
     acts = rng.integers(-40, 41, size=(5, 4, 18))
     wts = rng.integers(-40, 41, size=(7, 2, 2, 18))
@@ -350,9 +363,23 @@ def test_reference_output_splits_a_deep_depth(monkeypatch):
     data = LayerData(ActTensor.padded(acts, 4), FilterSet.padded(wts, 4), 1, 4)
     tile = TileConfig(tiles=2, filters_per_tile=2, lanes=4, brick=4,
                       group_scope=GroupScope.PER_TILE)
-    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", 4)
+    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", max_terms)
     assert_reference_matches_window_loop(data, tile, IneffCriterion.parse("abs:3"),
                                          IneffCriterion.parse("abs:9"))
+
+
+@pytest.mark.parametrize("arch", cli.ARCH_CHOICES)
+def test_reference_output_peak_memory_stays_below_the_einsum(arch):
+    # the case of test_conv3d_peak_memory_stays_below_the_einsum; casting the
+    # whole filter tensor to float64 at once would add about 1.2 MB
+    rng = np.random.default_rng(3)
+    acts = rng.integers(-128, 128, size=(16, 16, 128)).astype(np.int16)
+    wts = rng.integers(-128, 128, size=(128, 3, 3, 128)).astype(np.int16)
+    data = LayerData(ActTensor(acts), FilterSet(wts), 1, 16)
+    tile = TileConfig(tiles=4, filters_per_tile=4, group_scope=GroupScope.PER_TILE)
+    crit = IneffCriterion()
+    peak = traced_peak(cli.reference_output, arch, data, data.layer_config(), tile, crit, crit)
+    assert peak < traced_peak(einsum_conv, acts, wts)
 
 
 def test_json_out_overwrites_atomically(tmp_path):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,8 @@ from sparseaccel.errors import BoundsError, ConfigurationError
 import sparseaccel.tensor as tensor
 from sparseaccel.tensor import Brick
 
-from helpers import einsum_conv, naive_conv, random_layer, window_bricks, window_slices
+from helpers import (einsum_conv, naive_conv, random_layer, traced_peak, window_bricks,
+                     window_slices)
 
 
 # -- containers ---------------------------------------------------------
@@ -283,17 +282,8 @@ def test_conv3d_rejects_values_outside_int16():
         conv3d(np.ones((2, 2, 4), dtype=np.int16), np.ones((1, 1, 1, 8), dtype=np.int16))
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_conv3d_peak_memory_stays_below_the_einsum():
     rng = np.random.default_rng(3)
     acts = rng.integers(-128, 128, size=(16, 16, 128)).astype(np.int16)
     wts = rng.integers(-128, 128, size=(128, 3, 3, 128)).astype(np.int16)
-    assert _traced_peak(conv3d, acts, wts) < _traced_peak(einsum_conv, acts, wts)
+    assert traced_peak(conv3d, acts, wts) < traced_peak(einsum_conv, acts, wts)
