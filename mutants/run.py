@@ -73,18 +73,36 @@ MUTANTS = (
            "np.bincount(ib // lanes)",
            ("tests/test_dispatch.py::test_fetch_pointers_count_bank_loads",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
-    Mutant("conv-float32-gemm", "the convolution's GEMMs sum in float32",
+    Mutant("conv-float32-gemm", "the convolution's GEMMs sum in float32 on the float64 path",
            "src/sparseaccel/tensor.py",
-           "acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(np.float64)",
+           "acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(dtype)",
            "acc += slab[:, d0:d1].astype(np.float32) @ w[:, dx, dy, d0:d1].T.astype(np.float32)",
-           ("tests/test_tensor.py::test_conv3d_no_int16_overflow",
+           ("tests/test_tensor.py::test_conv3d_exact_at_the_float32_limit",
             "tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle")),
+    Mutant("conv-float32-any-magnitude", "the convolution takes float32 whatever the magnitude",
+           "src/sparseaccel/tensor.py",
+           "    return np.float64, min(_MAX_EXACT_TERMS, (1 << 53) // peak)\n",
+           "    return np.float32, min(_MAX_EXACT_TERMS, (1 << 53) // peak)\n",
+           ("tests/test_tensor.py::test_exact_gemm_follows_the_magnitude_and_the_cap",
+            "tests/test_tensor.py::test_conv3d_exact_at_the_float32_limit")),
+    Mutant("conv-float32-limit-one-over", "a float32 sum may hold one product too many",
+           "src/sparseaccel/tensor.py",
+           "    exact32 = (1 << 24) // peak\n",
+           "    exact32 = (1 << 24) // peak + 1\n",
+           ("tests/test_tensor.py::test_exact_gemm_follows_the_magnitude_and_the_cap",
+            "tests/test_tensor.py::test_conv3d_exact_at_the_float32_limit")),
+    Mutant("conv-float32-cap-ignored", "the float32 path ignores the cap, so tests cannot split",
+           "src/sparseaccel/tensor.py",
+           "        return np.float32, min(_MAX_EXACT_TERMS, exact32)\n",
+           "        return np.float32, exact32\n",
+           ("tests/test_tensor.py::test_exact_gemm_follows_the_magnitude_and_the_cap",)),
     Mutant("conv-slab-stride-ignored", "each offset's slab is read without the stride",
            "src/sparseaccel/tensor.py",
            "            slab = a[dx:dx + stride * (ox - 1) + 1:stride,\n"
-           "                     dy:dy + stride * (oy - 1) + 1:stride].astype(np.float64)\n",
-           "            slab = a[dx:dx + ox, dy:dy + oy].astype(np.float64)\n",
-           ("tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle",)),
+           "                     dy:dy + stride * (oy - 1) + 1:stride].astype(dtype)\n",
+           "            slab = a[dx:dx + ox, dy:dy + oy].astype(dtype)\n",
+           ("tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle",
+            "tests/test_tensor.py::test_conv3d_matches_naive_oracle")),
     Mutant("conv-depth-split-off-by-one", "a split depth skips one sample between chunks",
            "src/sparseaccel/tensor.py",
            "            for d0 in range(0, depth, step):\n",
@@ -96,6 +114,11 @@ MUTANTS = (
            "        inside &= v < t\n",
            ("tests/test_sparsity.py::test_abs_criterion_inclusive_threshold",
             "tests/test_sparsity.py::test_ineffectual_matches_the_restated_criteria")),
+    Mutant("json-true-read-as-1", "a JSON true in a layer file loads as the integer 1",
+           "src/sparseaccel/workloads.py",
+           "    if set(map(type, value)) <= {int}:\n",
+           "    if set(map(type, value)) <= {int, bool}:\n",
+           ("tests/test_workloads.py::test_json_layer_rejects_non_integers",)),
     Mutant("generator-counter-from-lo", "each chunk's counters start at n, not n + 1",
            "src/sparseaccel/workloads.py",
            "    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
@@ -188,11 +211,28 @@ MUTANTS = (
            "src/sparseaccel/cli.py",
            "acc[:, glo:ghi] += vals @ wts[glo:ghi, sl].T\n",
            "acc[:, glo:ghi] += vals.astype(np.float32) @ wts[glo:ghi, sl].T.astype(np.float32)\n",
-           ("tests/test_cli.py::test_reference_output_exact_at_int16_extremes",
+           ("tests/test_cli.py::test_reference_output_exact_at_the_float32_limit",
             "tests/test_cli.py::test_reference_output_matches_window_loop")),
+    Mutant("reference-float32-any-magnitude", "the reference takes float32 whatever the magnitude",
+           "src/sparseaccel/cli.py",
+           "    return np.float64, min(MAX_EXACT_BRICK, (1 << 53) // peak)\n",
+           "    return np.float32, min(MAX_EXACT_BRICK, (1 << 53) // peak)\n",
+           ("tests/test_cli.py::test_reference_gemm_follows_the_magnitude_and_the_cap",
+            "tests/test_cli.py::test_reference_output_exact_at_the_float32_limit")),
+    Mutant("reference-float32-limit-one-over", "a reference float32 sum may hold one product too many",
+           "src/sparseaccel/cli.py",
+           "        return np.float32, min(MAX_EXACT_BRICK, (1 << 24) // peak)\n",
+           "        return np.float32, min(MAX_EXACT_BRICK, (1 << 24) // peak + 1)\n",
+           ("tests/test_cli.py::test_reference_gemm_follows_the_magnitude_and_the_cap",
+            "tests/test_cli.py::test_reference_output_exact_at_the_float32_limit")),
+    Mutant("reference-float32-cap-ignored", "the reference's float32 path ignores the cap",
+           "src/sparseaccel/cli.py",
+           "        return np.float32, min(MAX_EXACT_BRICK, (1 << 24) // peak)\n",
+           "        return np.float32, (1 << 24) // peak\n",
+           ("tests/test_cli.py::test_reference_gemm_follows_the_magnitude_and_the_cap",)),
     Mutant("reference-depth-unsplit", "the reference's chunk loop steps over the whole depth",
            "src/sparseaccel/cli.py",
-           "for d0 in range(0, layer.i, MAX_EXACT_BRICK):",
+           "for d0 in range(0, layer.i, limit):",
            "for d0 in range(0, layer.i, layer.i):",
            ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",)),
     Mutant("reference-flush-overwrites", "a flush replaces the reference's int64 sums",

@@ -162,8 +162,24 @@ def cmd_gen(args) -> int:
 
 
 # An int16 x int16 product is at most 2**30 in magnitude, so a float64 sum
-# of at most MAX_EXACT_BRICK of them is exact: 2**23 * 2**30 == 2**53.
+# of at most MAX_EXACT_BRICK of them is exact: 2**23 * 2**30 == 2**53. It
+# also caps the float32 sums, so tests can lower it to force splits.
 MAX_EXACT_BRICK = 1 << 23
+
+
+def _reference_gemm(peak: int, depth: int) -> tuple[type, int]:
+    """The reference's GEMM dtype and the most products one of its sums may
+    hold, for integer products at most ``peak`` in magnitude over ``depth``.
+
+    A float sum of integers is exact while every partial sum stays within
+    2**24 in float32 and 2**53 in float64, so float32 is taken when the
+    whole depth of one filter offset fits; either limit is capped by
+    MAX_EXACT_BRICK.
+    """
+    peak = max(peak, 1)
+    if peak * depth <= 1 << 24:
+        return np.float32, min(MAX_EXACT_BRICK, (1 << 24) // peak)
+    return np.float64, min(MAX_EXACT_BRICK, (1 << 53) // peak)
 
 
 def reference_output(arch: str, data: LayerData, layer: LayerConfig,
@@ -175,12 +191,15 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
     that offset across all output windows is masked with the machine's own
     skip rule (effectual activations for cnv and cnv2; for cnv2 also the
     depth positions where every weight of the group is ineffectual) and
-    multiplied by the group's weights in float64 GEMMs over depth chunks of
-    at most MAX_EXACT_BRICK. Every GEMM adds into one float64 (windows x
-    filters) accumulator, which is moved into the int64 output before it
-    would hold more than MAX_EXACT_BRICK products, and once more at the end,
-    so every float64 sum is exact. Nothing here comes from the simulator, so
-    a run's output is compared against an independent path.
+    multiplied by the group's weights in float GEMMs over depth chunks.
+    The dtype and the chunk follow `_reference_gemm`, from the largest
+    activation and weight magnitudes: float32 when every sum over one
+    offset's depth stays within 2**24, as with 8-bit values, else float64.
+    Every GEMM adds into one float (windows x filters) accumulator, which is
+    moved into the int64 output before it would hold more products than its
+    dtype sums exactly, and once more at the end, so every float sum is
+    exact. Nothing here comes from the simulator, so a run's output is
+    compared against an independent path.
     """
     b = tile.brick
     if b > MAX_EXACT_BRICK:
@@ -201,24 +220,27 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
     a = data.acts.values
     if arch != "baseline":
         a = np.where(act_crit.effectual(a), a, 0)
-    a = a.astype(np.float64)
     w = data.filters.values
+    # min and max, not abs: abs(-32768) is still -32768 in int16
+    peak = max(-int(a.min()), int(a.max())) * max(-int(w.min()), int(w.max()))
+    dtype, limit = _reference_gemm(peak, layer.i)
+    a = a.astype(dtype)
     # (fx, fy, i) masks of the depth positions a cnv2 group keeps
     live = [~weight_crit.ineffectual(w[glo:ghi]).all(axis=0) if arch == "cnv2" else None
             for glo, ghi in groups]
     s = layer.stride
     out = np.zeros((layer.ox * layer.oy, layer.f), dtype=np.int64)
-    acc = np.zeros(out.shape, dtype=np.float64)
+    acc = np.zeros(out.shape, dtype=dtype)
     terms = 0  # products in each entry of acc since it was last flushed
     for fx in range(layer.fx):
         for fy in range(layer.fy):
             slab = a[fx:fx + s * (layer.ox - 1) + 1:s,
                      fy:fy + s * (layer.oy - 1) + 1:s].reshape(layer.ox * layer.oy, layer.i)
-            wts = w[:, fx, fy].astype(np.float64)
-            for d0 in range(0, layer.i, MAX_EXACT_BRICK):
-                sl = slice(d0, d0 + MAX_EXACT_BRICK)
-                depth = min(layer.i - d0, MAX_EXACT_BRICK)
-                if terms + depth > MAX_EXACT_BRICK:
+            wts = w[:, fx, fy].astype(dtype)
+            for d0 in range(0, layer.i, limit):
+                sl = slice(d0, d0 + limit)
+                depth = min(layer.i - d0, limit)
+                if terms + depth > limit:
                     out += acc.astype(np.int64)
                     acc[:] = 0.0
                     terms = 0

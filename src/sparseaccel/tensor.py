@@ -8,8 +8,12 @@ ingestion and the original depth is kept as ``logical_i``; padding never
 changes convolution results because the weights are padded the same way.
 
 All stored samples are signed 16-bit. The reference convolution, `conv3d`,
-sums the products exactly in float64 GEMMs and returns the untruncated
-int64 sums.
+sums the products exactly in float GEMMs and returns the untruncated int64
+sums. The GEMM dtype follows a property of its operands, not of any
+workload: with peak = max|a| * max|w|, float32 holds every partial sum of
+one filter offset exactly when peak * depth <= 2**24, so values in
+[-128, 127] take float32 at any depth up to 1024; otherwise, and always
+for full-range int16, the sums run in float64, exact up to 2**53.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ INT16_MIN = -(1 << 15)
 INT16_MAX = (1 << 15) - 1
 
 
-def _as_int16(values, ndim: int, what: str) -> np.ndarray:
+def _int16_with_peak(values, ndim: int, what: str) -> tuple[np.ndarray, int]:
+    """``values`` as a C-contiguous int16 array, and their largest magnitude."""
     arr = np.asarray(values)
     if arr.ndim != ndim:
         raise ConfigurationError(f"{what} must be {ndim}-D, got shape {arr.shape}")
@@ -37,7 +42,11 @@ def _as_int16(values, ndim: int, what: str) -> np.ndarray:
         raise ConfigurationError(
             f"{what} values span [{lo}, {hi}], outside the signed 16-bit range"
         )
-    return np.ascontiguousarray(arr, dtype=np.int16)
+    return np.ascontiguousarray(arr, dtype=np.int16), max(-lo, hi)
+
+
+def _as_int16(values, ndim: int, what: str) -> np.ndarray:
+    return _int16_with_peak(values, ndim, what)[0]
 
 
 def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
@@ -253,19 +262,36 @@ def brick_at(acts: ActTensor, x: int, y: int, brick_index: int, brick: int = 16)
     return Brick(x, y, base, acts.values[x, y, base : base + brick].copy())
 
 
-# An int16 x int16 product is at most 2**30 in magnitude, so a float64 sum of
-# at most 2**23 of them stays within 2**53 and is exact.
+# Most products one float sum may hold, whatever its dtype. An int16 x int16
+# product is at most 2**30 in magnitude, so a float64 sum of 2**23 of them
+# stays within 2**53 and is exact; tests lower it to force the depth split.
 _MAX_EXACT_TERMS = 1 << 23
+
+
+def _exact_gemm(peak: int, depth: int) -> tuple[type, int]:
+    """GEMM dtype and the most products one exact sum may hold, for integer
+    products at most ``peak`` in magnitude summed over ``depth`` terms.
+
+    A float sum of integers is exact while every partial sum stays within
+    2**24 (float32) or 2**53 (float64). float32 is taken when one whole
+    depth fits; either limit is capped by ``_MAX_EXACT_TERMS``.
+    """
+    peak = max(peak, 1)
+    exact32 = (1 << 24) // peak
+    if depth <= exact32:
+        return np.float32, min(_MAX_EXACT_TERMS, exact32)
+    return np.float64, min(_MAX_EXACT_TERMS, (1 << 53) // peak)
 
 
 def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
     """Strided cross-correlation of int16 values with exact integer sums.
 
     For each filter offset (dx, dy) the strided (ox * oy, i) slab of the
-    input is multiplied by that offset's (i, f) weights in one float64
-    GEMM. The float64 accumulator is flushed into the int64 output before
-    it holds more than ``_MAX_EXACT_TERMS`` products, and a depth deeper
-    than that is split, so every float64 sum is exact.
+    input is multiplied by that offset's (i, f) weights in one float GEMM,
+    float32 or float64 as `_exact_gemm` picks from max|a| * max|w| and the
+    depth. The float accumulator is flushed into the int64 output before it
+    holds more products than that dtype sums exactly, and a depth deeper
+    than that is split, so every float sum is exact.
 
     Args:
         acts_values: (X, Y, I) integer array with values in int16.
@@ -275,8 +301,8 @@ def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
     Returns:
         (Ox, Oy, F) int64 array of untruncated sums.
     """
-    a = _as_int16(acts_values, 3, "activations")
-    w = _as_int16(filter_values, 4, "filters")
+    a, a_peak = _int16_with_peak(acts_values, 3, "activations")
+    w, w_peak = _int16_with_peak(filter_values, 4, "filters")
     f, fx, fy, depth = w.shape
     if a.shape[2] != depth:
         raise ConfigurationError(
@@ -284,21 +310,22 @@ def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
         )
     ox = (a.shape[0] - fx) // stride + 1
     oy = (a.shape[1] - fy) // stride + 1
-    acc = np.zeros((ox * oy, f), dtype=np.float64)
+    dtype, limit = _exact_gemm(a_peak * w_peak, depth)
+    acc = np.zeros((ox * oy, f), dtype=dtype)
     terms, flushed = 0, 0  # products in acc; int64 sums of earlier accumulators
-    step = min(depth, _MAX_EXACT_TERMS)
+    step = min(depth, limit)
     for dx in range(fx):
         for dy in range(fy):
             slab = a[dx:dx + stride * (ox - 1) + 1:stride,
-                     dy:dy + stride * (oy - 1) + 1:stride].astype(np.float64)
+                     dy:dy + stride * (oy - 1) + 1:stride].astype(dtype)
             slab = slab.reshape(ox * oy, depth)
             for d0 in range(0, depth, step):
                 d1 = min(d0 + step, depth)
-                if terms + d1 - d0 > _MAX_EXACT_TERMS:
+                if terms + d1 - d0 > limit:
                     flushed = flushed + acc.astype(np.int64)
                     acc[:] = 0.0
                     terms = 0
-                acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(np.float64)
+                acc += slab[:, d0:d1] @ w[:, dx, dy, d0:d1].T.astype(dtype)
                 terms += d1 - d0
     out = acc.astype(np.int64)
     out += flushed

@@ -277,18 +277,28 @@ def _save_json(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> N
         fh.write("\n")
 
 
-def _json_ints(path, key: str, value, lo: int, hi: int, count: int | None = None) -> list:
-    """`value` as a list of JSON integers in [lo, hi], of length `count` if given.
+def _json_ints(path, key: str, value, lo: int, hi: int, count: int | None = None
+               ) -> np.ndarray:
+    """`value` as an int64 array of JSON integers in [lo, hi], of length
+    `count` if given.
 
     Bools and floats are not JSON integers: `true` or `1.5` is rejected, not
-    read as 1.
+    read as 1. The types and the range are checked on the whole list at
+    once; only a list that fails is walked, to name its first bad element.
     """
     if not isinstance(value, list) or count is not None and len(value) != count:
         raise FormatError(f"{path}: {key} must be a list of {count or 'any number of'} integers")
-    for n, v in enumerate(value):
-        if type(v) is not int or not lo <= v <= hi:
-            raise FormatError(f"{path}: {key}[{n}] is {v!r}, expected an integer in [{lo}, {hi}]")
-    return value
+    if set(map(type, value)) <= {int}:
+        try:
+            arr = np.fromiter(value, dtype=np.int64, count=len(value))
+        except OverflowError:  # beyond int64, so out of range: named below
+            pass
+        else:
+            if not arr.size or lo <= arr.min() and arr.max() <= hi:
+                return arr
+    n, v = next((n, v) for n, v in enumerate(value)
+                if type(v) is not int or not lo <= v <= hi)
+    raise FormatError(f"{path}: {key}[{n}] is {v!r}, expected an integer in [{lo}, {hi}]")
 
 
 def _load_json(path) -> LayerData:
@@ -302,13 +312,12 @@ def _load_json(path) -> LayerData:
     if type(doc.get("version")) is not int or doc["version"] != _VERSION:
         raise VersionError(f"{path}: version {doc.get('version')}, expected {_VERSION}")
     try:
-        dims = _json_ints(path, "dims", doc["dims"], 0, _U32, 3)
-        filters = _json_ints(path, "filters", doc["filters"], 0, _U32, 3)
-        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 0, _U16) for k in ("stride", "brick"))
-        acts = np.array(_json_ints(path, "activations", doc["activations"], INT16_MIN, INT16_MAX),
-                        dtype=np.int16)
-        wts = np.array(_json_ints(path, "weights", doc["weights"], INT16_MIN, INT16_MAX),
-                       dtype=np.int16)
+        dims = _json_ints(path, "dims", doc["dims"], 0, _U32, 3).tolist()
+        filters = _json_ints(path, "filters", doc["filters"], 0, _U32, 3).tolist()
+        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 0, _U16).tolist()
+                               for k in ("stride", "brick"))
+        acts, wts = (_json_ints(path, k, doc[k], INT16_MIN, INT16_MAX).astype(np.int16)
+                     for k in ("activations", "weights"))
     except KeyError as exc:
         raise TruncatedError(f"{path}: incomplete layer document (no {exc} field)") from None
     return _layer_data(path, dims, filters, stride, brick, acts, wts)

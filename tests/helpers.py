@@ -15,6 +15,19 @@ from sparseaccel import (ActTensor, BoundsError, DispatchEvent, EmptyBrickCost, 
                          GroupScope, LayerConfig, SyncPolicy)
 
 
+# Every value v: peak v * v. For 127, 2**24 // 16129 = 1040 products fit one
+# exact float32 sum, and a float32 sum of 1041 gives 16790288, not 16790289.
+# 3x3 at depth 512 flushes after every second offset, and at depth 347 the
+# flush falls exactly before a third offset would make 1041 products. -128
+# reaches 2**24 exactly at depth 1024; 32767 * 32767 is not a float32.
+# Each case is (v, taps, depth, brick that divides the depth, GEMM dtype).
+FLOAT32_LIMIT_CASES = [
+    (127, 1, 1040, 16, np.float32), (127, 1, 1041, 3, np.float64),
+    (127, 3, 512, 16, np.float32), (127, 3, 347, 1, np.float32),
+    (-128, 1, 1024, 16, np.float32), (-128, 1, 1025, 5, np.float64),
+    (32767, 3, 64, 16, np.float64)]
+
+
 def naive_conv(acts: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.ndarray:
     """Sliding-window convolution, six explicit loops, exact integers."""
     x, y, i = acts.shape

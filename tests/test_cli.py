@@ -15,7 +15,7 @@ import sparseaccel.sim as sim
 from sparseaccel import (ActTensor, FilterSet, GroupScope, IneffCriterion, LayerData,
                          TileConfig, ValidationError, load_layer)
 
-from helpers import einsum_conv, traced_peak, window_reference_output
+from helpers import FLOAT32_LIMIT_CASES, einsum_conv, traced_peak, window_reference_output
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "weight_skip_demo.json"
@@ -366,6 +366,31 @@ def test_reference_output_splits_a_deep_depth(monkeypatch, max_terms):
     monkeypatch.setattr(cli, "MAX_EXACT_BRICK", max_terms)
     assert_reference_matches_window_loop(data, tile, IneffCriterion.parse("abs:3"),
                                          IneffCriterion.parse("abs:9"))
+
+
+@pytest.mark.parametrize("v, taps, depth, brick, dtype", FLOAT32_LIMIT_CASES)
+def test_reference_output_exact_at_the_float32_limit(v, taps, depth, brick, dtype):
+    assert cli._reference_gemm(v * v, depth)[0] is dtype
+    acts = np.full((taps + 1, taps, depth), v)
+    wts = np.full((3, taps, taps, depth), v)
+    data = LayerData(ActTensor(acts), FilterSet(wts), 1, brick)
+    tile = TileConfig(tiles=1, filters_per_tile=2, lanes=4, brick=brick,
+                      group_scope=GroupScope.PER_TILE)
+    crit = IneffCriterion()
+    assert_reference_matches_window_loop(data, tile, crit, crit)
+    out = cli.reference_output("cnv2", data, data.layer_config(), tile, crit, crit)
+    assert (out == taps * taps * depth * v * v).all()
+
+
+def test_reference_gemm_follows_the_magnitude_and_the_cap(monkeypatch):
+    assert cli._reference_gemm(127 * 127, 1040) == (np.float32, 1040)
+    assert cli._reference_gemm(127 * 127, 1041) == (np.float64, 1 << 23)
+    assert cli._reference_gemm(128 * 128, 1024) == (np.float32, 1024)
+    assert cli._reference_gemm(1 << 30, 1) == (np.float64, 1 << 23)  # full-range int16
+    assert cli._reference_gemm(0, 1 << 24) == (np.float32, 1 << 23)  # all zero: peak 1
+    monkeypatch.setattr(cli, "MAX_EXACT_BRICK", 7)  # the cap binds on both paths
+    assert cli._reference_gemm(127 * 127, 512) == (np.float32, 7)
+    assert cli._reference_gemm(1 << 30, 512) == (np.float64, 7)
 
 
 @pytest.mark.parametrize("arch", cli.ARCH_CHOICES)

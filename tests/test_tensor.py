@@ -8,8 +8,8 @@ from sparseaccel.errors import BoundsError, ConfigurationError
 import sparseaccel.tensor as tensor
 from sparseaccel.tensor import Brick
 
-from helpers import (einsum_conv, naive_conv, random_layer, traced_peak, window_bricks,
-                     window_slices)
+from helpers import (FLOAT32_LIMIT_CASES, einsum_conv, naive_conv, random_layer, traced_peak,
+                     window_bricks, window_slices)
 
 
 # -- containers ---------------------------------------------------------
@@ -231,20 +231,22 @@ def test_dense_conv_validates_shapes():
 
 
 @st.composite
-def conv_cases(draw):
-    """A layer's int16 tensors: random, all -32768 or all 32767, with the
-    depth padded up to a brick multiple and, like cnv2, each filter's
-    weights zeroed at its own set of offsets."""
+def conv_cases(draw, vmax=st.just(32767)):
+    """A layer's int16 tensors with values in [-top - 1, top], top drawn from
+    ``vmax``: random, all -top - 1 or all top, with the depth padded up to a
+    brick multiple and, like cnv2, each filter's weights zeroed at its own
+    set of offsets."""
     fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     ox, oy, f = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
     depth, brick = draw(st.integers(1, 40)), draw(st.sampled_from([1, 4, 16]))
-    fill = draw(st.sampled_from(["random", -32768, 32767]))
+    top = draw(vmax)
+    fill = draw(st.sampled_from(["random", -top - 1, top]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a_shape = (fx + stride * (ox - 1), fy + stride * (oy - 1), depth)
     w_shape = (f, fx, fy, depth)
     if fill == "random":
-        acts = rng.integers(-32768, 32768, size=a_shape)
-        wts = rng.integers(-32768, 32768, size=w_shape)
+        acts = rng.integers(-top - 1, top + 1, size=a_shape)
+        wts = rng.integers(-top - 1, top + 1, size=w_shape)
     else:
         acts, wts = np.full(a_shape, fill), np.full(w_shape, fill)
     acts = ActTensor.padded(acts, brick).values
@@ -273,6 +275,42 @@ def test_conv3d_split_path_is_exact(bound, case):
         m.setattr(tensor, "_MAX_EXACT_TERMS", bound)
         got = conv3d(acts, wts, stride)
     assert np.array_equal(got, einsum_conv(acts, wts, stride))
+
+
+# Magnitudes up to 600 on depths up to 48: float32 while peak * depth <= 2**24,
+# with flushes between offsets once peak passes about 2**24 / 432; float64
+# near the top. A bound of 1 or 7 forces the depth split on the float32 path.
+@pytest.mark.parametrize("bound", [None, 1, 7])
+@settings(max_examples=60, deadline=None)
+@given(case=conv_cases(vmax=st.integers(1, 600)))
+def test_conv3d_small_magnitudes_match_the_einsum_oracle(bound, case):
+    acts, wts, stride = case
+    with pytest.MonkeyPatch.context() as m:
+        if bound is not None:
+            m.setattr(tensor, "_MAX_EXACT_TERMS", bound)
+        got = conv3d(acts, wts, stride)
+    assert np.array_equal(got, einsum_conv(acts, wts, stride))
+
+
+@pytest.mark.parametrize("v, taps, depth, brick, dtype", FLOAT32_LIMIT_CASES)
+def test_conv3d_exact_at_the_float32_limit(v, taps, depth, brick, dtype):
+    assert tensor._exact_gemm(v * v, depth)[0] is dtype
+    acts = np.full((taps + 1, taps, depth), v, dtype=np.int16)
+    wts = np.full((2, taps, taps, depth), v, dtype=np.int16)
+    got = conv3d(acts, wts)
+    assert (got == taps * taps * depth * v * v).all()
+    assert np.array_equal(got, einsum_conv(acts, wts))
+
+
+def test_exact_gemm_follows_the_magnitude_and_the_cap(monkeypatch):
+    assert tensor._exact_gemm(127 * 127, 1040) == (np.float32, 1040)
+    assert tensor._exact_gemm(127 * 127, 1041) == (np.float64, 1 << 23)
+    assert tensor._exact_gemm(128 * 128, 1024) == (np.float32, 1024)
+    assert tensor._exact_gemm(1 << 30, 1) == (np.float64, 1 << 23)  # full-range int16
+    assert tensor._exact_gemm(0, 1 << 24) == (np.float32, 1 << 23)  # all zero: peak 1
+    monkeypatch.setattr(tensor, "_MAX_EXACT_TERMS", 7)  # the cap binds on both paths
+    assert tensor._exact_gemm(127 * 127, 512) == (np.float32, 7)
+    assert tensor._exact_gemm(1 << 30, 512) == (np.float64, 7)
 
 
 def test_conv3d_rejects_values_outside_int16():

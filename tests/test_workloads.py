@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -376,6 +377,24 @@ def test_json_layer_rejects_out_of_range_values(tmp_path):
         load_layer(p)
     p.write_text(json.dumps({**JSON_DOC, "activations": [-(1 << 15), 2, 3, (1 << 15) - 1]}))
     assert load_layer(p).acts.values.reshape(-1).tolist() == [-(1 << 15), 2, 3, (1 << 15) - 1]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("activations", [1, 2, 3, 2**70], "activations[3] is 1180591620717411303424"),
+    ("weights", [-(2**70), 1, 1, 1], "weights[0] is -1180591620717411303424"),
+    ("dims", [1, 2**70, 4], "dims[1] is 1180591620717411303424"),
+    ("stride", 2**70, "stride[0] is 1180591620717411303424"),
+    # the first bad element is named, whatever its fault
+    ("activations", [1, 1 << 15, True, 2**70], "activations[1] is 32768"),
+    ("weights", [1, True, 1 << 15, 1.5], "weights[1] is True"),
+    ("weights", [1, 1, 2**70, True], "weights[2] is 1180591620717411303424"),
+])
+def test_json_layer_names_the_first_bad_integer(tmp_path, field, value, message):
+    # integers beyond int64 are out of range like any other, not an OverflowError
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({**JSON_DOC, field: value}))
+    with pytest.raises(FormatError, match=re.escape(message) + ", expected an integer in"):
+        load_layer(p)
 
 
 NEAR_INTS = (st.integers(-2, 5) | st.booleans() | st.floats(-2, 5) | st.integers()
