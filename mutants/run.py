@@ -119,6 +119,20 @@ MUTANTS = (
            "    if set(map(type, value)) <= {int}:\n",
            "    if set(map(type, value)) <= {int, bool}:\n",
            ("tests/test_workloads.py::test_json_layer_rejects_non_integers",)),
+    Mutant("json-payloads-int32", "JSON payloads are read as int32, so a value past int16 "
+           "escapes the loader's bounds rule",
+           "src/sparseaccel/workloads.py",
+           '_json_ints(path, k, doc[k], np.int16) for k in ("activations", "weights")',
+           '_json_ints(path, k, doc[k], np.int32) for k in ("activations", "weights")',
+           ("tests/test_workloads.py::test_json_layer_rejects_out_of_range_values",
+            "tests/test_workloads.py::test_json_layer_bounds_are_the_binary_field_ranges")),
+    Mutant("layer-trailing-bytes", "a .layer file longer than its header declares loads",
+           "src/sparseaccel/workloads.py",
+           "    if len(blob) > need:\n"
+           '        raise FormatError(f"{path}: {len(blob) - need} trailing bytes after the "\n'
+           '                          f"{need}-byte layer its header declares")\n',
+           "",
+           ("tests/test_workloads.py::test_load_layer_rejects_trailing_bytes",)),
     Mutant("generator-counter-from-lo", "each chunk's counters start at n, not n + 1",
            "src/sparseaccel/workloads.py",
            "    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
@@ -147,6 +161,12 @@ MUTANTS = (
            "        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]\n",
            "",
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("raw-source-unbounded", "the raw source reads a brick without the bounds rule",
+           "src/sparseaccel/dispatch.py",
+           "        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)\n",
+           "        base = ib * self.brick\n"
+           "        return stream_brick(self.acts.values[x, y, base:base + self.brick], self.crit)\n",
+           ("tests/test_dispatch.py::test_every_source_refuses_a_brick_outside_the_tensor",)),
     Mutant("lane-stream-range-unchecked", "a lane outside 0..lanes-1 reads other lanes' pairs",
            "src/sparseaccel/dispatch.py",
            "        if not 0 <= lane < self.lanes:\n"
@@ -206,6 +226,64 @@ MUTANTS = (
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) < brick * VALUE_BITS\n",
            ("tests/test_encodings.py",)),
+    # -- decoders: every rejection rule of deserialize_store ----------------
+    Mutant("decoder-trailing-bytes", "a stream longer than its header declares loads",
+           "src/sparseaccel/encodings.py",
+           "    if len(body) > need:\n"
+           '        raise FormatError(f"{len(body) - need} trailing bytes after the "\n'
+           '                          f"{need}-byte payload its header declares")\n',
+           "",
+           ("tests/test_encodings.py::test_decoders_reject_trailing_bytes",)),
+    Mutant("decoder-pad-bits", "set pad bits after the last field load",
+           "src/sparseaccel/encodings.py",
+           "    if bits[nbits:].any():\n"
+           '        raise FormatError("pad bits after the last field are not zero")\n',
+           "",
+           ("tests/test_encodings.py::test_decoders_reject_nonzero_pad_bits",)),
+    Mutant("decoder-zero-dims", "a header with a zero dimension or brick loads",
+           "src/sparseaccel/encodings.py",
+           "    if 0 in (x, y, i, brick):\n",
+           "    if False:\n",
+           ("tests/test_encodings.py::test_decoders_reject_zero_dims",)),
+    Mutant("decoder-logical-depth", "a logical depth outside [1, I] loads",
+           "src/sparseaccel/encodings.py",
+           "    if not 1 <= logical_i <= i:\n"
+           '        raise FormatError(f"logical depth {logical_i} outside [1, {i}]")\n',
+           "",
+           ("tests/test_encodings.py::test_decoders_reject_logical_depth_outside_depth",)),
+    Mutant("decoder-offsets-not-rising", "pair offsets that do not rise strictly load",
+           "src/sparseaccel/encodings.py",
+           "    if ((np.diff(offsets, axis=1) <= 0) & live[:, 1:]).any():\n"
+           '        raise FormatError("pair offsets are not strictly increasing")\n',
+           "",
+           ("tests/test_encodings.py::test_zfnaf_rejects_non_increasing_offsets",)),
+    Mutant("zfnaf-value-after-sentinel", "a ZFNAf value after the zero-fill sentinel loads",
+           "src/sparseaccel/encodings.py",
+           "        if (live & np.logical_or.accumulate(~live, axis=1)).any():\n"
+           '            raise FormatError("value slot found after the zero-fill sentinel")\n',
+           "",
+           ("tests/test_encodings.py::test_zfnaf_rejects_value_after_sentinel",)),
+    Mutant("roe-dirty-padding", "set RoE padding bits after the pairs load",
+           "src/sparseaccel/encodings.py",
+           "        if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():\n"
+           '            raise FormatError("RoE padding bits are not zero")\n',
+           "",
+           ("tests/test_encodings.py::test_roe_rejects_dirty_padding",)),
+    Mutant("cviai-pool-unchecked", "a CVIAI pool size that differs from the mask population loads",
+           "src/sparseaccel/encodings.py",
+           "        if int(masks.sum()) != pool:\n"
+           '            raise FormatError(f"mask population {int(masks.sum())} != declared pool '
+           'size {pool}")\n',
+           "",
+           ("tests/test_encodings.py::test_cviai_rejects_a_pool_size_off_the_mask_population",
+            "tests/test_encodings.py::test_cviai_bytes_roundtrip_and_population_check")),
+    Mutant("cviai-ir-unchecked", "CVIAI IR pointers off the prefix sums load",
+           "src/sparseaccel/encodings.py",
+           "        if not np.array_equal(ir, _pointers(masks, brick)):\n"
+           '            raise FormatError("IR pointers differ from the prefix sums of the mask '
+           'populations")\n',
+           "",
+           ("tests/test_encodings.py::test_cviai_rejects_pointers_off_the_prefix_sum",)),
     # -- the CLI -------------------------------------------------------------
     Mutant("reference-float32-gemm", "the reference check sums in float32",
            "src/sparseaccel/cli.py",
@@ -251,6 +329,27 @@ MUTANTS = (
            "weight_crit.ineffectual(w[glo:ghi])",
            "weight_crit.ineffectual(w)",
            ("tests/test_cli.py::test_reference_output_matches_window_loop",)),
+    Mutant("reference-per-tile-steps-by-pass", "PER_TILE reference groups span a whole pass",
+           "src/sparseaccel/cli.py",
+           "        step = tile.filters_per_tile\n",
+           "        step = tile.resident\n",
+           ("tests/test_cli.py::test_reference_output_per_tile_groups_in_a_ragged_last_pass",)),
+    Mutant("config-overrides-flags", "a config value overrides an explicit flag",
+           "src/sparseaccel/cli.py",
+           "            args = parser.parse_args(argv)\n",
+           "            args = parser.parse_args(argv)\n"
+           "            config = _load_config(args.config)\n"
+           "            vars(args).update({a.dest: a.default for a in args.parser._actions\n"
+           "                               if a.dest in config})\n",
+           ("tests/test_cli.py::test_config_supplies_defaults_and_flags_win",
+            "tests/test_cli.py::test_config_choices_and_flags_reach_the_report")),
+    Mutant("config-choices-unchecked", "a config value outside its flag's choices is taken",
+           "src/sparseaccel/cli.py",
+           "        if action.choices and config[dest] not in action.choices:\n"
+           '            raise ValidationError(f"config {dest} = {raw!r} not one of '
+           '{sorted(action.choices)}")\n',
+           "",
+           ("tests/test_cli.py::test_config_errors_exit_2_without_a_traceback",)),
     Mutant("atomic-write-leaks-oserror", "a report into a missing directory is a traceback",
            "src/sparseaccel/cli.py",
            "    except OSError as exc:\n"

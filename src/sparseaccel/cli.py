@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 invalid input (bad parameters, malformed files,
 impossible geometry), 3 functional equivalence failure during a run.
 
 A config file is a flat ``key = value`` text file mirroring the long flag
-names (dashes or underscores); explicit flags win over config values.
+names (dashes or underscores). Each value is converted by its flag's type
+and checked against its choices, then becomes that flag's default, so
+explicit flags win over config values; an unknown key or a bad value exits
+2 even when a flag overrides it.
 """
 
 from __future__ import annotations
@@ -73,35 +76,24 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> argparse.Namespace:
-    """Re-parse with config values as the namespace seed; flags still win."""
-    if not getattr(args, "config", None):
-        return args
-    config = _load_config(args.config)
-    known = {a.dest for a in parser._actions}
-    unknown = set(config) - known
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of ``parser``'s flags, each
+    converted by its flag's type and checked against its choices, so that a
+    parse lets every explicit flag win."""
+    config = _load_config(path)
+    actions = {a.dest: a for a in parser._actions}
+    unknown = set(config) - set(actions)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    ns = argparse.Namespace(**config)
-    reparsed = parser.parse_args(argv, namespace=ns)
-    # config values arrive as strings; run them through the flag converters
-    for action in parser._actions:
-        if action.dest not in config:
-            continue
-        if getattr(reparsed, action.dest) is not config[action.dest]:
-            continue  # a flag overrode the seeded value
-        raw = config[action.dest]
-        if action.type is not None:
-            try:
-                setattr(reparsed, action.dest, action.type(raw))
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"config {action.dest} = {raw!r} is not a valid value") from None
-        elif action.choices and raw not in action.choices:
-            raise ValidationError(
-                f"config {action.dest} = {raw!r} not one of {sorted(action.choices)}")
-    return reparsed
+    for dest, raw in config.items():
+        action = actions[dest]
+        try:
+            config[dest] = raw if action.type is None else action.type(raw)
+        except (TypeError, ValueError):
+            raise ValidationError(f"config {dest} = {raw!r} is not a valid value") from None
+        if action.choices and config[dest] not in action.choices:
+            raise ValidationError(f"config {dest} = {raw!r} not one of {sorted(action.choices)}")
+    parser.set_defaults(**config)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -206,17 +198,15 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
         raise ValidationError(
             f"brick {b} exceeds {MAX_EXACT_BRICK}, the most int16 products one float64 "
             "sum holds exactly; the reference check takes no larger brick")
-    if arch == "cnv2":
-        groups = []
-        for lo in range(0, layer.f, tile.resident):
-            hi = min(lo + tile.resident, layer.f)
-            if tile.group_scope is GroupScope.PER_TILE:
-                groups.extend((g, min(g + tile.filters_per_tile, hi))
-                              for g in range(lo, hi, tile.filters_per_tile))
-            else:
-                groups.append((lo, hi))
+    # A pass holds tiles * filters_per_tile filters, so no tile's filters
+    # straddle two passes and every group is a run of `step` filters from 0.
+    if arch != "cnv2":
+        step = layer.f
+    elif tile.group_scope is GroupScope.PER_TILE:
+        step = tile.filters_per_tile
     else:
-        groups = [(0, layer.f)]
+        step = tile.resident
+    groups = [(lo, min(lo + step, layer.f)) for lo in range(0, layer.f, step)]
     a = data.acts.values
     if arch != "baseline":
         a = np.where(act_crit.effectual(a), a, 0)
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_flags(p_gen)
     p_gen.add_argument("-o", "--out", required=True, help="output .layer or .json path")
     p_gen.add_argument("--config", help="flat key=value defaults file")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, parser=p_gen)
 
     p_run = sub.add_parser("run", help="simulate one layer")
     p_run.add_argument("--layer", help="layer file to load (.layer or .json)")
@@ -450,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json-out", help="write the JSON report here")
     p_run.add_argument("--csv-out", help="write the CSV report here")
     p_run.add_argument("--config", help="flat key=value defaults file")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_cmp = sub.add_parser("compare", help="merge run reports")
     p_cmp.add_argument("reports", nargs="+", help="JSON reports from `run`")
@@ -463,13 +453,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = args.command
     try:
         if getattr(args, "config", None):
-            subs = next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction))
-            args = _apply_config(subs.choices[command], args, argv[1:])
-            args.command = command
+            _config_defaults(args.parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SparseAccelError as exc:
         print(f"error: {exc}", file=sys.stderr)

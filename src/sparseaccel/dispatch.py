@@ -19,7 +19,10 @@ pair counts, in (x, y, brick) order); the dispatcher gathers its rows for
 every brick slot of every window, drops dead offsets, ranks the surviving
 pairs of each brick and stamps each pair with its cycle: the window's start,
 plus the start of the brick set (lockstep) or of the brick within its lane
-(window sync), plus the pair's rank.
+(window sync), plus the pair's rank. `brick_pairs` gives one brick's pairs
+alone: its set mask bits in offset order with their values, whether the mask
+comes from a container or from the comparators at fetch, and a coordinate
+outside the layer raises `BoundsError` from every source.
 
 Activation memory has one bank per lane, and bricks at the same depth
 ordinal share a bank, so brick ib is fetched from bank ib % lanes; a run's
@@ -40,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import _front_pack
+from .encodings import _front_pack, _mask_pairs
 from .errors import ConfigurationError, FormatError
 from .sparsity import ZERO, IneffCriterion, effectual_mask
-from .tensor import ActTensor, LayerConfig
+from .tensor import ActTensor, LayerConfig, brick_at
 
 
 class SyncPolicy(enum.Enum):
@@ -124,17 +127,11 @@ class EventColumns(Sequence):
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
     """Emit (offset, value) pairs for the effectual values, ascending offset.
 
-    Models the leading-one scan over the comparator outputs: find the lowest
-    set bit, emit, clear, repeat.
+    Models the leading-one scan over the comparator outputs, which sends the
+    set bits lowest first: the same pairs an encoded store hands over.
     """
     values = np.asarray(getattr(brick, "values", brick))
-    remaining = effectual_mask(values, crit)
-    out: list[tuple[int, int]] = []
-    while remaining.any():
-        j = int(np.argmax(remaining))
-        out.append((j, int(values[j])))
-        remaining[j] = False
-    return out
+    return _mask_pairs(effectual_mask(values, crit), values)
 
 
 class RawDispatchSource:
@@ -156,8 +153,7 @@ class RawDispatchSource:
         return self.acts.dims
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
-        base = ib * self.brick
-        return stream_brick(self.acts.values[x, y, base : base + self.brick], self.crit)
+        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Front-packed pairs of every brick, the comparators run over the whole tensor."""

@@ -50,10 +50,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BoundsError, ConfigurationError, FormatError, TruncatedError,
-                     ValidationError)
+from .errors import ConfigurationError, FormatError, TruncatedError, ValidationError
 from .sparsity import ZERO, IneffCriterion, _KINDS
-from .tensor import ActTensor, Brick, _as_int16, pad_depth
+from .tensor import ActTensor, Brick, _as_int16, _brick_row, pad_depth
 
 VALUE_BITS = 16
 
@@ -376,10 +375,7 @@ class _Store:
         return (self.x, self.y, self.i)
 
     def _index(self, x: int, y: int, ib: int) -> int:
-        nb = self.i // self.brick
-        if not (0 <= x < self.x and 0 <= y < self.y and 0 <= ib < nb):
-            raise BoundsError(f"brick ({x}, {y}, {ib}) outside ({self.x}, {self.y}, {nb})")
-        return (x * self.y + y) * nb + ib
+        return _brick_row(self.dims, self.brick, x, y, ib)
 
     def footprint(self) -> FootprintReport:
         return _footprint(self.format, self.dims, self.brick)
@@ -411,6 +407,13 @@ def _front_pack(vals: np.ndarray, keep: np.ndarray):
     offsets = np.where(live, order, 0)
     values = np.where(live, np.take_along_axis(vals, order, axis=1), 0).astype(np.int16)
     return offsets, values, counts
+
+
+def _mask_pairs(mask: np.ndarray, values: np.ndarray) -> list[tuple[int, int]]:
+    """One brick's (offset, value) pairs: its set mask bits in offset order,
+    with the values at those offsets."""
+    live = np.flatnonzero(mask)
+    return list(zip(live.tolist(), values[live].tolist()))
 
 
 def _check_offsets(offsets: np.ndarray, live: np.ndarray, brick: int) -> None:
@@ -544,8 +547,7 @@ class ViaiStore(_Store):
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
         k = self._index(x, y, ib)
-        live = np.flatnonzero(self.masks[k])
-        return list(zip(live.tolist(), self.values[k, live].tolist()))
+        return _mask_pairs(self.masks[k], self.values[k])
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Front-packed offsets, values and counts of the masked-in values."""

@@ -251,15 +251,20 @@ class Brick:
         return self.values.shape[0]
 
 
+def _brick_row(dims: tuple[int, int, int], brick: int, x: int, y: int, ib: int) -> int:
+    """Row of brick (x, y, ib) in (x, y, brick) traversal order, where a
+    (X, Y, I) tensor has (X * Y * I / brick) rows; BoundsError outside it."""
+    nx, ny, depth = dims
+    nb = _depth_bricks(depth, brick)
+    if not (0 <= x < nx and 0 <= y < ny and 0 <= ib < nb):
+        raise BoundsError(f"brick ({x}, {y}, {ib}) outside ({nx}, {ny}, {nb})")
+    return (x * ny + y) * nb + ib
+
+
 def brick_at(acts: ActTensor, x: int, y: int, brick_index: int, brick: int = 16) -> Brick:
     """Copy out the brick at spatial position (x, y) and depth ordinal ``brick_index``."""
-    nb = acts.brick_count(brick)
-    if not (0 <= x < acts.x and 0 <= y < acts.y):
-        raise BoundsError(f"position ({x}, {y}) outside ({acts.x}, {acts.y})")
-    if not 0 <= brick_index < nb:
-        raise BoundsError(f"brick index {brick_index} outside [0, {nb})")
-    base = brick_index * brick
-    return Brick(x, y, base, acts.values[x, y, base : base + brick].copy())
+    row = _brick_row(acts.dims, brick, x, y, brick_index)
+    return Brick(x, y, brick_index * brick, acts.values.reshape(-1, brick)[row].copy())
 
 
 # Most products one float sum may hold, whatever its dtype. An int16 x int16

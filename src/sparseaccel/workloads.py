@@ -22,7 +22,9 @@ depth, stride, and brick size, then the raw int16 payloads; a file longer
 or shorter than its header declares is rejected. A ``.json``
 variant with the same fields exists for human-editable fixtures; its
 header fields and payload entries must be JSON integers (not bools or
-floats) within the binary header's field ranges and int16. In both
+floats), and each list is read straight into its field's dtype (uint32
+dims and filters, uint16 stride and brick, int16 payloads), whose range
+it must fit. In both
 formats every dimension, the stride and the brick must be at least 1, and
 the brick may pad the depth i to at most max(2i, 16), so a small file
 cannot ask for tensors out of proportion to its payload. The writer applies
@@ -269,33 +271,32 @@ def _save_json(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> N
         "filters": list(w.shape[:3]),
         "stride": stride,
         "brick": brick,
-        "activations": [int(v) for v in a.reshape(-1)],
-        "weights": [int(v) for v in w.reshape(-1)],
+        "activations": a.reshape(-1).tolist(),
+        "weights": w.reshape(-1).tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def _json_ints(path, key: str, value, lo: int, hi: int, count: int | None = None
-               ) -> np.ndarray:
-    """`value` as an int64 array of JSON integers in [lo, hi], of length
-    `count` if given.
+def _json_ints(path, key: str, value, dtype: type, count: int | None = None) -> np.ndarray:
+    """`value` as a `dtype` array of JSON integers within that dtype's range,
+    of length `count` if given.
 
     Bools and floats are not JSON integers: `true` or `1.5` is rejected, not
-    read as 1. The types and the range are checked on the whole list at
-    once; only a list that fails is walked, to name its first bad element.
+    read as 1. The types are checked on the whole list at once, and the
+    range by the conversion itself, which raises OverflowError on a Python
+    int outside `dtype`; only a list that fails is walked, to name its first
+    bad element.
     """
     if not isinstance(value, list) or count is not None and len(value) != count:
         raise FormatError(f"{path}: {key} must be a list of {count or 'any number of'} integers")
     if set(map(type, value)) <= {int}:
         try:
-            arr = np.fromiter(value, dtype=np.int64, count=len(value))
-        except OverflowError:  # beyond int64, so out of range: named below
+            return np.fromiter(value, dtype=dtype, count=len(value))
+        except OverflowError:  # out of range: named below
             pass
-        else:
-            if not arr.size or lo <= arr.min() and arr.max() <= hi:
-                return arr
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
     n, v = next((n, v) for n, v in enumerate(value)
                 if type(v) is not int or not lo <= v <= hi)
     raise FormatError(f"{path}: {key}[{n}] is {v!r}, expected an integer in [{lo}, {hi}]")
@@ -312,12 +313,11 @@ def _load_json(path) -> LayerData:
     if type(doc.get("version")) is not int or doc["version"] != _VERSION:
         raise VersionError(f"{path}: version {doc.get('version')}, expected {_VERSION}")
     try:
-        dims = _json_ints(path, "dims", doc["dims"], 0, _U32, 3).tolist()
-        filters = _json_ints(path, "filters", doc["filters"], 0, _U32, 3).tolist()
-        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], 0, _U16).tolist()
+        dims, filters = (_json_ints(path, k, doc[k], np.uint32, 3).tolist()
+                         for k in ("dims", "filters"))
+        (stride,), (brick,) = (_json_ints(path, k, [doc[k]], np.uint16).tolist()
                                for k in ("stride", "brick"))
-        acts, wts = (_json_ints(path, k, doc[k], INT16_MIN, INT16_MAX).astype(np.int16)
-                     for k in ("activations", "weights"))
+        acts, wts = (_json_ints(path, k, doc[k], np.int16) for k in ("activations", "weights"))
     except KeyError as exc:
         raise TruncatedError(f"{path}: incomplete layer document (no {exc} field)") from None
     return _layer_data(path, dims, filters, stride, brick, acts, wts)

@@ -329,6 +329,26 @@ def test_reference_output_matches_window_loop(case):
     assert_reference_matches_window_loop(*case)
 
 
+def test_reference_output_per_tile_groups_in_a_ragged_last_pass():
+    # 10 filters over passes of 2 tiles x 3: groups 0-2, 3-5 | 6-8 and 9 alone
+    rng = np.random.default_rng(5)
+    acts = rng.integers(-9, 10, size=(4, 3, 8))
+    wts = rng.integers(-9, 10, size=(10, 2, 2, 8))
+    acts[rng.random(acts.shape) < 0.3] = 0
+    wts[rng.random(wts.shape) < 0.6] = 0
+    data = LayerData(ActTensor(acts), FilterSet(wts), 1, 4)
+    tile = TileConfig(tiles=2, filters_per_tile=3, lanes=4, brick=4,
+                      group_scope=GroupScope.PER_TILE)
+    crits = IneffCriterion(), IneffCriterion.parse("abs:4")  # small weights are dropped
+    layer = data.layer_config()
+    got = cli.reference_output("cnv2", data, layer, tile, *crits)
+    assert np.array_equal(got, window_reference_output("cnv2", data, layer, tile, *crits))
+    # the one-filter group skips offsets that the pass's other filters keep
+    pass_wide = TileConfig(tiles=2, filters_per_tile=3, lanes=4, brick=4)
+    assert not np.array_equal(got[..., 9],
+                              cli.reference_output("cnv2", data, layer, pass_wide, *crits)[..., 9])
+
+
 def assert_exact_at_int16_extremes():
     acts = np.full((4, 4, 64), -32768)
     wts = np.full((5, 3, 3, 64), -32768)
@@ -482,6 +502,38 @@ def test_config_comments_and_dashes(tmp_path):
     assert doc["tile"]["lanes"] == 4
     rows = {r["arch"]: r for r in doc["rows"]}
     assert rows["cnv2"]["cycles"] == 2
+
+
+def test_config_choices_and_flags_reach_the_report(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sync = window\nlanes = 4\ntiles = 1\n")
+    jout = tmp_path / "r.json"
+    run = ["run", "--layer", str(FIXTURE), "--config", str(cfg), "--json-out", str(jout)]
+    assert run_cli(*run) == 0
+    tile = json.loads(jout.read_text())["tile"]
+    assert (tile["sync"], tile["lanes"], tile["tiles"]) == ("window", 4, 1)
+    # an explicit flag wins over the config value, wherever it stands
+    assert run_cli(*run, "--lanes", "8") == 0
+    assert json.loads(jout.read_text())["tile"]["lanes"] == 8
+    assert run_cli("run", "--lanes", "8", *run[1:]) == 0
+    assert json.loads(jout.read_text())["tile"]["lanes"] == 8
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sync = sideways\n", "config sync = 'sideways' not one of ['lockstep', 'window']"),
+    ("lanes = many\n", "config lanes = 'many' is not a valid value"),
+    ("lanes = 4\nwidgets = 1\ngadgets = 2\n", "unknown config keys: gadgets, widgets"),
+])
+def test_config_errors_exit_2_without_a_traceback(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    run = ["run", "--layer", str(FIXTURE), "--config", str(cfg)]
+    assert run_cli(*run) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    # a flag that overrides the bad value does not hide it
+    assert run_cli(*run, "--sync", "window", "--lanes", "4") == 2
 
 
 # -- compare -----------------------------------------------------------------

@@ -10,8 +10,8 @@ from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          SyncPolicy, SyntheticSpec, TileConfig, ZERO, deserialize_store,
                          encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
                          run_dispatch, stream_brick, weight_product_table, write_trace,
-                         Format, load_layer)
-from sparseaccel.errors import ConfigurationError, FormatError
+                         Format, brick_at, load_layer)
+from sparseaccel.errors import BoundsError, ConfigurationError, FormatError
 
 from pathlib import Path
 
@@ -60,6 +60,25 @@ def test_raw_source_detects_at_fetch():
     src = RawDispatchSource(t, ZERO, brick=4)
     assert src.brick_pairs(0, 0, 0) == [(0, 1), (2, 2)]
     assert src.brick_pairs(0, 0, 1) == [(3, 5)]
+
+
+# each source's brick_pairs, and brick_at, over a (3, 2, 8) tensor of 4-bricks
+BRICK_READERS = {
+    **{fmt.value: lambda acts, fmt=fmt: encode_store(fmt, acts, ZERO, 4).brick_pairs
+       for fmt in (Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)},
+    "raw": lambda acts: RawDispatchSource(acts, ZERO, 4).brick_pairs,
+    "brick_at": lambda acts: lambda x, y, ib: brick_at(acts, x, y, ib, brick=4),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BRICK_READERS))
+@pytest.mark.parametrize("coord", [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1)])
+def test_every_source_refuses_a_brick_outside_the_tensor(reader, coord):
+    acts = ActTensor(np.arange(1, 49, dtype=np.int16).reshape(3, 2, 8))
+    read = BRICK_READERS[reader](acts)
+    read(2, 1, 1)  # the last brick is inside
+    with pytest.raises(BoundsError, match="outside"):
+        read(*coord)
 
 
 # -- lockstep timing, hand-simulated ----------------------------------------

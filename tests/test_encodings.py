@@ -482,6 +482,15 @@ def test_cviai_rejects_pointers_off_the_prefix_sum():
         CviaiStore.from_bytes(head + bitstream(*fields, (1, 2)))
 
 
+def test_cviai_rejects_a_pool_size_off_the_mask_population():
+    # one brick, so its IR pointer (0) agrees with any mask: only the census can object
+    good = struct.pack(">Q", 2) + bitstream((0b1001, 4), (1, 16), (4, 16), (0, 2))
+    assert encode_cviai(tensor([1, 0, 0, 4]), ZERO, brick=4).to_bytes() == header("cviai") + good
+    bad = struct.pack(">Q", 3) + bitstream((0b1001, 4), (1, 16), (4, 16), (9, 16), (0, 2))
+    with pytest.raises(FormatError, match="mask population 2 != declared pool size 3"):
+        CviaiStore.from_bytes(header("cviai") + bad)
+
+
 # -- footprints ------------------------------------------------------------
 
 def test_footprint_constants_at_brick_16():

@@ -397,6 +397,21 @@ def test_json_layer_names_the_first_bad_integer(tmp_path, field, value, message)
         load_layer(p)
 
 
+@pytest.mark.parametrize("field, value, bounds", [
+    ("activations", [1, 2, 3, 1 << 15], "[-32768, 32767]"),
+    ("weights", [-(1 << 15) - 1, 1, 1, 1], "[-32768, 32767]"),
+    ("dims", [1, -1, 4], "[0, 4294967295]"),
+    ("filters", [1 << 32, 1, 1], "[0, 4294967295]"),
+    ("stride", -1, "[0, 65535]"),
+    ("brick", 1 << 16, "[0, 65535]"),
+])
+def test_json_layer_bounds_are_the_binary_field_ranges(tmp_path, field, value, bounds):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({**JSON_DOC, field: value}))
+    with pytest.raises(FormatError, match=re.escape(f"expected an integer in {bounds}")):
+        load_layer(p)
+
+
 NEAR_INTS = (st.integers(-2, 5) | st.booleans() | st.floats(-2, 5) | st.integers()
              | st.none() | st.text(max_size=2))
 JSON_VALUES = NEAR_INTS | st.lists(NEAR_INTS, max_size=5) | st.dictionaries(
