@@ -69,8 +69,8 @@ MUTANTS = (
            ("tests/test_workloads.py::test_brick_padding_is_bounded_by_the_depth",)),
     Mutant("bank-by-brick-set", "fetches are counted per brick set, not per lane bank",
            "src/sparseaccel/dispatch.py",
-           "np.bincount(ib % lanes)",
-           "np.bincount(ib // lanes)",
+           "np.bincount(np.arange(n_slots) % nb % lanes)",
+           "np.bincount(np.arange(n_slots) % nb // lanes)",
            ("tests/test_dispatch.py::test_fetch_pointers_count_bank_loads",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("conv-float32-gemm", "the convolution's GEMMs sum in float32 on the float64 path",
@@ -142,9 +142,10 @@ MUTANTS = (
     # -- the dispatcher ------------------------------------------------------
     Mutant("dispatch-rank-off-by-one", "every pair is sent one cycle late",
            "src/sparseaccel/dispatch.py",
-           "    rank = np.cumsum(live, axis=2) - 1\n",
-           "    rank = np.cumsum(live, axis=2)\n",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           "    at = _runs((start * width + slot_lane).reshape(-1), sent.reshape(-1), width)\n",
+           "    at = _runs(((start + 1) * width + slot_lane).reshape(-1), sent.reshape(-1), width)\n",
+           ("tests/test_dispatch.py::test_lockstep_trace_single_set",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("dispatch-inclusive-window-starts", "each window starts after its own end",
            "src/sparseaccel/dispatch.py",
            "    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start\n",
@@ -158,9 +159,39 @@ MUTANTS = (
             "tests/test_sim.py::test_reports_match_oracle")),
     Mutant("dispatch-product-table-ignored", "dead weight offsets are still sent",
            "src/sparseaccel/dispatch.py",
-           "        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]\n",
+           "    if prod_table is not None:\n"
+           "        pair_offsets, pair_values, sent = _live_pairs(\n"
+           "            prod_table.reshape(n_slots, brick), pair_offsets, pair_values, sent)\n",
            "",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           ("tests/test_dispatch.py::test_product_table_drops_offsets",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("dispatch-pairs-without-row-base", "every slot reads the pairs of table row 0",
+           "src/sparseaccel/dispatch.py",
+           "    pair = _runs(rows.reshape(-1) * brick, stored.reshape(-1))\n",
+           "    pair = _runs(0 * rows.reshape(-1), stored.reshape(-1))\n",
+           ("tests/test_dispatch.py::test_lockstep_trace_two_sets",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("dispatch-runs-without-slot-base", "each slot's run goes on from the previous "
+           "slot's place in the flat list instead of starting at its own base",
+           "src/sparseaccel/dispatch.py",
+           "    out = np.repeat(first - step * _exclusive_cumsum(counts, 0), counts)\n",
+           "    out = np.repeat(first, counts)\n",
+           ("tests/test_dispatch.py::test_lockstep_trace_two_sets",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("dispatch-sent-before-product-table", "the cycles count the stored pairs, "
+           "not those the product table keeps",
+           "src/sparseaccel/dispatch.py",
+           "    sent = np.bincount(owner[keep], minlength=stored.size)",
+           "    sent = np.bincount(owner, minlength=stored.size)",
+           ("tests/test_dispatch.py::test_product_table_drops_offsets",
+            "tests/test_dispatch.py::test_dispatch_agrees_with_cycle_model_on_fixture")),
+    Mutant("event-columns-stride-by-lanes", "an event past the width's columns is read "
+           "with the lane count as the row stride",
+           "src/sparseaccel/dispatch.py",
+           "            at = cycle * self.width + lane\n",
+           "            at = cycle * self.lanes + lane\n",
+           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("raw-source-unbounded", "the raw source reads a brick without the bounds rule",
            "src/sparseaccel/dispatch.py",
            "        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)\n",
@@ -169,7 +200,7 @@ MUTANTS = (
            ("tests/test_dispatch.py::test_every_source_refuses_a_brick_outside_the_tensor",)),
     Mutant("lane-stream-range-unchecked", "a lane outside 0..lanes-1 reads other lanes' pairs",
            "src/sparseaccel/dispatch.py",
-           "        if not 0 <= lane < self.lanes:\n"
+           "        if not 0 <= lane < width:\n"
            "            return []\n",
            "",
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
@@ -199,7 +230,8 @@ MUTANTS = (
            "src/sparseaccel/dispatch.py",
            "(int(brick_set[-1]) + 1, min(lanes, slots))",
            "(int(brick_set[-1]) + 1, lanes)",
-           ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",)),
+           ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",
+            "tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick")),
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",
@@ -221,6 +253,12 @@ MUTANTS = (
            "self.packed[(self.ir.reshape(-1, 1) + rank)[live]]",
            "self.packed[(0 * self.ir.reshape(-1, 1) + rank)[live]]",
            ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+    Mutant("ints-lsb-first", "the field reader takes the planes LSB first",
+           "src/sparseaccel/encodings.py",
+           "        out |= bits[..., k]\n",
+           "        out |= bits[..., -1 - k]\n",
+           ("tests/test_encodings.py::test_deserialize_store_dispatches_every_format",
+            "tests/test_encodings.py::test_ints_reads_back_bits_on_strided_views")),
     Mutant("roe-fit-strict", "a RoE brick that exactly fits is stored raw",
            "src/sparseaccel/encodings.py",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
@@ -343,6 +381,11 @@ MUTANTS = (
            "                               if a.dest in config})\n",
            ("tests/test_cli.py::test_config_supplies_defaults_and_flags_win",
             "tests/test_cli.py::test_config_choices_and_flags_reach_the_report")),
+    Mutant("config-help-and-config-keys", "help = yes in a config file is taken and ignored",
+           "src/sparseaccel/cli.py",
+           '    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}\n',
+           "    actions = {a.dest: a for a in parser._actions}\n",
+           ("tests/test_cli.py::test_config_refuses_help_and_config_keys",)),
     Mutant("config-choices-unchecked", "a config value outside its flag's choices is taken",
            "src/sparseaccel/cli.py",
            "        if action.choices and config[dest] not in action.choices:\n"

@@ -13,8 +13,8 @@ impossible geometry), 3 functional equivalence failure during a run.
 A config file is a flat ``key = value`` text file mirroring the long flag
 names (dashes or underscores). Each value is converted by its flag's type
 and checked against its choices, then becomes that flag's default, so
-explicit flags win over config values; an unknown key or a bad value exits
-2 even when a flag overrides it.
+explicit flags win over config values; an unknown key (``help`` and
+``config`` included) or a bad value exits 2 even when a flag overrides it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     converted by its flag's type and checked against its choices, so that a
     parse lets every explicit flag win."""
     config = _load_config(path)
-    actions = {a.dest: a for a in parser._actions}
+    # help and config steer the parse itself; neither is a setting
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     unknown = set(config) - set(actions)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")

@@ -13,25 +13,33 @@ maxima under lockstep, or its busiest lane's total under window sync; an
 empty brick costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`. Lanes
 past a window's slot count never get a brick, so they get no column.
 
-The walk is computed for the whole layer at once. Every source hands over
-one front-packed pair table (`pair_table`: per-brick offsets, values and
-pair counts, in (x, y, brick) order); the dispatcher gathers its rows for
-every brick slot of every window, drops dead offsets, ranks the surviving
-pairs of each brick and stamps each pair with its cycle: the window's start,
-plus the start of the brick set (lockstep) or of the brick within its lane
-(window sync), plus the pair's rank. `brick_pairs` gives one brick's pairs
-alone: its set mask bits in offset order with their values, whether the mask
-comes from a container or from the comparators at fetch, and a coordinate
-outside the layer raises `BoundsError` from every source.
+The walk is computed for the whole layer at once, over the stored pairs
+only. Every source hands over one front-packed pair table (`pair_table`:
+per-brick offsets, values and pair counts, in (x, y, brick) order). The
+dispatcher lists the stored pairs of every brick slot of every window as one
+flat list, CSR style: a slot whose brick is table row r holds the entries
+r * B + 0, 1, ... up to that row's pair count. It drops the pairs whose
+offset the product table marks dead and stamps each pair with its cycle:
+the window's start, plus the start of the brick set (lockstep) or of the
+brick within its lane (window sync), plus the pair's rank, its place in its
+brick. No (window, slot, offset) position is gathered, so time and memory
+follow the stored pairs.
+
+`brick_pairs` gives one brick's pairs alone: its set mask bits in offset
+order with their values, whether the mask comes from a container or from the
+comparators at fetch, and a coordinate outside the layer raises
+`BoundsError` from every source.
 
 Activation memory has one bank per lane, and bricks at the same depth
 ordinal share a bank, so brick ib is fetched from bank ib % lanes; a run's
 fetch pointers count the brick loads per bank.
 
 Events carry a cycle stamp, the lane, and either a pair or an idle marker.
-A run keeps them as two columns over the (cycles x lanes) grid, cycle-major
-and in lane order within a cycle, and builds `DispatchEvent` objects only on
-access. Trace lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``.
+A run has lanes x cycles of them, cycle-major and in lane order within a
+cycle. It keeps them as two columns over the (cycles x width) grid, width =
+min(lanes, slots), since no lane past the width ever gets a brick; those
+lanes read as idle. `DispatchEvent` objects are built only on access. Trace
+lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``.
 """
 
 from __future__ import annotations
@@ -81,29 +89,35 @@ class DispatchEvent:
 class EventColumns(Sequence):
     """A run's events as read-only offset and value columns.
 
-    Event i is cycle i // lanes on lane i % lanes; an offset of -1 marks an
-    idle lane-cycle, whose value is 0. Indexing builds `DispatchEvent`
-    objects on demand, and the columns compare equal to any sequence holding
-    the same events.
+    Event i is cycle i // lanes on lane i % lanes. The columns hold only the
+    first ``width`` lanes of each cycle, row-major over (cycles x width);
+    every lane at or past the width is idle. An offset of -1 marks an idle
+    lane-cycle, whose value is 0. Indexing builds `DispatchEvent` objects on
+    demand, and the columns compare equal to any sequence holding the same
+    events.
     """
 
     __hash__ = None
 
-    def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int):
+    def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int, width: int):
         offsets.flags.writeable = False
         values.flags.writeable = False
         self.offsets = offsets
         self.values = values
         self.lanes = lanes
+        self.width = width
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return len(self.offsets) // self.width * self.lanes
 
-    def _event(self, i: int, offset: int, value: int) -> DispatchEvent:
+    def _event(self, i: int) -> DispatchEvent:
         cycle, lane = divmod(i, self.lanes)
-        if offset < 0:
-            return DispatchEvent(cycle, lane)
-        return DispatchEvent(cycle, lane, offset, value)
+        if lane < self.width:
+            at = cycle * self.width + lane
+            offset = int(self.offsets[at])
+            if offset >= 0:
+                return DispatchEvent(cycle, lane, offset, int(self.values[at]))
+        return DispatchEvent(cycle, lane)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -113,7 +127,7 @@ class EventColumns(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"event {index} outside a stream of {len(self)}")
-        return self._event(i, int(self.offsets[i]), int(self.values[i]))
+        return self._event(i)
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -179,11 +193,12 @@ class DispatchRun:
     def lane_stream(self, lane: int) -> list[tuple[int, int]]:
         """The (offset, value) pairs one lane sent, in cycle order; none for
         a lane outside 0..lanes-1."""
-        if not 0 <= lane < self.lanes:
+        width = self.events.width
+        if not 0 <= lane < width:
             return []
-        offsets = self.events.offsets[lane::self.lanes]
+        offsets = self.events.offsets[lane::width]
         sent = offsets >= 0
-        values = self.events.values[lane::self.lanes]
+        values = self.events.values[lane::width]
         return list(zip(offsets[sent].tolist(), values[sent].tolist()))
 
 
@@ -241,6 +256,38 @@ def _lane_busy(sent: np.ndarray, lanes: int) -> np.ndarray:
     return np.pad(busy, (0, lanes - len(busy)))
 
 
+def _runs(first: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
+    """The runs first[k], first[k] + step, ... of counts[k] terms each, concatenated."""
+    out = np.repeat(first - step * _exclusive_cumsum(counts, 0), counts)
+    out += np.arange(0, step * len(out), step)
+    return out
+
+
+def _stored_pairs(table, layer: LayerConfig, nb: int, brick: int):
+    """Offsets and values of the stored pairs of every (window, slot), one flat
+    list in slot order (slots in (fx, fy, depth brick) order), and the
+    (windows, slots) pair counts. A slot whose brick is pair-table row r holds
+    the table entries r * brick + 0, 1, ..."""
+    offsets, values, counts = table
+    fx, fy, ib = np.unravel_index(np.arange(layer.fx * layer.fy * nb), (layer.fx, layer.fy, nb))
+    wx, wy = np.unravel_index(np.arange(layer.ox * layer.oy), (layer.ox, layer.oy))
+    x = wx[:, None] * layer.stride + fx
+    y = wy[:, None] * layer.stride + fy
+    rows = (x * layer.y + y) * nb + ib
+    stored = counts[rows]
+    pair = _runs(rows.reshape(-1) * brick, stored.reshape(-1))
+    return offsets.reshape(-1)[pair], values.reshape(-1)[pair], stored
+
+
+def _live_pairs(dead: np.ndarray, pair_offsets, pair_values, stored: np.ndarray):
+    """The pairs whose offset the (slots, brick) product table ``dead`` does not
+    mark, and the (windows, slots) counts of those kept."""
+    owner = np.repeat(np.arange(stored.size), stored.reshape(-1))  # flat (window, slot)
+    keep = ~dead[owner % stored.shape[1], pair_offsets]
+    sent = np.bincount(owner[keep], minlength=stored.size).reshape(stored.shape)
+    return pair_offsets[keep], pair_values[keep], sent
+
+
 def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                  policy: SyncPolicy = SyncPolicy.BRICKSET_LOCKSTEP,
                  empty_brick_cost: EmptyBrickCost = EmptyBrickCost.ZERO_CYCLES,
@@ -277,23 +324,11 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                 f"product table shape {prod_table.shape} != "
                 f"({layer.fx}, {layer.fy}, {nb}, {brick})"
             )
-    offsets, values, counts = source.pair_table()
-
-    # brick coordinates of every (window, slot), slots in (fx, fy, depth brick) order
     n_slots = layer.fx * layer.fy * nb
-    fx, fy, ib = np.unravel_index(np.arange(n_slots), (layer.fx, layer.fy, nb))
-    wx, wy = np.unravel_index(np.arange(layer.ox * layer.oy), (layer.ox, layer.oy))
-    x = wx[:, None] * layer.stride + fx
-    y = wy[:, None] * layer.stride + fy
-    rows = (x * layer.y + y) * nb + ib                       # (windows, slots)
-
-    pair_offsets = offsets[rows]                             # (windows, slots, B)
-    live = np.arange(brick) < counts[rows][..., None]
+    pair_offsets, pair_values, sent = _stored_pairs(source.pair_table(), layer, nb, brick)
     if prod_table is not None:
-        dead = prod_table.reshape(n_slots, brick)
-        live &= ~dead[np.arange(n_slots)[:, None], pair_offsets]
-    rank = np.cumsum(live, axis=2) - 1
-    sent = live.sum(axis=2)
+        pair_offsets, pair_values, sent = _live_pairs(
+            prod_table.reshape(n_slots, brick), pair_offsets, pair_values, sent)
 
     grid = _lane_costs(sent, lanes, empty_brick_cost)       # (windows, sets, width)
     window_len = _window_cycles(grid, policy)
@@ -305,17 +340,19 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
     start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start
     cycles = int(window_len.sum())
 
-    lane = np.broadcast_to(slot_lane[:, None], live.shape)[live]
-    at = (start[..., None] + rank)[live] * lanes + lane
-    event_offsets = np.full(cycles * lanes, -1, dtype=np.int32)
-    event_values = np.zeros(cycles * lanes, dtype=np.int16)
-    event_offsets[at] = pair_offsets[live]
-    event_values[at] = values[rows][live]
+    # a pair's event is (its slot's start + its rank) * width + its lane, its
+    # rank being its place in its slot; lanes past the width never get a slot
+    width = grid.shape[-1]
+    at = _runs((start * width + slot_lane).reshape(-1), sent.reshape(-1), width)
+    event_offsets = np.full(cycles * width, -1, dtype=np.int32)
+    event_values = np.zeros(cycles * width, dtype=np.int16)
+    event_offsets[at] = pair_offsets
+    event_values[at] = pair_values
 
     busy = _lane_busy(sent, lanes)
     # one bank per lane: brick ib is fetched from bank ib % lanes, once per window
-    fetches = np.bincount(ib % lanes) * len(rows)
-    return DispatchRun(EventColumns(event_offsets, event_values, lanes), cycles,
+    fetches = np.bincount(np.arange(n_slots) % nb % lanes) * len(sent)
+    return DispatchRun(EventColumns(event_offsets, event_values, lanes, width), cycles,
                        int(busy.sum()), lanes, tuple(busy.tolist()),
                        {int(b): int(n) for b, n in enumerate(fetches) if n})
 

@@ -32,9 +32,10 @@ traversal order, and serialize through one field packer: `_bits` turns an
 array of unsigned fields into MSB-first bit planes, each layout above is
 those planes concatenated in field order, and `_pack`/`_unpack` map the
 flat bit sequence to bytes with `np.packbits`/`np.unpackbits`, zero padding
-the last byte. Decoding is total: a stream whose length differs from the
-size its header declares, whose pad bits are set, or whose fields break a
-layout rule raises a `FormatError` subclass, and any stream that loads
+the last byte; `_ints` reads fields back by shifting in one plane at a
+time. Decoding is total: a stream whose length differs from the size its
+header declares, whose pad bits are set, or whose fields break a layout
+rule raises a `FormatError` subclass, and any stream that loads
 re-serializes to the same bytes.
 
 Footprint accounting is exact: overhead ratios are `fractions.Fraction`
@@ -79,29 +80,26 @@ def _roe_fits(pairs, brick: int):
 # ---------------------------------------------------------------------------
 
 
-def _word_bytes(width: int) -> int:
-    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
-
-
 def _bits(values, width: int) -> np.ndarray:
     """MSB-first bit planes of unsigned ``width``-bit fields.
 
     Returns uint8 of shape ``values.shape + (width,)``; negative int16 values
     come out as their two's complement.
     """
-    n = _word_bytes(width)
+    n = next(n for n in (1, 2, 4, 8) if 8 * n >= width)
     words = np.asarray(values).astype(f">u{n}")
     planes = np.unpackbits(words.view(np.uint8).reshape(words.shape + (n,)), axis=-1)
     return planes[..., 8 * n - width:]
 
 
 def _ints(bits: np.ndarray) -> np.ndarray:
-    """Inverse of `_bits`: int64 fields from MSB-first planes on the last axis."""
-    width = bits.shape[-1]
-    n = _word_bytes(width)
-    if width < 8 * n:
-        bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(8 * n - width, 0)])
-    return np.packbits(bits, axis=-1).view(f">u{n}")[..., 0].astype(np.int64)
+    """Inverse of `_bits`: int64 fields from MSB-first planes on the last axis,
+    shifted in one plane at a time."""
+    out = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for k in range(bits.shape[-1]):
+        out <<= 1
+        out |= bits[..., k]
+    return out
 
 
 def _pack(*segments: np.ndarray) -> bytes:

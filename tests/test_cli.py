@@ -490,6 +490,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run_cli("gen", "--config", str(cfg), "-o", str(tmp_path / "o.json")) == 2
 
 
+@pytest.mark.parametrize("key", ["help", "config"])
+def test_config_refuses_help_and_config_keys(tmp_path, capsys, key):
+    """help and config steer the parse itself, so a config file naming
+    either is an unknown key, not a setting quietly ignored."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"dims = 4x4x16\nfilters = 2x1x1\n{key} = yes\n")
+    out = tmp_path / "o.json"
+    assert run_cli("gen", "--config", str(cfg), "-o", str(out)) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_comments_and_dashes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nfilters-per-tile = 2\ntiles = 1\nlanes = 4\n")

@@ -251,6 +251,58 @@ def test_dispatch_agrees_with_cycle_model_on_fixture():
     assert aware.broadcasts == cnv2.broadcasts
 
 
+# -- memory ----------------------------------------------------------------
+
+MiB = 1 << 20
+
+
+def test_event_columns_span_only_the_lanes_that_get_a_brick():
+    """A window of this layer has 18 bricks, so 32768 lanes keep (cycles x 18)
+    columns and report every later lane idle. The layer is small enough that
+    columns over every lane would take about 40 MB, not hundreds."""
+    acts, _ = gen_synthetic(SyntheticSpec(x=6, y=6, i=32, f=1, fx=3, fy=3,
+                                          p_act_zero=0.5, seed=5))
+    layer = LayerConfig(6, 6, 32, 3, 3, 1)
+    src = RawDispatchSource(acts, ZERO, brick=16)
+    assert helpers.traced_peak(lambda: run_dispatch(src, layer, lanes=32768)) < 2 * MiB
+    wide = run_dispatch(src, layer, lanes=32768)
+    narrow = run_dispatch(src, layer, lanes=18)
+    assert wide.cycles == narrow.cycles > 0
+    assert len(wide.events) == 32768 * wide.cycles
+    assert wide.events.offsets.shape == (18 * wide.cycles,)
+    assert wide.per_lane_busy[:18] == narrow.per_lane_busy and not any(wide.per_lane_busy[18:])
+    for lane in range(18):
+        assert wide.lane_stream(lane) == narrow.lane_stream(lane)
+    assert wide.lane_stream(18) == wide.lane_stream(32767) == []
+    for cycle in (0, wide.cycles // 2, wide.cycles - 1):
+        row = wide.events[cycle * 32768:(cycle + 1) * 32768]
+        assert row[:18] == narrow.events[cycle * 18:(cycle + 1) * 18]
+        assert all(e.is_idle and e.cycle == cycle for e in row[18:])
+
+
+@pytest.fixture(scope="module")
+def store_replay_layer():
+    """The 2048-brick layer of the store-replay benchmark workload."""
+    acts, filters = gen_synthetic(SyntheticSpec(x=16, y=16, i=128, f=16, fx=3, fy=3,
+                                                p_act_zero=0.5, p_wt_zero=0.4, seed=0))
+    return acts, LayerConfig.from_tensors(acts, filters), weight_product_table(filters, ZERO, 16)
+
+
+@pytest.mark.parametrize("policy", list(SyncPolicy))
+@pytest.mark.parametrize("kind", ["zfnaf", "roe", "viai", "cviai", "raw", "raw_product"])
+def test_dispatcher_peak_memory_at_the_store_replay_shape(store_replay_layer, kind, policy):
+    """A replay walks only the stored pairs: at most 5 MiB of tracemalloc for
+    16x16x128 with 3x3 filters, brick 16 and 16 lanes, where gathering every
+    (window, slot, offset) position peaked at 7.9-8.4 MiB."""
+    acts, layer, prod = store_replay_layer
+    if kind.startswith("raw"):
+        src = RawDispatchSource(acts, ZERO, brick=16)
+    else:
+        src = deserialize_store(encode_store(Format(kind), acts, ZERO, 16).to_bytes())
+    kwargs = dict(lanes=16, policy=policy, prod_table=prod if kind == "raw_product" else None)
+    assert helpers.traced_peak(lambda: run_dispatch(src, layer, **kwargs)) <= 5 * MiB
+
+
 # -- the array walk against the event loop ----------------------------------
 
 CRITERIA = st.one_of(st.just("zero"),

@@ -10,6 +10,7 @@ from sparseaccel import (ActTensor, CviaiStore, Format, IneffCriterion, RoeStore
                          decode_zfnaf, deserialize_store, encode_cviai, encode_roe,
                          encode_store, encode_viai, encode_zfnaf, footprint_bits,
                          offset_bits_for, pointer_bits_for)
+from sparseaccel.encodings import _bits, _ints
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
@@ -50,6 +51,20 @@ def test_offset_bits():
     assert offset_bits_for(16) == 4
     assert offset_bits_for(17) == 5
     assert offset_bits_for(21) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 32), st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=12),
+       st.integers(1, 3))
+def test_ints_reads_back_bits_on_strided_views(width, values, step):
+    """`_ints(_bits(v, w))` is v mod 2^w, also on the strided plane views the
+    decoders pass: every step-th field, cut from planes of two fields."""
+    v = np.array(values, dtype=np.int64)
+    assert _ints(_bits(v, width)).tolist() == [x % (1 << width) for x in values]
+    planes = np.concatenate([_bits(v, width), _bits(~v, 5)], axis=-1)[::step, :width]
+    got = _ints(planes)
+    assert got.dtype == np.int64
+    assert got.tolist() == [x % (1 << width) for x in values[::step]]
 
 
 def test_pointer_bits():
