@@ -192,6 +192,12 @@ MUTANTS = (
            "            at = cycle * self.lanes + lane\n",
            ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+    Mutant("event-columns-pad-as-sent", "columns compared at a wider width pad their "
+           "extra lanes with offset 0, a sent pair, not idle",
+           "src/sparseaccel/dispatch.py",
+           "np.pad(self.offsets.reshape(-1, self.width), pad, constant_values=-1)",
+           "np.pad(self.offsets.reshape(-1, self.width), pad)",
+           ("tests/test_dispatch.py::test_event_columns_compare_by_columns_across_widths",)),
     Mutant("raw-source-unbounded", "the raw source reads a brick without the bounds rule",
            "src/sparseaccel/dispatch.py",
            "        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)\n",
@@ -247,6 +253,13 @@ MUTANTS = (
            "    windows = sliding_window_view(\n"
            "        (acts.values != 0).reshape(",
            ("tests/test_sim.py::test_reports_match_oracle",)),
+    Mutant("cnv2-weight-criterion-optional", "cnv2 without a weight criterion reports "
+           "cnv's counters as cnv2",
+           "src/sparseaccel/sim.py",
+           "    if weight_crit is None:\n"
+           '        raise ConfigurationError("cnv2 requires a weight criterion")\n',
+           "",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
     # -- codecs --------------------------------------------------------------
     Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
            "src/sparseaccel/encodings.py",
@@ -264,6 +277,38 @@ MUTANTS = (
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) < brick * VALUE_BITS\n",
            ("tests/test_encodings.py",)),
+    Mutant("offset-bits-no-lower-bound", "a brick of 0 gets a 1-bit offset",
+           "src/sparseaccel/encodings.py",
+           "    if brick < 1:\n"
+           '        raise ConfigurationError(f"brick size must be at least 1, got {brick}")\n'
+           "    return (brick - 1).bit_length()\n",
+           "    return (brick - 1).bit_length()\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
+    Mutant("roe-view-raw-pairs", "a raw-mode RoE view lists its B raw pairs",
+           "src/sparseaccel/encodings.py",
+           "        return self.store.brick_pairs(0, 0, 0) if self.encoded else []\n",
+           "        return self.store.brick_pairs(0, 0, 0)\n",
+           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement",)),
+    Mutant("roe-view-raw-when-encoded", "an encoded RoE view also hands out raw values",
+           "src/sparseaccel/encodings.py",
+           "        return None if self.encoded else self.store.values[0]\n",
+           "        return self.store.values[0]\n",
+           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement",)),
+    Mutant("view-container-bits-raw", "a view's container size is the raw 16-bit cost",
+           "src/sparseaccel/encodings.py",
+           "        return self.store.footprint().total_bits\n",
+           "        return self.store.footprint().raw_bits\n",
+           ("tests/test_encodings.py::test_zfnaf_pairs_and_container",)),
+    Mutant("viai-view-mask-nonzero", "a VIAI view's mask marks nonzero, not effectual, values",
+           "src/sparseaccel/encodings.py",
+           "        return self.store.masks[0]\n",
+           "        return self.store.values[0] != 0\n",
+           ("tests/test_encodings.py::test_viai_threshold_zeroes_on_decode",)),
+    Mutant("view-decode-stored-row", "a view decodes to its store's stored value row",
+           "src/sparseaccel/encodings.py",
+           "    return Brick(view.x, view.y, view.i, view.store.decode().reshape(-1))\n",
+           "    return Brick(view.x, view.y, view.i, view.store.values.reshape(-1))\n",
+           ("tests/test_encodings.py::test_zfnaf_pairs_and_container",)),
     # -- decoders: every rejection rule of deserialize_store ----------------
     Mutant("decoder-trailing-bytes", "a stream longer than its header declares loads",
            "src/sparseaccel/encodings.py",
@@ -322,6 +367,13 @@ MUTANTS = (
            'populations")\n',
            "",
            ("tests/test_encodings.py::test_cviai_rejects_pointers_off_the_prefix_sum",)),
+    Mutant("cviai-pool-field-unchecked", "a CVIAI stream cut inside its pool size field "
+           "raises struct.error, not a FormatError",
+           "src/sparseaccel/encodings.py",
+           "        if len(body) < 8:\n"
+           '            raise TruncatedError("stream ends before the pool size field")\n',
+           "",
+           ("tests/test_encodings.py::test_every_proper_prefix_is_refused",)),
     # -- the CLI -------------------------------------------------------------
     Mutant("reference-float32-gemm", "the reference check sums in float32",
            "src/sparseaccel/cli.py",
@@ -366,7 +418,8 @@ MUTANTS = (
            "src/sparseaccel/cli.py",
            "weight_crit.ineffectual(w[glo:ghi])",
            "weight_crit.ineffectual(w)",
-           ("tests/test_cli.py::test_reference_output_matches_window_loop",)),
+           ("tests/test_cli.py::test_reference_output_per_tile_groups_in_a_ragged_last_pass",
+            "tests/test_cli.py::test_reference_output_matches_window_loop")),
     Mutant("reference-per-tile-steps-by-pass", "PER_TILE reference groups span a whole pass",
            "src/sparseaccel/cli.py",
            "        step = tile.filters_per_tile\n",

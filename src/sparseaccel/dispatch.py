@@ -94,7 +94,7 @@ class EventColumns(Sequence):
     every lane at or past the width is idle. An offset of -1 marks an idle
     lane-cycle, whose value is 0. Indexing builds `DispatchEvent` objects on
     demand, and the columns compare equal to any sequence holding the same
-    events.
+    events: to other columns column by column, over the wider width.
     """
 
     __hash__ = None
@@ -129,7 +129,20 @@ class EventColumns(Sequence):
             raise IndexError(f"event {index} outside a stream of {len(self)}")
         return self._event(i)
 
+    def _columns(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cycles x ``width``) offsets and values, the lanes past this run's
+        width idle."""
+        pad = [(0, 0), (0, width - self.width)]
+        return (np.pad(self.offsets.reshape(-1, self.width), pad, constant_values=-1),
+                np.pad(self.values.reshape(-1, self.width), pad))
+
     def __eq__(self, other):
+        if isinstance(other, EventColumns):
+            # at other lane counts the same index is another (cycle, lane)
+            if (self.lanes, len(self)) != (other.lanes, len(other)):
+                return len(self) == len(other) == 0
+            width = max(self.width, other.width)
+            return all(map(np.array_equal, self._columns(width), other._columns(width)))
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented

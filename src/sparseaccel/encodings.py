@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -124,127 +124,6 @@ def _unpack(body: bytes, nbits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-brick codecs: each view is read off a one-row store of its format, so
-# the store owns the rule for which values are kept and `_container_bits`
-# the container size
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ZfnafBrick:
-    """Front-packed (value, offset) slots; fixed container size."""
-
-    x: int
-    y: int
-    i: int
-    brick: int
-    pairs: list[tuple[int, int]]  # (offset, value), offsets strictly increasing
-
-    @property
-    def offset_bits(self) -> int:
-        return offset_bits_for(self.brick)
-
-    @property
-    def container_bits(self) -> int:
-        return _container_bits(Format.ZFNAF, 1, self.brick)
-
-
-def encode_zfnaf(brick: Brick, crit: IneffCriterion = ZERO) -> ZfnafBrick:
-    """Encode one brick; ineffectual values are dropped, offsets kept."""
-    store = ZfnafStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
-    return ZfnafBrick(brick.x, brick.y, brick.i, brick.size, store.brick_pairs(0, 0, 0))
-
-
-def decode_zfnaf(zb: ZfnafBrick) -> Brick:
-    """Inverse of `encode_zfnaf` up to zeroing of the dropped positions."""
-    out = np.zeros(zb.brick, dtype=np.int16)
-    for off, val in zb.pairs:
-        out[off] = val
-    return Brick(zb.x, zb.y, zb.i, out)
-
-
-@dataclass
-class RoeBrick:
-    """One mode bit plus either packed pairs or the raw values."""
-
-    x: int
-    y: int
-    i: int
-    brick: int
-    encoded: bool
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    raw: np.ndarray | None = None
-
-    @property
-    def offset_bits(self) -> int:
-        return offset_bits_for(self.brick)
-
-    @property
-    def container_bits(self) -> int:
-        return _container_bits(Format.ROE, 1, self.brick)
-
-    def bits_used(self, offset_bits: int | None = None) -> int:
-        """Bits the stored form occupies inside the container.
-
-        ``offset_bits`` overrides the address width for accounting studies
-        that charge a different offset cost than the packed layout uses.
-        """
-        if not self.encoded:
-            return self.container_bits
-        ob = self.offset_bits if offset_bits is None else offset_bits
-        return 1 + len(self.pairs) * (VALUE_BITS + ob)
-
-
-def encode_roe(brick: Brick, crit: IneffCriterion = ZERO) -> RoeBrick:
-    """Encode one brick, falling back to raw storage when pairs do not fit."""
-    store = RoeStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
-    if store.encoded[0]:
-        return RoeBrick(brick.x, brick.y, brick.i, brick.size, True, store.brick_pairs(0, 0, 0))
-    return RoeBrick(brick.x, brick.y, brick.i, brick.size, False, raw=store.values[0])
-
-
-def decode_roe(rb: RoeBrick) -> Brick:
-    if rb.encoded:
-        return decode_zfnaf(rb)  # the same (offset, value) pairs
-    return Brick(rb.x, rb.y, rb.i, rb.raw.copy())
-
-
-@dataclass
-class ViaiBrick:
-    """Raw values left in place plus one effectuality bit per offset."""
-
-    x: int
-    y: int
-    i: int
-    mask: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.values = np.asarray(self.values, dtype=np.int16)
-        if self.mask.shape != self.values.shape:
-            raise FormatError(f"mask shape {self.mask.shape} != values shape {self.values.shape}")
-
-    @property
-    def brick(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def container_bits(self) -> int:
-        return _container_bits(Format.VIAI, 1, self.brick)
-
-
-def encode_viai(brick: Brick, crit: IneffCriterion = ZERO) -> ViaiBrick:
-    store = ViaiStore.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
-    return ViaiBrick(brick.x, brick.y, brick.i, store.masks[0], store.values[0])
-
-
-def decode_viai(vb: ViaiBrick) -> Brick:
-    """Masked-off positions decode to zero even if a raw value was kept there."""
-    return Brick(vb.x, vb.y, vb.i, np.where(vb.mask, vb.values, 0).astype(np.int16))
-
-
-# ---------------------------------------------------------------------------
 # tensor-level stores
 # ---------------------------------------------------------------------------
 
@@ -315,15 +194,13 @@ def _footprint(fmt: Format, dims: tuple[int, int, int], brick: int,
 def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
     """Normalize to a depth-padded (X, Y, I) integer array plus logical depth."""
     if isinstance(acts, ActTensor):
-        arr, logical = acts.values, acts.logical_i
-    else:
-        arr = np.asarray(acts)
-        if arr.ndim != 3 or arr.size == 0:
-            raise ConfigurationError(f"expected a non-empty 3-D tensor, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ConfigurationError(f"expected an integer tensor, got dtype {arr.dtype}")
-        logical = arr.shape[2]
-    return pad_depth(arr, brick), logical
+        return pad_depth(acts.values, brick), acts.logical_i
+    arr = np.asarray(acts)
+    if arr.ndim != 3 or arr.size == 0:
+        raise ConfigurationError(f"expected a non-empty 3-D tensor, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigurationError(f"expected an integer tensor, got dtype {arr.dtype}")
+    return pad_depth(arr, brick), arr.shape[2]
 
 
 _HEADER = struct.Struct(">BIIIIHBH")  # tag, X, Y, I, logical_i, B, crit kind, crit param
@@ -648,9 +525,7 @@ class CviaiStore(_Store):
         return cls(*meta, masks.reshape(shape + (brick,)), packed, ir.reshape(shape))
 
 
-def encode_cviai(acts, crit: IneffCriterion = ZERO, brick: int = 16) -> CviaiStore:
-    """Encode a whole tensor; values pack in (x, y, brick) traversal order."""
-    return CviaiStore.encode(acts, crit, brick)
+encode_cviai = CviaiStore.encode  # values pack in (x, y, brick) traversal order
 
 
 _STORE_TYPES = {
@@ -686,3 +561,95 @@ def footprint_bits(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 
     arr, _ = _tensor_values(acts, brick)
     kept = int(crit.effectual(arr).sum()) if fmt is Format.CVIAI else 0
     return _footprint(fmt, arr.shape, brick, kept)
+
+
+# ---------------------------------------------------------------------------
+# per-brick views: each encodes its brick as a one-row store of its format and
+# reads every field off it, decoding included; the rules live in the stores
+# ---------------------------------------------------------------------------
+
+
+class _BrickView:
+    """One brick's container: its one-row ``store``, plus where the brick sits."""
+
+    store_type: type[_Store]
+
+    def __init__(self, brick: Brick, crit: IneffCriterion = ZERO):
+        self.x, self.y, self.i = brick.x, brick.y, brick.i
+        self.store = self.store_type.encode(brick.values.reshape(1, 1, -1), crit, brick.size)
+
+    @property
+    def brick(self) -> int:
+        return self.store.brick
+
+    @property
+    def offset_bits(self) -> int:
+        return offset_bits_for(self.brick)
+
+    @property
+    def container_bits(self) -> int:
+        return self.store.footprint().total_bits
+
+
+class ZfnafBrick(_BrickView):
+    """One brick with its ineffectual values dropped and their offsets kept:
+    front-packed (value, offset) slots in a fixed-size container."""
+
+    store_type = ZfnafStore
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:  # (offset, value), offsets rising
+        return self.store.brick_pairs(0, 0, 0)
+
+
+class RoeBrick(_BrickView):
+    """One mode bit plus either packed pairs or the raw values."""
+
+    store_type = RoeStore
+
+    @property
+    def encoded(self) -> bool:
+        return bool(self.store.encoded[0])
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:  # none for a raw-mode brick
+        return self.store.brick_pairs(0, 0, 0) if self.encoded else []
+
+    @property
+    def raw(self) -> np.ndarray | None:
+        return None if self.encoded else self.store.values[0]
+
+    def bits_used(self, offset_bits: int | None = None) -> int:
+        """Bits the stored form occupies inside the container; ``offset_bits``
+        overrides the packed offset width for accounting studies."""
+        if not self.encoded:
+            return self.container_bits
+        ob = self.offset_bits if offset_bits is None else offset_bits
+        return 1 + len(self.pairs) * (VALUE_BITS + ob)
+
+
+class ViaiBrick(_BrickView):
+    """Raw values left in place plus one effectuality bit per offset."""
+
+    store_type = ViaiStore
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.store.masks[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.store.values[0]
+
+
+# each encoder is its view's constructor; one rule decodes every view
+encode_zfnaf, encode_roe, encode_viai = ZfnafBrick, RoeBrick, ViaiBrick
+
+
+def _decode_view(view: _BrickView) -> Brick:
+    """The brick as its store decodes it: dropped positions read 0, except in
+    a raw-mode RoE brick, which kept every value."""
+    return Brick(view.x, view.y, view.i, view.store.decode().reshape(-1))
+
+
+decode_zfnaf = decode_roe = decode_viai = _decode_view

@@ -11,6 +11,7 @@ from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
                          run_dispatch, stream_brick, weight_product_table, write_trace,
                          Format, brick_at, load_layer)
+from sparseaccel.dispatch import EventColumns
 from sparseaccel.errors import BoundsError, ConfigurationError, FormatError
 
 from pathlib import Path
@@ -400,6 +401,22 @@ def test_events_index_like_a_list():
     assert run_dispatch(idle, layer, lanes=2).events == run_dispatch(idle, layer, lanes=3).events == []
     with pytest.raises(ValueError):
         got.offsets[0] = 3  # the columns are read-only
+
+
+@pytest.mark.parametrize("wide_offsets, wide_values, equal", [
+    ([3, -1, -1, -1, -1, -1], [5, 0, 0, 0, 0, 0], True),  # lanes 1 and 2 idle throughout
+    ([3, -1, -1, -1, 2, -1], [5, 0, 0, 0, 7, 0], False),  # lane 1 sends in cycle 1
+])
+def test_event_columns_compare_by_columns_across_widths(wide_offsets, wide_values, equal):
+    """Two runs at one lane count but of different widths hold the same
+    events when the wider run's extra lanes are idle; the column comparison
+    agrees with the per-event one either way round."""
+    narrow = EventColumns(np.array([3, -1], dtype=np.int32), np.array([5, 0], dtype=np.int16),
+                          lanes=3, width=1)
+    wide = EventColumns(np.array(wide_offsets, dtype=np.int32),
+                        np.array(wide_values, dtype=np.int16), lanes=3, width=3)
+    assert (narrow == wide, wide == narrow) == (equal, equal)
+    assert (narrow == list(wide), list(narrow) == wide) == (equal, equal)
 
 
 # -- standing agreement with the cycle model ---------------------------------

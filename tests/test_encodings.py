@@ -434,6 +434,16 @@ def test_random_payloads_load_only_if_they_round_trip(blob, data):
 
 # -- hostile streams, one named case each -----------------------------------
 
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
+def test_every_proper_prefix_is_refused(fmt):
+    """A stream cut anywhere, in the header, in CVIAI's 8-byte pool size
+    field or in the payload, raises a FormatError subclass."""
+    blob = encode_store(fmt, tensor([1, 0, 2, 0, 0, 3, 0, 0]), ZERO, brick=4).to_bytes()
+    for end in range(len(blob)):
+        with pytest.raises(FormatError):
+            deserialize_store(blob[:end])
+
+
 def test_decoders_reject_trailing_bytes():
     for fmt in ALL_FORMATS:
         blob = encode_store(fmt, tensor([1, 0, 2, 0]), ZERO, brick=4).to_bytes()

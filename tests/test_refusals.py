@@ -1,0 +1,66 @@
+"""Refusals at the package's entry points, one case each: every call raises
+its `SparseAccelError` subclass, and every CLI case exits 2."""
+
+import numpy as np
+import pytest
+
+import sparseaccel.cli as cli
+from sparseaccel import (ActTensor, FilterSet, Format, LayerConfig, TileConfig, ZERO,
+                         encode_store, offset_bits_for, run_cnv2, run_dispatch)
+from sparseaccel.errors import ConfigurationError
+
+ACTS = ActTensor(np.arange(8, dtype=np.int16).reshape(1, 2, 4))
+FILTERS = FilterSet(np.ones((1, 1, 1, 4), dtype=np.int16))
+LAYER = LayerConfig.from_tensors(ACTS, FILTERS)
+TILE = TileConfig(tiles=1, filters_per_tile=1, lanes=2, brick=4)
+
+
+def _store():
+    return encode_store(Format.ZFNAF, ACTS, ZERO, 4)
+
+
+class _NoPairTable:
+    dims, brick = ACTS.dims, 4
+
+
+CASES = {
+    "dispatch-zero-lanes": (ConfigurationError, "lane count must be at least 1",
+                            lambda tmp: run_dispatch(_store(), LAYER, lanes=0)),
+    "dispatch-not-a-source": (ConfigurationError, "does not expose dims, brick and pair_table",
+                              lambda tmp: run_dispatch(_NoPairTable(), LAYER, lanes=2)),
+    "store-raw-format": (ConfigurationError, "cannot build an encoded store",
+                         lambda tmp: encode_store(Format.RAW, ACTS, ZERO, 4)),
+    "store-2d-array": (ConfigurationError, "3-D",
+                       lambda tmp: encode_store(Format.VIAI, np.ones((2, 4), np.int16))),
+    "store-float-array": (ConfigurationError, "integer tensor",
+                          lambda tmp: encode_store(Format.VIAI, np.ones((1, 1, 4)))),
+    "empty-act-tensor": (ConfigurationError, "non-empty",
+                         lambda tmp: ActTensor(np.zeros((0, 2, 4), dtype=np.int16))),
+    "offset-bits-brick-0": (ConfigurationError, "brick size must be at least 1",
+                            lambda tmp: offset_bits_for(0)),
+    "cnv2-without-weight-criterion": (
+        ConfigurationError, "cnv2 requires a weight criterion",
+        lambda tmp: run_cnv2(ACTS, FILTERS, LAYER, TILE, ZERO, None)),
+    "layer-activation-dims": (
+        ConfigurationError, "activation dims",
+        lambda tmp: LAYER.check_tensors(ActTensor(np.ones((2, 1, 4), np.int16)), FILTERS)),
+    "cli-config-unreadable": (
+        2, "cannot read config",
+        lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
+                              "--config", str(tmp / "missing.cfg"), "-o", str(tmp / "x.layer")])),
+    "cli-gen-into-missing-directory": (
+        2, "cannot write layer file",
+        lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
+                              "-o", str(tmp / "missing" / "x.layer")])),
+}
+
+
+@pytest.mark.parametrize("error, message, call", CASES.values(), ids=CASES.keys())
+def test_each_refusal_raises_its_error_or_exits_2(tmp_path, capsys, error, message, call):
+    if error == 2:
+        assert call(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    else:
+        with pytest.raises(error, match=message):
+            call(tmp_path)
