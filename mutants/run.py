@@ -4,14 +4,19 @@
     python3 mutants/run.py NAME ...   # only these
 
 A mutant is a text patch: a file under src/, the exact old text (found
-exactly once), the new text, and the tests that should kill it. The script
-copies src/, tests/ and the data the tests read into a temporary directory,
-checks that the named tests pass there unpatched, then applies one mutant at
-a time and runs `pytest -x -q` on its tests against the copy. A mutant whose
-tests still pass survives. Exit status: 0 when every mutant is killed, 1
-when any survives, 2 when a patch no longer applies or a clean run fails.
+exactly once), the new text, and the tests that should kill it. The first of
+those tests must be one deterministic test, not a hypothesis property, which
+kills only when it happens to draw the case. The script copies src/, tests/
+and the data the tests read into a temporary directory, checks that every
+first killer is deterministic and that the named tests pass there
+unpatched, then applies one mutant at a time and runs `pytest -x -q` on its
+tests against the copy. A mutant whose tests still pass survives. Exit
+status: 0 when every mutant is killed, 1 when any survives, 2 when a patch
+no longer applies, a first killer is not deterministic, or a clean run
+fails.
 
-Standard library only; the repository itself is never modified.
+Standard library only, apart from asking the tests' own hypothesis which
+tests are properties; the repository itself is never modified.
 """
 
 from __future__ import annotations
@@ -101,13 +106,14 @@ MUTANTS = (
            "            slab = a[dx:dx + stride * (ox - 1) + 1:stride,\n"
            "                     dy:dy + stride * (oy - 1) + 1:stride].astype(dtype)\n",
            "            slab = a[dx:dx + ox, dy:dy + oy].astype(dtype)\n",
-           ("tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle",
-            "tests/test_tensor.py::test_conv3d_matches_naive_oracle")),
+           ("tests/test_tensor.py::test_conv3d_matches_naive_oracle",
+            "tests/test_tensor.py::test_conv3d_matches_the_einsum_oracle")),
     Mutant("conv-depth-split-off-by-one", "a split depth skips one sample between chunks",
            "src/sparseaccel/tensor.py",
            "            for d0 in range(0, depth, step):\n",
            "            for d0 in range(0, depth, step + 1):\n",
-           ("tests/test_tensor.py::test_conv3d_split_path_is_exact",)),
+           ("tests/test_tensor.py::test_conv3d_split_path_is_exact_on_a_fixed_layer",
+            "tests/test_tensor.py::test_conv3d_split_path_is_exact")),
     Mutant("abs-bound-strict", "a value at the abs threshold counts as effectual",
            "src/sparseaccel/sparsity.py",
            "        inside &= v <= t\n",
@@ -150,13 +156,15 @@ MUTANTS = (
            "src/sparseaccel/dispatch.py",
            "    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start\n",
            "    start = np.cumsum(window_len, 0)[:, None] + slot_start\n",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           ("tests/test_dispatch.py::test_lockstep_trace_two_sets",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("dispatch-drain-ignored", "an empty brick never costs its drain cycle",
            "src/sparseaccel/dispatch.py",
            "    cost = np.maximum(sent, 1) if empty_brick is EmptyBrickCost.ONE_CYCLE else sent\n",
            "    cost = sent\n",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",
-            "tests/test_sim.py::test_reports_match_oracle")),
+           ("tests/test_dispatch.py::test_empty_brick_cost_modes",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("dispatch-product-table-ignored", "dead weight offsets are still sent",
            "src/sparseaccel/dispatch.py",
            "    if prod_table is not None:\n"
@@ -209,7 +217,8 @@ MUTANTS = (
            "        if not 0 <= lane < width:\n"
            "            return []\n",
            "",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("enum-check-removed", "a plain string falls through to the other policy",
            "src/sparseaccel/dispatch.py",
            "    if not isinstance(value, kind):\n"
@@ -217,21 +226,36 @@ MUTANTS = (
            "",
            ("tests/test_sim.py::test_tile_config_refuses_plain_values_for_enums",
             "tests/test_dispatch.py::test_run_dispatch_refuses_plain_values_for_enums")),
+    Mutant("trace-idle-tail-as-pair", "a lane past the width is traced as a sent pair",
+           "src/sparseaccel/dispatch.py",
+           '    idle = [f",{lane},IDLE" for lane in range(width, events.lanes)]\n',
+           '    idle = [f",{lane},-1,0" for lane in range(width, events.lanes)]\n',
+           ("tests/test_dispatch.py::test_format_trace_reads_the_columns_on_seeded_replays",)),
+    Mutant("trace-tail-lanes-from-zero", "lanes past the width are numbered from 0",
+           "src/sparseaccel/dispatch.py",
+           '    idle = [f",{lane},IDLE" for lane in range(width, events.lanes)]\n',
+           '    idle = [f",{lane},IDLE" for lane in range(events.lanes - width)]\n',
+           ("tests/test_dispatch.py::test_format_trace_reads_the_columns_on_seeded_replays",)),
+    Mutant("trace-cycles-restart-per-piece", "each piece of a trace numbers its cycles from 0",
+           "src/sparseaccel/dispatch.py",
+           "        for cycle, (offs, vals) in enumerate(rows, c0):\n",
+           "        for cycle, (offs, vals) in enumerate(rows):\n",
+           ("tests/test_dispatch.py::test_format_trace_reads_the_columns_on_seeded_replays",)),
     # -- the lane schedule, shared by the dispatcher and the cycle model -----
     Mutant("schedule-lane-by-set", "slot s runs on lane s // lanes, not s % lanes",
            "src/sparseaccel/dispatch.py",
            "    return s // lanes, s % lanes\n",
            "    return s // lanes, s // lanes\n",
-           ("tests/test_sim.py::test_reports_match_oracle",
-            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("schedule-reductions-swapped", "lockstep and window sync swap their reductions",
            "src/sparseaccel/dispatch.py",
            "        return grid.max(axis=-1).sum(axis=-1)\n"
            "    return grid.sum(axis=-2).max(axis=-1)\n",
            "        return grid.sum(axis=-2).max(axis=-1)\n"
            "    return grid.max(axis=-1).sum(axis=-1)\n",
-           ("tests/test_sim.py::test_reports_match_oracle",
-            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("schedule-width-all-lanes", "the lane grid gets a column for every lane",
            "src/sparseaccel/dispatch.py",
            "(int(brick_set[-1]) + 1, min(lanes, slots))",
@@ -243,7 +267,7 @@ MUTANTS = (
            "src/sparseaccel/sim.py",
            "np.maximum(pass_costs, costs, out=pass_costs)",
            "np.minimum(pass_costs, costs, out=pass_costs)",
-           ("tests/test_sim.py::test_reports_match_oracle",)),
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
            "src/sparseaccel/sim.py",
            "    eff = act_crit.effectual(acts.values)\n"
@@ -252,20 +276,66 @@ MUTANTS = (
            "    eff = act_crit.effectual(acts.values)\n"
            "    windows = sliding_window_view(\n"
            "        (acts.values != 0).reshape(",
-           ("tests/test_sim.py::test_reports_match_oracle",)),
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("cnv2-weight-criterion-optional", "cnv2 without a weight criterion reports "
            "cnv's counters as cnv2",
            "src/sparseaccel/sim.py",
-           "    if weight_crit is None:\n"
+           '    if arch == "cnv2" and weight_crit is None:\n'
            '        raise ConfigurationError("cnv2 requires a weight criterion")\n',
            "",
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
+    Mutant("sim-broadcasts-first-group-only", "a pass broadcasts only its first group's pairs",
+           "src/sparseaccel/sim.py",
+           "            broadcasts += repeat * sent\n",
+           "            broadcasts += repeat * sent if glo == lo else 0\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-footprint-zero-criterion", "the output footprint ignores the criterion",
+           "src/sparseaccel/sim.py",
+           "                        act_crit, out_format), unmasked\n",
+           "                        ZERO, out_format), unmasked\n",
+           ("tests/test_sim.py::test_cviai_footprint_counts_what_the_skip_criterion_keeps",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("baseline-ragged-lanes-reversed", "the baseline's ragged positions go to the last lanes",
+           "src/sparseaccel/sim.py",
+           "    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes) * ",
+           "    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes)[::-1] * ",
+           ("tests/test_sim.py::test_baseline_ragged_lane_split",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("sim-busy-first-group-only", "lane busy counts follow the first group, not the "
+           "group maximum",
+           "src/sparseaccel/sim.py",
+           "                pass_costs = costs\n"
+           "            else:\n"
+           "                np.maximum(pass_costs, costs, out=pass_costs)\n"
+           "        # the lane grid stays unnamed, so it is freed before conv3d runs\n"
+           "        cycles += repeat * int(_window_cycles(\n"
+           "            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())\n"
+           "        busy += repeat * _lane_busy(pass_costs, tile.lanes)\n",
+           "                pass_costs, first = costs, costs.copy()\n"
+           "            else:\n"
+           "                np.maximum(pass_costs, costs, out=pass_costs)\n"
+           "        cycles += repeat * int(_window_cycles(\n"
+           "            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())\n"
+           "        busy += repeat * _lane_busy(first, tile.lanes)\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-busy-not-scaled-by-passes", "cnv's lane busy counts cover one pass of several",
+           "src/sparseaccel/sim.py",
+           "        busy += repeat * _lane_busy(pass_costs, tile.lanes)\n",
+           "        busy += _lane_busy(pass_costs, tile.lanes)\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-cnv2-reuses-masked-output", "cnv2 takes cnv's output although its groups "
+           "zeroed nonzero weights",
+           "src/sparseaccel/sim.py",
+           "    if plain is not None and unmasked:\n",
+           "    if plain is not None:\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
     # -- codecs --------------------------------------------------------------
     Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
            "src/sparseaccel/encodings.py",
            "self.packed[(self.ir.reshape(-1, 1) + rank)[live]]",
            "self.packed[(0 * self.ir.reshape(-1, 1) + rank)[live]]",
-           ("tests/test_dispatch.py::test_run_dispatch_matches_event_loop",)),
+           ("tests/test_dispatch.py::test_sources_agree_on_sparse_tensor",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("ints-lsb-first", "the field reader takes the planes LSB first",
            "src/sparseaccel/encodings.py",
            "        out |= bits[..., k]\n",
@@ -276,7 +346,8 @@ MUTANTS = (
            "src/sparseaccel/encodings.py",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) < brick * VALUE_BITS\n",
-           ("tests/test_encodings.py",)),
+           ("tests/test_encodings.py::test_roe_exact_fit_tie_prefers_encoded",
+            "tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement_at_the_roe_fit")),
     Mutant("offset-bits-no-lower-bound", "a brick of 0 gets a 1-bit offset",
            "src/sparseaccel/encodings.py",
            "    if brick < 1:\n"
@@ -288,12 +359,12 @@ MUTANTS = (
            "src/sparseaccel/encodings.py",
            "        return self.store.brick_pairs(0, 0, 0) if self.encoded else []\n",
            "        return self.store.brick_pairs(0, 0, 0)\n",
-           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement",)),
+           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement_at_the_roe_fit",)),
     Mutant("roe-view-raw-when-encoded", "an encoded RoE view also hands out raw values",
            "src/sparseaccel/encodings.py",
            "        return None if self.encoded else self.store.values[0]\n",
            "        return self.store.values[0]\n",
-           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement",)),
+           ("tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement_at_the_roe_fit",)),
     Mutant("view-container-bits-raw", "a view's container size is the raw 16-bit cost",
            "src/sparseaccel/encodings.py",
            "        return self.store.footprint().total_bits\n",
@@ -425,6 +496,52 @@ MUTANTS = (
            "        step = tile.filters_per_tile\n",
            "        step = tile.resident\n",
            ("tests/test_cli.py::test_reference_output_per_tile_groups_in_a_ragged_last_pass",)),
+    Mutant("reference-cnv2-no-weight-mask", "the cnv2 reference keeps every depth position",
+           "src/sparseaccel/cli.py",
+           "vals = slab[:, sl] if keep is None else slab[:, sl] * keep[fx, fy, sl]",
+           "vals = slab[:, sl]",
+           ("tests/test_cli.py::test_reference_output_per_tile_groups_in_a_ragged_last_pass",
+            "tests/test_cli.py::test_reference_output_matches_window_loop_on_seeded_layers")),
+    Mutant("reference-cnv2-no-act-mask", "the cnv2 reference multiplies ineffectual activations",
+           "src/sparseaccel/cli.py",
+           '    if arch != "baseline":\n'
+           "        masked = np.where(act_crit.effectual(a), a, 0)\n",
+           '    if arch == "cnv":\n'
+           "        masked = np.where(act_crit.effectual(a), a, 0)\n",
+           ("tests/test_cli.py::test_reference_output_splits_a_deep_depth",
+            "tests/test_cli.py::test_reference_output_matches_window_loop_on_seeded_layers")),
+    Mutant("reference-stride-ignored", "the reference reads each offset's slab at stride 1",
+           "src/sparseaccel/cli.py",
+           "            slab = a[fx:fx + s * (layer.ox - 1) + 1:s,\n"
+           "                     fy:fy + s * (layer.oy - 1) + 1:s]",
+           "            slab = a[fx:fx + layer.ox,\n"
+           "                     fy:fy + layer.oy]",
+           ("tests/test_cli.py::test_reference_output_matches_window_loop_on_seeded_layers",)),
+    Mutant("reference-any-for-all", "a cnv2 group drops a position when any, not every, "
+           "weight is ineffectual",
+           "src/sparseaccel/cli.py",
+           "weight_crit.ineffectual(w[glo:ghi]).all(axis=0)",
+           "weight_crit.ineffectual(w[glo:ghi]).any(axis=0)",
+           ("tests/test_cli.py::test_reference_output_per_tile_groups_in_a_ragged_last_pass",
+            "tests/test_cli.py::test_reference_output_matches_window_loop_on_seeded_layers")),
+    Mutant("reference-reuse-despite-groups", "the reference reuses an output although a "
+           "cnv2 group drops a position",
+           "src/sparseaccel/cli.py",
+           "        products = (a is data.acts.values, groups is None)\n",
+           "        products = (a is data.acts.values, True)\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
+    Mutant("reference-reuse-despite-masked-acts", "the reference reuses an output although "
+           "the criterion drops a nonzero activation",
+           "src/sparseaccel/cli.py",
+           "        products = (a is data.acts.values, groups is None)\n",
+           "        products = (True, groups is None)\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
+    Mutant("reference-groups-for-zero-weights", "a group that drops only all-zero weights "
+           "still gets its own reference sweep",
+           "src/sparseaccel/cli.py",
+           "(w[glo:ghi].any(axis=0) & ~keep).any()",
+           "(~keep).any()",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
     Mutant("config-overrides-flags", "a config value overrides an explicit flag",
            "src/sparseaccel/cli.py",
            "            args = parser.parse_args(argv)\n",
@@ -461,13 +578,41 @@ MUTANTS = (
 )
 
 
-def _pytest(work: Path, tests) -> tuple[int, str]:
+# prints, for each test id, whether it is not one deterministic test
+_CHANCE_CHECK = """
+import importlib, sys
+from hypothesis import is_hypothesis_test
+sys.path.insert(0, "tests")
+for spec in sys.argv[1:]:
+    path, _, name = spec.partition("::")
+    module = importlib.import_module(path.removeprefix("tests/").removesuffix(".py"))
+    test = getattr(module, name.split("[")[0], None) if name else None
+    print(test is None or is_hypothesis_test(test))
+"""
+
+
+def _env(work: Path) -> dict[str, str]:
     # no bytecode cache: a patch of the same size within the same second
     # would otherwise run from the stale .pyc of the previous text
-    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _chance_killers(work: Path, chosen) -> list[str]:
+    """Mutants whose first listed killer is a hypothesis property, a whole
+    file, or no test at all."""
+    firsts = [m.tests[0] for m in chosen]
+    proc = subprocess.run([sys.executable, "-c", _CHANCE_CHECK, *firsts], cwd=work,
+                          env=_env(work), capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode:
+        print(f"cannot inspect the killers: {proc.stderr.strip()[-400:]}")
+        return [m.name for m in chosen]
+    return [m.name for m, flag in zip(chosen, proc.stdout.split()) if flag == "True"]
+
+
+def _pytest(work: Path, tests) -> tuple[int, str]:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
+        proc = subprocess.run(cmd, cwd=work, env=_env(work), capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return -1, f"timed out after {TIMEOUT_S} s"
@@ -493,6 +638,11 @@ def main(argv=None) -> int:
         stale = [m.name for m in chosen if (ROOT / m.file).read_text().count(m.old) != 1]
         if stale:
             print(f"stale mutants (old text not found exactly once): {', '.join(stale)}")
+            return 2
+        chance = _chance_killers(work, chosen)
+        if chance:
+            print("mutants whose first killer is not one deterministic test: "
+                  f"{', '.join(chance)}")
             return 2
         tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
         rc, last = _pytest(work, tests)

@@ -34,7 +34,7 @@ import numpy as np
 from .encodings import Format
 from .errors import SparseAccelError, ValidationError
 from .dispatch import EmptyBrickCost, SyncPolicy
-from .sim import CycleReport, TileConfig, run_arch
+from .sim import CycleReport, TileConfig, _run_machines
 from .sparsity import GroupScope, IneffCriterion
 from .tensor import LayerConfig
 from .workloads import LayerData, SyntheticSpec, gen_synthetic, load_layer, save_layer
@@ -175,6 +175,38 @@ def _reference_gemm(peak: int, depth: int) -> tuple[type, int]:
     return np.float64, min(MAX_EXACT_BRICK, (1 << 53) // peak)
 
 
+def _reference_products(arch: str, data: LayerData, layer: LayerConfig, tile: TileConfig,
+                        act_crit: IneffCriterion, weight_crit: IneffCriterion):
+    """The activations the reference multiplies for ``arch``, and the cnv2
+    filter groups, each with its (fx, fy, i) mask of kept depth positions.
+
+    The activations are the layer's own array unless the criterion zeroes a
+    nonzero value, and the groups are None unless one drops a position where
+    one of its weights is nonzero, so machines that get the same here
+    multiply the same nonzero products.
+    """
+    a = data.acts.values
+    if arch != "baseline":
+        masked = np.where(act_crit.effectual(a), a, 0)
+        if not np.array_equal(masked, a):
+            a = masked
+    if arch != "cnv2":
+        return a, None
+    # A pass holds tiles * filters_per_tile filters, so no tile's filters
+    # straddle two passes and every group is a run of `step` filters from 0.
+    if tile.group_scope is GroupScope.PER_TILE:
+        step = tile.filters_per_tile
+    else:
+        step = tile.resident
+    w = data.filters.values
+    groups = [(glo, min(glo + step, layer.f)) for glo in range(0, layer.f, step)]
+    live = [~weight_crit.ineffectual(w[glo:ghi]).all(axis=0) for glo, ghi in groups]
+    # a position whose weights in the group are all zero adds nothing either way
+    if not any((w[glo:ghi].any(axis=0) & ~keep).any() for (glo, ghi), keep in zip(groups, live)):
+        return a, None
+    return a, list(zip(groups, live))
+
+
 def reference_output(arch: str, data: LayerData, layer: LayerConfig,
                      tile: TileConfig, act_crit: IneffCriterion,
                      weight_crit: IneffCriterion) -> np.ndarray:
@@ -199,26 +231,14 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
         raise ValidationError(
             f"brick {b} exceeds {MAX_EXACT_BRICK}, the most int16 products one float64 "
             "sum holds exactly; the reference check takes no larger brick")
-    # A pass holds tiles * filters_per_tile filters, so no tile's filters
-    # straddle two passes and every group is a run of `step` filters from 0.
-    if arch != "cnv2":
-        step = layer.f
-    elif tile.group_scope is GroupScope.PER_TILE:
-        step = tile.filters_per_tile
-    else:
-        step = tile.resident
-    groups = [(lo, min(lo + step, layer.f)) for lo in range(0, layer.f, step)]
-    a = data.acts.values
-    if arch != "baseline":
-        a = np.where(act_crit.effectual(a), a, 0)
+    a, groups = _reference_products(arch, data, layer, tile, act_crit, weight_crit)
+    if groups is None:  # every filter keeps every position: one group, unmasked
+        groups = [((0, layer.f), None)]
     w = data.filters.values
     # min and max, not abs: abs(-32768) is still -32768 in int16
     peak = max(-int(a.min()), int(a.max())) * max(-int(w.min()), int(w.max()))
     dtype, limit = _reference_gemm(peak, layer.i)
     a = a.astype(dtype)
-    # (fx, fy, i) masks of the depth positions a cnv2 group keeps
-    live = [~weight_crit.ineffectual(w[glo:ghi]).all(axis=0) if arch == "cnv2" else None
-            for glo, ghi in groups]
     s = layer.stride
     out = np.zeros((layer.ox * layer.oy, layer.f), dtype=np.int64)
     acc = np.zeros(out.shape, dtype=dtype)
@@ -235,7 +255,7 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
                     out += acc.astype(np.int64)
                     acc[:] = 0.0
                     terms = 0
-                for (glo, ghi), keep in zip(groups, live):
+                for (glo, ghi), keep in groups:
                     vals = slab[:, sl] if keep is None else slab[:, sl] * keep[fx, fy, sl]
                     acc[:, glo:ghi] += vals @ wts[glo:ghi, sl].T
                 terms += depth
@@ -243,13 +263,26 @@ def reference_output(arch: str, data: LayerData, layer: LayerConfig,
     return out.reshape(layer.ox, layer.oy, layer.f)
 
 
-def _run_one(arch: str, data: LayerData, layer: LayerConfig, tile: TileConfig,
-             act_crit: IneffCriterion, weight_crit: IneffCriterion,
-             out_format: Format) -> tuple[CycleReport, bool]:
-    out, report = run_arch(arch, data.acts, data.filters, layer, tile,
-                           act_crit, weight_crit, out_format=out_format)
-    expected = reference_output(arch, data, layer, tile, act_crit, weight_crit)
-    return report, bool(np.array_equal(out, expected))
+def _verdicts(archs: list[str], data: LayerData, layer: LayerConfig, tile: TileConfig,
+              act_crit: IneffCriterion, weight_crit: IneffCriterion,
+              out_format: Format) -> dict[str, tuple[CycleReport, bool]]:
+    """Each machine's report and whether its output equals the reference.
+
+    Each side convolves each distinct product set once, by its own rule: the
+    simulator in `_run_machines`, the reference here by `_reference_products`.
+    """
+    results, last, expected = {}, None, None
+    machines = _run_machines(archs, data.acts, data.filters, layer, tile, act_crit,
+                             weight_crit, out_format)
+    for arch, (out, report) in zip(archs, machines):
+        a, groups = _reference_products(arch, data, layer, tile, act_crit, weight_crit)
+        products = (a is data.acts.values, groups is None)
+        if products != last:
+            expected = None  # freed before the next one is computed
+            expected = reference_output(arch, data, layer, tile, act_crit, weight_crit)
+            last = products
+        results[arch] = report, bool(np.array_equal(out, expected))
+    return results
 
 
 def cmd_run(args) -> int:
@@ -279,8 +312,7 @@ def cmd_run(args) -> int:
     weight_crit = IneffCriterion.parse(args.wt_crit)
     out_format = Format(args.encoding)
 
-    results = {a: _run_one(a, data, layer, tile, act_crit, weight_crit, out_format)
-               for a in archs}
+    results = _verdicts(archs, data, layer, tile, act_crit, weight_crit, out_format)
 
     base_cycles = results["baseline"][0].cycles if "baseline" in results else None
     rows = []

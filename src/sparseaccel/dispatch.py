@@ -39,12 +39,14 @@ A run has lanes x cycles of them, cycle-major and in lane order within a
 cycle. It keeps them as two columns over the (cycles x width) grid, width =
 min(lanes, slots), since no lane past the width ever gets a brick; those
 lanes read as idle. `DispatchEvent` objects are built only on access. Trace
-lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``.
+lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``; a trace of a
+run is read straight off its columns, a few cycles at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -370,12 +372,41 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                        {int(b): int(n) for b, n in enumerate(fetches) if n})
 
 
+_TRACE_CHUNK_EVENTS = 1 << 16  # about the most events one piece of trace text holds
+
+
+def _trace_chunks(events):
+    """The trace text of ``events`` in pieces: whole cycles read straight off
+    `EventColumns`, the lanes past their width idle, or runs of
+    `_TRACE_CHUNK_EVENTS` events of any other sequence."""
+    if not isinstance(events, EventColumns):
+        it = iter(events)
+        while lines := [e.trace_line() for e in itertools.islice(it, _TRACE_CHUNK_EVENTS)]:
+            yield "\n".join(lines) + "\n"
+        return
+    width = events.width
+    offsets = events.offsets.reshape(-1, width)
+    values = events.values.reshape(-1, width)
+    idle = [f",{lane},IDLE" for lane in range(width, events.lanes)]
+    step = max(1, _TRACE_CHUNK_EVENTS // events.lanes)
+    for c0 in range(0, len(offsets), step):
+        lines = []
+        rows = zip(offsets[c0:c0 + step].tolist(), values[c0:c0 + step].tolist())
+        for cycle, (offs, vals) in enumerate(rows, c0):
+            lines += [f"{cycle},{lane},{o},{v}" if o >= 0 else f"{cycle},{lane},IDLE"
+                      for lane, (o, v) in enumerate(zip(offs, vals))]
+            lines += [f"{cycle}{tail}" for tail in idle]
+        yield "\n".join(lines) + "\n"
+
+
 def format_trace(events) -> str:
-    """Line-oriented text form of any sequence of `DispatchEvent`."""
-    lines = [e.trace_line() for e in events]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Line-oriented text form of any sequence of `DispatchEvent`, the same
+    lines `DispatchEvent.trace_line` gives."""
+    return "".join(_trace_chunks(events))
 
 
 def write_trace(events, path) -> None:
+    """Write `format_trace`'s text one piece at a time, so a large trace is
+    never held whole."""
     with open(path, "w") as fh:
-        fh.write(format_trace(events))
+        fh.writelines(_trace_chunks(events))

@@ -140,19 +140,23 @@ def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
 
 def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                   tile: TileConfig, act_crit: IneffCriterion,
-                  weight_crit: IneffCriterion | None, out_format: Format
-                  ) -> tuple[np.ndarray, CycleReport]:
+                  weight_crit: IneffCriterion | None, out_format: Format,
+                  plain: np.ndarray | None = None) -> tuple[np.ndarray, CycleReport, bool]:
     """The cnv/cnv2 pipeline: skip mask, then per-brick cost, then sync reduction.
 
     The skip mask is the activation criterion's effectual bits in each
-    window's bricks; with a weight criterion (cnv2) each filter group also
-    drops the offsets its `weight_product_table` marks dead. A brick costs
-    its surviving offsets, a pass costs the group maximum of each brick,
-    and the lane schedule turns that into cycles. Without weight products
-    every pass walks the same costs, so cnv reduces them once and repeats
-    the result per pass. The output is one convolution of the effectual
-    activations with each filter's weights zeroed where its group skips.
+    window's bricks; for cnv2 each filter group also drops the offsets its
+    `weight_product_table` marks dead. A brick costs its surviving offsets,
+    a pass costs the group maximum of each brick, and the lane schedule
+    turns that into cycles. Without weight products every pass walks the
+    same costs, so cnv reduces them once and repeats the result per pass.
+
+    The output is one convolution of the effectual activations with each
+    filter's weights zeroed where its group skips; when that zeroes no
+    nonzero weight, it is ``plain`` if given. Also returns whether it is.
     """
+    if arch == "cnv2" and weight_crit is None:
+        raise ConfigurationError("cnv2 requires a weight criterion")
     layer.check_tensors(acts, filters)
     b, nb = tile.brick, layer.check_brick(tile.brick)
     eff = act_crit.effectual(acts.values)
@@ -163,7 +167,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     weights = filters.values
     passes, repeat = _pass_ranges(layer.f, tile.resident), 1
     step = tile.filters_per_tile if tile.group_scope is GroupScope.PER_TILE else tile.resident
-    if weight_crit is None:
+    if arch == "cnv":
         passes, repeat, step = [(0, layer.f)], len(passes), layer.f
     else:
         weights = weights.copy()
@@ -174,7 +178,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
         for glo in range(lo, hi, step):
             ghi = min(glo + step, hi)
             keep = windows
-            if weight_crit is not None:
+            if arch == "cnv2":
                 dead = weight_product_table(filters, weight_crit, b, glo, ghi)
                 weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
                 keep = windows & ~dead
@@ -191,9 +195,36 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
             _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())
         busy += repeat * _lane_busy(pass_costs, tile.lanes)
 
-    out = conv3d(np.where(eff, acts.values, 0), weights, layer.stride)
+    unmasked = np.array_equal(weights, filters.values)  # every zeroed weight was zero
+    if plain is not None and unmasked:
+        out = plain
+    else:
+        out = conv3d(np.where(eff, acts.values, 0), weights, layer.stride)
     return out, _report(arch, out, layer, tile, cycles, performed, broadcasts, busy,
-                        act_crit, out_format)
+                        act_crit, out_format), unmasked
+
+
+def _run_machines(archs, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
+                  tile: TileConfig, act_crit: IneffCriterion, weight_crit: IneffCriterion,
+                  out_format: Format):
+    """Yield (output, report) for each named machine in turn.
+
+    A skipping machine whose groups zero no nonzero weight, as cnv and cnv2
+    under a zero weight criterion, takes the last such machine's output of
+    this call instead of convolving again. The baseline convolves on its own.
+    """
+    plain = None
+    for arch in archs:
+        if arch == "baseline":
+            yield run_baseline(acts, filters, layer, tile, out_format=out_format)
+        elif arch in ("cnv", "cnv2"):
+            out, report, unmasked = _run_skipping(arch, acts, filters, layer, tile, act_crit,
+                                                  weight_crit, out_format, plain)
+            if unmasked:
+                plain = out
+            yield out, report
+        else:
+            raise ConfigurationError(f"unknown architecture {arch!r}")
 
 
 def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
@@ -206,7 +237,7 @@ def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     activations are zeroed before the functional convolution, which changes
     nothing under the zero criterion.
     """
-    return _run_skipping("cnv", acts, filters, layer, tile, act_crit, None, out_format)
+    return _run_skipping("cnv", acts, filters, layer, tile, act_crit, None, out_format)[:2]
 
 
 def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
@@ -221,22 +252,14 @@ def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     functional output as well, which is a no-op under zero criteria because
     the removed products are zero.
     """
-    if weight_crit is None:
-        raise ConfigurationError("cnv2 requires a weight criterion")
     return _run_skipping("cnv2", acts, filters, layer, tile, act_crit, weight_crit,
-                         out_format)
+                         out_format)[:2]
 
 
 def run_arch(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
              tile: TileConfig, act_crit: IneffCriterion = ZERO,
              weight_crit: IneffCriterion = ZERO, *,
              out_format: Format = Format.ZFNAF) -> tuple[np.ndarray, CycleReport]:
-    """Dispatch to one architecture runner by name."""
-    if arch == "baseline":
-        return run_baseline(acts, filters, layer, tile, out_format=out_format)
-    if arch == "cnv":
-        return run_cnv(acts, filters, layer, tile, act_crit, out_format=out_format)
-    if arch == "cnv2":
-        return run_cnv2(acts, filters, layer, tile, act_crit, weight_crit,
-                        out_format=out_format)
-    raise ConfigurationError(f"unknown architecture {arch!r}")
+    """Run one architecture by name: the one-machine case of `_run_machines`."""
+    return next(_run_machines((arch,), acts, filters, layer, tile, act_crit, weight_crit,
+                              out_format))

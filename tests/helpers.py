@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sparseaccel import (ActTensor, BoundsError, DispatchEvent, EmptyBrickCost, FilterSet,
-                         GroupScope, LayerConfig, SyncPolicy)
+                         GroupScope, IneffCriterion, LayerConfig, SyncPolicy)
 
 
 # Every value v: peak v * v. For 127, 2**24 // 16129 = 1040 products fit one
@@ -520,3 +520,30 @@ def slow_draw(seed: int, zero_salt: int, value_salt: int, count: int,
     return [0 if word(zero_salt, n) >> 11 < threshold
             else nonzero[word(value_salt, n) % len(nonzero)]
             for n in range(count)]
+
+
+# -- picks for case builders ---------------------------------------------------
+# A case builder takes ``integer(lo, hi)`` (inclusive) and ``choice(options)``
+# and makes every pick through them, so one builder serves a hypothesis
+# property and a seeded, deterministic loop over the same kind of cases.
+
+def hypothesis_picks(draw):
+    from hypothesis import strategies as st
+    return (lambda lo, hi: draw(st.integers(lo, hi)),
+            lambda options: draw(st.sampled_from(options)))
+
+
+def seeded_cases(build, seed: int, n: int) -> list:
+    """``n`` cases of ``build(integer, choice)`` picked by a seeded generator."""
+    rng = np.random.default_rng(seed)
+    picks = (lambda lo, hi: int(rng.integers(lo, hi, endpoint=True)),
+             lambda options: options[int(rng.integers(len(options)))])
+    return [build(*picks) for _ in range(n)]
+
+
+def pick_criterion(integer, choice) -> IneffCriterion:
+    """zero, abs:0..40 or pow2:0..6."""
+    kind = choice(["zero", "abs", "pow2"])
+    if kind == "zero":
+        return IneffCriterion()
+    return IneffCriterion.parse(f"{kind}:{integer(0, 40 if kind == 'abs' else 6)}")

@@ -1,8 +1,11 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -13,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 import sparseaccel.cli as cli
 import sparseaccel.sim as sim
 from sparseaccel import (ActTensor, FilterSet, GroupScope, IneffCriterion, LayerData,
-                         TileConfig, ValidationError, load_layer)
+                         TileConfig, ValidationError, load_layer, save_layer)
 
-from helpers import FLOAT32_LIMIT_CASES, einsum_conv, traced_peak, window_reference_output
+from helpers import (FLOAT32_LIMIT_CASES, einsum_conv, hypothesis_picks, pick_criterion,
+                     seeded_cases, traced_peak, window_reference_output)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "weight_skip_demo.json"
@@ -259,6 +263,35 @@ def test_run_catches_cnv2_ignoring_the_weight_products(tmp_path, monkeypatch, ca
     assert [r["arch"] for r in rows if r["verdict"] == "FAIL"] == ["cnv2"]
 
 
+# The fixture's activation 1 and the weights both filters hold at 0 or 1
+# are dropped by abs:1; under zero criteria every machine multiplies the same
+# nonzero products.
+@pytest.mark.parametrize("act_crit, wt_crit, convs, sweeps", [
+    ("zero", "zero", 1, 1),     # one product set
+    ("abs:1", "zero", 1, 2),    # baseline | cnv, cnv2
+    ("zero", "abs:1", 2, 2),    # baseline, cnv | cnv2
+    ("abs:1", "abs:1", 2, 3),   # three product sets
+])
+def test_run_convolves_each_distinct_product_set_once(monkeypatch, act_crit, wt_crit,
+                                                      convs, sweeps):
+    calls = {"dense_conv": 0, "conv3d": 0, "reference_output": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    counted(sim, "dense_conv")
+    counted(sim, "conv3d")
+    counted(cli, "reference_output")
+    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE,
+                   "--act-crit", act_crit, "--wt-crit", wt_crit) == 0
+    assert calls == {"dense_conv": 1, "conv3d": convs, "reference_output": sweeps}
+
+
 def test_run_rejects_a_brick_the_reference_cannot_sum_exactly(monkeypatch, capsys):
     assert cli.MAX_EXACT_BRICK * 2**30 == 2**53
     data = load_layer(FIXTURE)
@@ -287,19 +320,16 @@ def test_reference_output_is_independent_of_the_simulator():
     assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in nodes)
 
 
-CRITERIA = st.one_of(st.just("zero"),
-                     st.integers(0, 40).map(lambda t: f"abs:{t}"),
-                     st.integers(0, 6).map(lambda k: f"pow2:{k}"))
-
-
-@st.composite
-def reference_cases(draw):
-    brick = draw(st.sampled_from([1, 2, 4, 8, 16]))
-    depth = draw(st.integers(1, 3 * brick))  # mostly not a brick multiple: padded
-    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ox, oy, f = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    vmax = draw(st.sampled_from([3, 40, 32767]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def reference_case(integer, choice):
+    """One random layer, machine shape and pair of criteria; ``integer`` and
+    ``choice`` make every pick, as in `helpers.hypothesis_picks` and
+    `helpers.seeded_cases`."""
+    brick = choice([1, 2, 4, 8, 16])
+    depth = integer(1, 3 * brick)  # mostly not a brick multiple: padded
+    fx, fy, stride = integer(1, 3), integer(1, 3), integer(1, 3)
+    ox, oy, f = integer(1, 3), integer(1, 3), integer(1, 12)
+    vmax = choice([3, 40, 32767])
+    rng = np.random.default_rng(integer(0, 2**32 - 1))
 
     def values(shape):
         arr = rng.integers(-vmax - 1, vmax + 1, size=shape)
@@ -309,9 +339,14 @@ def reference_cases(draw):
     acts = values((fx + stride * (ox - 1), fy + stride * (oy - 1), depth))
     wts = values((f, fx, fy, depth))
     data = LayerData(ActTensor.padded(acts, brick), FilterSet.padded(wts, brick), stride, brick)
-    tile = TileConfig(tiles=draw(st.integers(1, 3)), filters_per_tile=draw(st.integers(1, 4)),
-                      lanes=4, brick=brick, group_scope=draw(st.sampled_from(GroupScope)))
-    return data, tile, IneffCriterion.parse(draw(CRITERIA)), IneffCriterion.parse(draw(CRITERIA))
+    tile = TileConfig(tiles=integer(1, 3), filters_per_tile=integer(1, 4),
+                      lanes=4, brick=brick, group_scope=choice(list(GroupScope)))
+    return data, tile, pick_criterion(integer, choice), pick_criterion(integer, choice)
+
+
+@st.composite
+def reference_cases(draw):
+    return reference_case(*hypothesis_picks(draw))
 
 
 def assert_reference_matches_window_loop(data, tile, act_crit, weight_crit):
@@ -327,6 +362,51 @@ def assert_reference_matches_window_loop(data, tile, act_crit, weight_crit):
 @given(reference_cases())
 def test_reference_output_matches_window_loop(case):
     assert_reference_matches_window_loop(*case)
+
+
+def test_reference_output_matches_window_loop_on_seeded_layers():
+    """The property above on a fixed set of layers, so a fault it finds only
+    by chance is still found every run."""
+    for case in seeded_cases(reference_case, seed=5, n=80):
+        assert_reference_matches_window_loop(*case)
+
+
+def _row_of(report, out, expected, base_cycles) -> dict:
+    row = dict(report.to_record(), speedup=None, verdict="PASS")
+    if base_cycles is not None and report.cycles:
+        row["speedup"] = base_cycles / report.cycles
+    if not np.array_equal(out, expected):
+        row["verdict"] = "FAIL"
+    return row
+
+
+@settings(max_examples=40, deadline=None)
+@given(reference_cases(), st.permutations(cli.ARCH_CHOICES), st.integers(1, 3))
+def test_run_rows_equal_separate_machine_runs(case, order, n_archs):
+    """`run` shares convolutions between machines; its rows and verdicts are
+    those of each machine run and checked on its own."""
+    data, tile, act_crit, weight_crit = case
+    archs = order[:n_archs]
+    layer = data.layer_config()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, jout = Path(tmp, "l.layer"), Path(tmp, "r.json")
+        save_layer(path, data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = run_cli("run", "--layer", str(path), "--arch", ",".join(archs),
+                         "--tiles", str(tile.tiles), "--filters-per-tile",
+                         str(tile.filters_per_tile), "--lanes", str(tile.lanes),
+                         "--group-scope", tile.group_scope.value,
+                         "--act-crit", act_crit.spec(), "--wt-crit", weight_crit.spec(),
+                         "--json-out", str(jout))
+        rows = json.loads(jout.read_text())["rows"]
+    runs = {arch: sim.run_arch(arch, data.acts, data.filters, layer, tile, act_crit,
+                               weight_crit) for arch in archs}
+    base = runs["baseline"][1].cycles if "baseline" in runs else None
+    want = [_row_of(report, out,
+                    cli.reference_output(arch, data, layer, tile, act_crit, weight_crit), base)
+            for arch, (out, report) in runs.items()]
+    assert rc == 0
+    assert rows == want
 
 
 def test_reference_output_per_tile_groups_in_a_ragged_last_pass():
@@ -456,7 +536,7 @@ def test_run_checks_report_directories_before_simulating(tmp_path, monkeypatch, 
     def must_not_run(*args, **kwargs):
         raise AssertionError("simulated although the report cannot be written")
 
-    monkeypatch.setattr(cli, "run_arch", must_not_run)
+    monkeypatch.setattr(cli, "_run_machines", must_not_run)
     target = str(tmp_path / "missing" / "r.out")
     assert run_cli("run", "--dims", "4x4x8", "--filters", "1x1x1", flag, target) == 2
     err = capsys.readouterr().err

@@ -11,13 +11,14 @@ from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
                          run_dispatch, stream_brick, weight_product_table, write_trace,
                          Format, brick_at, load_layer)
+from sparseaccel import dispatch
 from sparseaccel.dispatch import EventColumns
 from sparseaccel.errors import BoundsError, ConfigurationError, FormatError
 
 from pathlib import Path
 
 import helpers
-from helpers import loop_dispatch
+from helpers import hypothesis_picks, loop_dispatch, pick_criterion, seeded_cases
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -306,17 +307,12 @@ def test_dispatcher_peak_memory_at_the_store_replay_shape(store_replay_layer, ki
 
 # -- the array walk against the event loop ----------------------------------
 
-CRITERIA = st.one_of(st.just("zero"),
-                     st.integers(0, 40).map(lambda t: f"abs:{t}"),
-                     st.integers(0, 6).map(lambda k: f"pow2:{k}"))
-
-
-def random_acts(draw, brick, fx, fy, stride):
+def random_acts(integer, choice, brick, fx, fy, stride):
     """A depth-padded tensor covering 1-3 x 1-3 windows of the filter."""
-    ox, oy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    depth = draw(st.integers(1, 3 * brick))  # mostly not a brick multiple: padded
-    vmax = draw(st.sampled_from([3, 40, 32767]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ox, oy = integer(1, 3), integer(1, 3)
+    depth = integer(1, 3 * brick)  # mostly not a brick multiple: padded
+    vmax = choice([3, 40, 32767])
+    rng = np.random.default_rng(integer(0, 2**32 - 1))
 
     def values(shape):
         arr = rng.integers(-vmax - 1, vmax + 1, size=shape)
@@ -328,43 +324,50 @@ def random_acts(draw, brick, fx, fy, stride):
     return acts, values, rng
 
 
-def lane_counts(slots):
+def lane_count(integer, choice, slots):
     """One lane, more lanes than a window has bricks, or a count that may split raggedly."""
-    return st.one_of(st.just(1), st.integers(slots + 1, slots + 4),
-                     st.integers(2, max(2, slots)))
+    kind = choice(["one", "more", "split"])
+    if kind == "one":
+        return 1
+    return integer(slots + 1, slots + 4) if kind == "more" else integer(2, max(2, slots))
 
 
-@st.composite
-def dispatch_cases(draw):
-    brick = draw(st.sampled_from([1, 3, 4, 16]))
-    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    acts, _, rng = random_acts(draw, brick, fx, fy, stride)
+def dispatch_case(integer, choice):
+    """One replay: a source (raw or encoded, maybe after a byte round trip), its
+    layer and `run_dispatch`'s keyword arguments. ``integer`` and ``choice``
+    make every pick, as in `helpers.hypothesis_picks` and `helpers.seeded_cases`."""
+    brick = choice([1, 3, 4, 16])
+    fx, fy, stride = integer(1, 3), integer(1, 3), integer(1, 3)
+    acts, _, rng = random_acts(integer, choice, brick, fx, fy, stride)
     layer = LayerConfig(acts.x, acts.y, acts.i, fx, fy, 1, stride)
     nb = acts.i // brick
-    crit = IneffCriterion.parse(draw(CRITERIA))
-    kind = draw(st.sampled_from(["raw", "zfnaf", "roe", "viai", "cviai"]))
+    crit = pick_criterion(integer, choice)
+    kind = choice(["raw", "zfnaf", "roe", "viai", "cviai"])
     if kind == "raw":
         source = RawDispatchSource(acts, crit, brick)
     else:
         source = encode_store(Format(kind), acts, crit, brick)
-        if draw(st.booleans()):
+        if choice([False, True]):
             source = deserialize_store(source.to_bytes())
     prod = None
-    if draw(st.booleans()):
-        prod = rng.random((fx, fy, nb, brick)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
-    return source, layer, dict(lanes=draw(lane_counts(fx * fy * nb)),
-                               policy=draw(st.sampled_from(SyncPolicy)),
-                               empty_brick_cost=draw(st.sampled_from(EmptyBrickCost)),
+    if choice([False, True]):
+        prod = rng.random((fx, fy, nb, brick)) < choice([0.2, 0.6, 1.0])
+    return source, layer, dict(lanes=lane_count(integer, choice, fx * fy * nb),
+                               policy=choice(list(SyncPolicy)),
+                               empty_brick_cost=choice(list(EmptyBrickCost)),
                                prod_table=prod)
+
+
+@st.composite
+def dispatch_cases(draw):
+    return dispatch_case(*hypothesis_picks(draw))
 
 
 def event_tuples(events):
     return [(e.cycle, e.lane, e.offset, e.value, e.is_idle) for e in events]
 
 
-@settings(max_examples=300, deadline=None)
-@given(dispatch_cases())
-def test_run_dispatch_matches_event_loop(case):
+def assert_dispatch_matches_event_loop(case):
     source, layer, kwargs = case
     got = run_dispatch(source, layer, **kwargs)
     want = loop_dispatch(source, layer, **kwargs)
@@ -377,6 +380,45 @@ def test_run_dispatch_matches_event_loop(case):
     for lane in range(-2, kwargs["lanes"] + 2):  # out-of-range lanes sent nothing
         assert got.lane_stream(lane) == [(e.offset, e.value) for e in want.events
                                          if e.lane == lane and not e.is_idle]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dispatch_cases())
+def test_run_dispatch_matches_event_loop(case):
+    assert_dispatch_matches_event_loop(case)
+
+
+def test_run_dispatch_matches_event_loop_on_seeded_replays():
+    """The property above on a fixed set of replays, so a fault it finds only
+    by chance is still found every run."""
+    for case in seeded_cases(dispatch_case, seed=14, n=150):
+        assert_dispatch_matches_event_loop(case)
+
+
+def event_lines(events) -> str:
+    """A trace stated one event at a time, by `DispatchEvent.trace_line`."""
+    return "".join(f"{e.trace_line()}\n" for e in events)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, dispatch._TRACE_CHUNK_EVENTS])
+def test_format_trace_reads_the_columns_on_seeded_replays(monkeypatch, tmp_path, chunk):
+    """`format_trace` and `write_trace` build the text straight from the
+    columns, a few cycles at a time: the lines are those of the events one by
+    one, past the width, across pieces and in a run of zero cycles."""
+    monkeypatch.setattr(dispatch, "_TRACE_CHUNK_EVENTS", chunk)
+    idle = RawDispatchSource(acts_1d([0] * 16), ZERO, brick=4)
+    runs = [run_dispatch(idle, LayerConfig(x=1, y=1, i=16, fx=1, fy=1, f=1), lanes=3)]
+    runs += [run_dispatch(source, layer, **kwargs)
+             for source, layer, kwargs in seeded_cases(dispatch_case, seed=7, n=40)]
+    assert runs[0].cycles == 0 and format_trace(runs[0].events) == ""
+    assert any(run.events.width < run.lanes and run.cycles for run in runs)
+    path = tmp_path / "trace.csv"
+    for run in runs:
+        text = event_lines(run.events)
+        assert format_trace(run.events) == text
+        assert format_trace(list(run.events)) == text
+        write_trace(run.events, path)
+        assert path.read_text() == text
 
 
 def test_events_index_like_a_list():
@@ -423,19 +465,20 @@ def test_event_columns_compare_by_columns_across_widths(wide_offsets, wide_value
 
 @st.composite
 def model_cases(draw):
-    brick = draw(st.sampled_from([1, 3, 4, 16]))
-    fx, fy, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    acts, values, _ = random_acts(draw, brick, fx, fy, stride)
-    f = draw(st.integers(1, 6))
+    integer, choice = hypothesis_picks(draw)
+    brick = choice([1, 3, 4, 16])
+    fx, fy, stride = integer(1, 3), integer(1, 3), integer(1, 3)
+    acts, values, _ = random_acts(integer, choice, brick, fx, fy, stride)
+    f = integer(1, 6)
     filters = FilterSet.padded(values((f, fx, fy, acts.logical_i)), brick)
     layer = LayerConfig.from_tensors(acts, filters, stride)
-    tiles = draw(st.integers(1, 3))
-    tile = TileConfig(tiles=tiles, filters_per_tile=-(-f // tiles) + draw(st.integers(0, 2)),
-                      lanes=draw(lane_counts(fx * fy * (acts.i // brick))), brick=brick,
-                      sync=draw(st.sampled_from(SyncPolicy)),
-                      empty_brick=draw(st.sampled_from(EmptyBrickCost)))
-    return (acts, filters, layer, tile, IneffCriterion.parse(draw(CRITERIA)),
-            IneffCriterion.parse(draw(CRITERIA)))
+    tiles = integer(1, 3)
+    tile = TileConfig(tiles=tiles, filters_per_tile=-(-f // tiles) + integer(0, 2),
+                      lanes=lane_count(integer, choice, fx * fy * (acts.i // brick)),
+                      brick=brick, sync=choice(list(SyncPolicy)),
+                      empty_brick=choice(list(EmptyBrickCost)))
+    return (acts, filters, layer, tile, pick_criterion(integer, choice),
+            pick_criterion(integer, choice))
 
 
 @settings(max_examples=300, deadline=None)

@@ -201,14 +201,12 @@ def test_viai_store_pairs():
 
 # -- per-brick codecs against the slow restatement --------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 3, 4, 16, 21]),
-       st.sampled_from(["zero", "abs:3", "abs:300", "pow2:2", "pow2:9"]),
-       st.integers(0, 21), st.integers(0, 2**32 - 1))
-@example(21, "zero", 5, 0)   # 16 pairs fill RoE's 336 payload bits exactly: encoded
-@example(21, "zero", 4, 0)   # 17 pairs do not fit: raw
-@example(1, "zero", 0, 0)    # one 16-bit pair ties a 16-bit payload
-def test_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
+# 16 pairs of a 21-brick fill RoE's 336 payload bits exactly: encoded; 17 do
+# not fit: raw; one 16-bit pair ties a 16-bit payload
+ROE_FIT_CASES = [(21, "zero", 5, 0), (21, "zero", 4, 0), (1, "zero", 0, 0)]
+
+
+def assert_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
     rng = np.random.default_rng(seed)
     vals = rng.integers(-32768, 32768, size=brick).astype(np.int16)
     vals[rng.permutation(brick)[:zeros]] = 0
@@ -243,6 +241,22 @@ def test_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
     assert vb.container_bits == w.container_bits
     back = decode_viai(vb)
     assert ((back.x, back.y, back.i), back.values.tolist()) == (where, w.decoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 4, 16, 21]),
+       st.sampled_from(["zero", "abs:3", "abs:300", "pow2:2", "pow2:9"]),
+       st.integers(0, 21), st.integers(0, 2**32 - 1))
+@example(*ROE_FIT_CASES[0])
+@example(*ROE_FIT_CASES[1])
+@example(*ROE_FIT_CASES[2])
+def test_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
+    assert_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed)
+
+
+@pytest.mark.parametrize("brick, spec, zeros, seed", ROE_FIT_CASES)
+def test_brick_codecs_match_the_slow_restatement_at_the_roe_fit(brick, spec, zeros, seed):
+    assert_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed)
 
 
 # -- cviai ---------------------------------------------------------------

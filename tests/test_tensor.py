@@ -277,6 +277,16 @@ def test_conv3d_split_path_is_exact(bound, case):
     assert np.array_equal(got, einsum_conv(acts, wts, stride))
 
 
+@pytest.mark.parametrize("bound", [1, 7])
+def test_conv3d_split_path_is_exact_on_a_fixed_layer(monkeypatch, bound):
+    # full-range values at depth 20: bound 7 leaves a ragged last chunk
+    rng = np.random.default_rng(12)
+    acts = rng.integers(-32768, 32768, size=(6, 5, 20)).astype(np.int16)
+    wts = rng.integers(-32768, 32768, size=(4, 3, 2, 20)).astype(np.int16)
+    monkeypatch.setattr(tensor, "_MAX_EXACT_TERMS", bound)
+    assert np.array_equal(conv3d(acts, wts, 2), einsum_conv(acts, wts, 2))
+
+
 # Magnitudes up to 600 on depths up to 48: float32 while peak * depth <= 2**24,
 # with flushes between offsets once peak passes about 2**24 / 432; float64
 # near the top. A bound of 1 or 7 forces the depth split on the float32 path.
