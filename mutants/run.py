@@ -148,20 +148,20 @@ MUTANTS = (
     # -- the dispatcher ------------------------------------------------------
     Mutant("dispatch-rank-off-by-one", "every pair is sent one cycle late",
            "src/sparseaccel/dispatch.py",
-           "    at = _runs((start * width + slot_lane).reshape(-1), sent.reshape(-1), width)\n",
-           "    at = _runs(((start + 1) * width + slot_lane).reshape(-1), sent.reshape(-1), width)\n",
+           "    at = _runs((start * width + np.arange(n_slots) % width)",
+           "    at = _runs(((start + 1) * width + np.arange(n_slots) % width)",
            ("tests/test_dispatch.py::test_lockstep_trace_single_set",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("dispatch-inclusive-window-starts", "each window starts after its own end",
            "src/sparseaccel/dispatch.py",
-           "    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start\n",
-           "    start = np.cumsum(window_len, 0)[:, None] + slot_start\n",
+           "    start = _exclusive_cumsum(schedule.window_cycles, 0)[:, None]",
+           "    start = np.cumsum(schedule.window_cycles, 0)[:, None]",
            ("tests/test_dispatch.py::test_lockstep_trace_two_sets",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("dispatch-drain-ignored", "an empty brick never costs its drain cycle",
            "src/sparseaccel/dispatch.py",
-           "    cost = np.maximum(sent, 1) if empty_brick is EmptyBrickCost.ONE_CYCLE else sent\n",
-           "    cost = sent\n",
+           "        self.grid = by_set(sent, 1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)\n",
+           "        self.grid = by_set(sent)\n",
            ("tests/test_dispatch.py::test_empty_brick_cost_modes",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
@@ -242,24 +242,41 @@ MUTANTS = (
            "        for cycle, (offs, vals) in enumerate(rows):\n",
            ("tests/test_dispatch.py::test_format_trace_reads_the_columns_on_seeded_replays",)),
     # -- the lane schedule, shared by the dispatcher and the cycle model -----
-    Mutant("schedule-lane-by-set", "slot s runs on lane s // lanes, not s % lanes",
+    Mutant("schedule-lane-by-set", "slot s runs on lane s // sets in set s % sets, "
+           "filling one lane after another, not on lane s % lanes in set s // lanes",
            "src/sparseaccel/dispatch.py",
-           "    return s // lanes, s % lanes\n",
-           "    return s // lanes, s // lanes\n",
+           "            return out.reshape(a.shape[:-1] + (-1, width))\n",
+           "            return out.reshape(a.shape[:-1] + (width, -1)).swapaxes(-1, -2)\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("schedule-reductions-swapped", "lockstep and window sync swap their reductions",
            "src/sparseaccel/dispatch.py",
-           "        return grid.max(axis=-1).sum(axis=-1)\n"
-           "    return grid.sum(axis=-2).max(axis=-1)\n",
-           "        return grid.sum(axis=-2).max(axis=-1)\n"
-           "    return grid.max(axis=-1).sum(axis=-1)\n",
+           "            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)\n"
+           "        else:\n"
+           "            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)\n",
+           "            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)\n"
+           "        else:\n"
+           "            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
+    # the first killer's 32768 lanes bound the grid this mutant builds for every lane
     Mutant("schedule-width-all-lanes", "the lane grid gets a column for every lane",
            "src/sparseaccel/dispatch.py",
-           "(int(brick_set[-1]) + 1, min(lanes, slots))",
-           "(int(brick_set[-1]) + 1, lanes)",
+           "        self.width = width = min(lanes, slots)\n",
+           "        self.width = width = lanes\n",
+           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+            "tests/test_sim.py::test_lanes_past_the_window_allocate_nothing[run_baseline]")),
+    Mutant("schedule-drain-after-padding", "padded slots cost a drain cycle under ONE_CYCLE",
+           "src/sparseaccel/dispatch.py",
+           "        self.grid = by_set(sent, 1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)\n",
+           "        self.grid = np.maximum(by_set(sent), "
+           "1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)\n",
+           ("tests/test_dispatch.py::test_window_sync_drain_cycles",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("lane-counts-tail-nonzero", "lanes past the width read the last stored count",
+           "src/sparseaccel/dispatch.py",
+           "        return self.counts[i] if i < len(self.counts) else 0\n",
+           "        return self.counts[min(i, len(self.counts) - 1)]\n",
            ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",
             "tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick")),
     # -- the cycle model -----------------------------------------------------
@@ -297,8 +314,8 @@ MUTANTS = (
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("baseline-ragged-lanes-reversed", "the baseline's ragged positions go to the last lanes",
            "src/sparseaccel/sim.py",
-           "    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes) * ",
-           "    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes)[::-1] * ",
+           "window.busy * repeat",
+           "window.busy[::-1] * repeat",
            ("tests/test_sim.py::test_baseline_ragged_lane_split",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("sim-busy-first-group-only", "lane busy counts follow the first group, not the "
@@ -307,22 +324,29 @@ MUTANTS = (
            "                pass_costs = costs\n"
            "            else:\n"
            "                np.maximum(pass_costs, costs, out=pass_costs)\n"
-           "        # the lane grid stays unnamed, so it is freed before conv3d runs\n"
-           "        cycles += repeat * int(_window_cycles(\n"
-           "            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())\n"
-           "        busy += repeat * _lane_busy(pass_costs, tile.lanes)\n",
+           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
+           "        cycles += repeat * schedule.cycles\n"
+           "        busy = busy + repeat * schedule.busy\n",
            "                pass_costs, first = costs, costs.copy()\n"
            "            else:\n"
            "                np.maximum(pass_costs, costs, out=pass_costs)\n"
-           "        cycles += repeat * int(_window_cycles(\n"
-           "            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())\n"
-           "        busy += repeat * _lane_busy(first, tile.lanes)\n",
+           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
+           "        cycles += repeat * schedule.cycles\n"
+           "        busy = busy + repeat * _Schedule(first, tile.lanes, tile.sync, "
+           "tile.empty_brick).busy\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-busy-not-scaled-by-passes", "cnv's lane busy counts cover one pass of several",
            "src/sparseaccel/sim.py",
-           "        busy += repeat * _lane_busy(pass_costs, tile.lanes)\n",
-           "        busy += _lane_busy(pass_costs, tile.lanes)\n",
+           "        busy = busy + repeat * schedule.busy\n",
+           "        busy = busy + schedule.busy\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("baseline-cycles-one-set", "the baseline's cycles ignore ceil(positions / lanes): "
+           "one cycle per window and pass",
+           "src/sparseaccel/sim.py",
+           "window.cycles * repeat",
+           "repeat",
+           ("tests/test_sim.py::test_baseline_closed_form",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("sim-cnv2-reuses-masked-output", "cnv2 takes cnv's output although its groups "
            "zeroed nonzero weights",
            "src/sparseaccel/sim.py",

@@ -6,12 +6,13 @@ one pair per cycle per lane. In weight-aware mode a product table marks
 offsets whose weights are ineffectual in every resident filter, and the
 dispatcher drops those pairs too.
 
-The lane schedule lives here once; the cycle model in `sim` uses it too.
-Slot s of a window (its bricks in (fx, fy, depth brick) order) runs on lane
-s % lanes in brick set s // lanes. A window costs the sum of its brick-set
-maxima under lockstep, or its busiest lane's total under window sync; an
-empty brick costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`. Lanes
-past a window's slot count never get a brick, so they get no column.
+The lane schedule lives here once, as one private value that the cycle
+model in `sim` builds too. Slot s of a window (its bricks in (fx, fy, depth
+brick) order) runs on lane s % lanes in brick set s // lanes. A window costs
+the sum of its brick-set maxima under lockstep, or its busiest lane's total
+under window sync; an empty brick costs one drain cycle under
+`EmptyBrickCost.ONE_CYCLE`. Lanes past a window's slot count never get a
+brick, so they get no column, and `LaneCounts` stores no busy count for them.
 
 The walk is computed for the whole layer at once, over the stored pairs
 only. Every source hands over one front-packed pair table (`pair_table`:
@@ -88,7 +89,30 @@ class DispatchEvent:
         return f"{self.cycle},{self.lane},{self.offset},{self.value}"
 
 
-class EventColumns(Sequence):
+class _ItemSequence(Sequence):
+    """A read-only sequence whose items are made on access: a subclass gives
+    `__len__` and `_item`, for an index already in range. It compares equal to
+    any sequence holding the same items."""
+
+    __hash__ = None
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"index {index} outside a sequence of {len(self)}")
+        return self._item(i)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+
+class EventColumns(_ItemSequence):
     """A run's events as read-only offset and value columns.
 
     Event i is cycle i // lanes on lane i % lanes. The columns hold only the
@@ -98,8 +122,6 @@ class EventColumns(Sequence):
     demand, and the columns compare equal to any sequence holding the same
     events: to other columns column by column, over the wider width.
     """
-
-    __hash__ = None
 
     def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int, width: int):
         offsets.flags.writeable = False
@@ -112,7 +134,7 @@ class EventColumns(Sequence):
     def __len__(self) -> int:
         return len(self.offsets) // self.width * self.lanes
 
-    def _event(self, i: int) -> DispatchEvent:
+    def _item(self, i: int) -> DispatchEvent:
         cycle, lane = divmod(i, self.lanes)
         if lane < self.width:
             at = cycle * self.width + lane
@@ -120,16 +142,6 @@ class EventColumns(Sequence):
             if offset >= 0:
                 return DispatchEvent(cycle, lane, offset, int(self.values[at]))
         return DispatchEvent(cycle, lane)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"event {index} outside a stream of {len(self)}")
-        return self._event(i)
 
     def _columns(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """(cycles x ``width``) offsets and values, the lanes past this run's
@@ -145,12 +157,25 @@ class EventColumns(Sequence):
                 return len(self) == len(other) == 0
             width = max(self.width, other.width)
             return all(map(np.array_equal, self._columns(width), other._columns(width)))
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
+        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return f"EventColumns(lanes={self.lanes}, cycles={len(self) // self.lanes})"
+
+
+class LaneCounts(_ItemSequence):
+    """One count per lane, read-only: the stored ``counts`` of the first
+    lanes, then 0 for every lane past them, which never gets a brick."""
+
+    def __init__(self, counts: np.ndarray, lanes: int):
+        self.counts = tuple(counts.tolist())
+        self.lanes = lanes
+
+    def __len__(self) -> int:
+        return self.lanes
+
+    def _item(self, i: int) -> int:
+        return self.counts[i] if i < len(self.counts) else 0
 
 
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
@@ -202,7 +227,7 @@ class DispatchRun:
     cycles: int
     broadcasts: int
     lanes: int
-    per_lane_busy: tuple[int, ...]
+    per_lane_busy: LaneCounts
     fetch_pointers: dict[int, int]
 
     def lane_stream(self, lane: int) -> list[tuple[int, int]]:
@@ -240,35 +265,40 @@ def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
 
 # -- the lane schedule, shared with the cycle model --------------------------
 
-def _slot_lanes(slots: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brick set and lane of each slot: slot s runs on lane s % lanes in set s // lanes."""
-    s = np.arange(slots)
-    return s // lanes, s % lanes
+class _Schedule:
+    """The lane schedule of (..., slots) pairs per brick ``sent``. ``grid``
+    holds the (..., sets, width) cycles per brick set and lane, width =
+    min(lanes, slots): the drained costs, padded with free slots and reshaped,
+    so slot s is in set s // width on lane s % width, which is s % lanes for
+    every slot. Off it are read each window's cycles, their total and each
+    slot's start; ``busy`` holds the pairs each of the ``width`` lanes sends."""
 
+    def __init__(self, sent: np.ndarray, lanes: int, policy: SyncPolicy,
+                 empty_brick: EmptyBrickCost):
+        self.slots = slots = sent.shape[-1]
+        self.width = width = min(lanes, slots)
+        self.lockstep = policy is SyncPolicy.BRICKSET_LOCKSTEP
 
-def _lane_costs(sent: np.ndarray, lanes: int, empty_brick: EmptyBrickCost) -> np.ndarray:
-    """(..., slots) pairs per brick -> (..., sets, min(lanes, slots)) cycles per
-    set and lane; the drain is charged before the padding, so padding is free."""
-    slots = sent.shape[-1]
-    cost = np.maximum(sent, 1) if empty_brick is EmptyBrickCost.ONE_CYCLE else sent
-    brick_set, lane = _slot_lanes(slots, lanes)
-    grid = np.zeros(sent.shape[:-1] + (int(brick_set[-1]) + 1, min(lanes, slots)), np.int64)
-    grid[..., brick_set, lane] = cost
-    return grid
+        def by_set(a, floor=0):  # every slot at least ``floor``, every padded slot 0
+            out = np.zeros(a.shape[:-1] + (-(-slots // width) * width,), np.int64)
+            np.maximum(a, floor, out=out[..., :slots])
+            return out.reshape(a.shape[:-1] + (-1, width))
 
+        self.grid = by_set(sent, 1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)
+        if self.lockstep:
+            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)
+        else:
+            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)
+        self.cycles = int(self.window_cycles.sum())
+        self.busy = by_set(sent.reshape(-1, slots).sum(axis=0, dtype=np.int64)).sum(axis=0)
 
-def _window_cycles(grid: np.ndarray, policy: SyncPolicy) -> np.ndarray:
-    """Cycles per window: its brick-set maxima summed, or its busiest lane's total."""
-    if policy is SyncPolicy.BRICKSET_LOCKSTEP:
-        return grid.max(axis=-1).sum(axis=-1)
-    return grid.sum(axis=-2).max(axis=-1)
-
-
-def _lane_busy(sent: np.ndarray, lanes: int) -> np.ndarray:
-    """Pairs each of the ``lanes`` lanes sends over all windows of (..., slots) ``sent``."""
-    per_slot = sent.reshape(-1, sent.shape[-1]).sum(axis=0, dtype=np.int64)
-    busy = _lane_costs(per_slot, lanes, EmptyBrickCost.ZERO_CYCLES).sum(axis=0)
-    return np.pad(busy, (0, lanes - len(busy)))
+    def slot_starts(self) -> np.ndarray:
+        """Each slot's first cycle within its window."""
+        if self.lockstep:
+            starts = np.repeat(_exclusive_cumsum(self.grid.max(axis=-1), -1), self.width, axis=-1)
+        else:
+            starts = _exclusive_cumsum(self.grid, -2)
+        return starts.reshape(self.grid.shape[:-2] + (-1,))[..., :self.slots]
 
 
 def _runs(first: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
@@ -345,30 +375,22 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
         pair_offsets, pair_values, sent = _live_pairs(
             prod_table.reshape(n_slots, brick), pair_offsets, pair_values, sent)
 
-    grid = _lane_costs(sent, lanes, empty_brick_cost)       # (windows, sets, width)
-    window_len = _window_cycles(grid, policy)
-    brick_set, slot_lane = _slot_lanes(n_slots, lanes)
-    if policy is SyncPolicy.BRICKSET_LOCKSTEP:
-        slot_start = _exclusive_cumsum(grid.max(axis=2), 1)[:, brick_set]
-    else:
-        slot_start = _exclusive_cumsum(grid, 1)[:, brick_set, slot_lane]
-    start = _exclusive_cumsum(window_len, 0)[:, None] + slot_start
-    cycles = int(window_len.sum())
+    schedule = _Schedule(sent, lanes, policy, empty_brick_cost)
+    start = _exclusive_cumsum(schedule.window_cycles, 0)[:, None] + schedule.slot_starts()
+    cycles, width = schedule.cycles, schedule.width
 
     # a pair's event is (its slot's start + its rank) * width + its lane, its
     # rank being its place in its slot; lanes past the width never get a slot
-    width = grid.shape[-1]
-    at = _runs((start * width + slot_lane).reshape(-1), sent.reshape(-1), width)
+    at = _runs((start * width + np.arange(n_slots) % width).reshape(-1), sent.reshape(-1), width)
     event_offsets = np.full(cycles * width, -1, dtype=np.int32)
     event_values = np.zeros(cycles * width, dtype=np.int16)
     event_offsets[at] = pair_offsets
     event_values[at] = pair_values
 
-    busy = _lane_busy(sent, lanes)
     # one bank per lane: brick ib is fetched from bank ib % lanes, once per window
     fetches = np.bincount(np.arange(n_slots) % nb % lanes) * len(sent)
     return DispatchRun(EventColumns(event_offsets, event_values, lanes, width), cycles,
-                       int(busy.sum()), lanes, tuple(busy.tolist()),
+                       int(schedule.busy.sum()), lanes, LaneCounts(schedule.busy, lanes),
                        {int(b): int(n) for b, n in enumerate(fetches) if n})
 
 

@@ -6,9 +6,10 @@ processes every position of every window. The cnv machine skips activations
 the criterion classifies ineffectual. The cnv2 machine additionally skips
 positions whose weights are ineffectual in every filter of the resident
 group, so its per-brick work is the count of offsets that survive both
-tests. Both skippers turn per-brick work into cycles and lane busy counts
+tests. Every machine turns per-brick work into cycles and lane busy counts
 through the dispatcher's lane schedule (`dispatch`), the same one
-`run_dispatch` stamps its events with.
+`run_dispatch` stamps its events with: the skippers once per pass, the
+baseline once for a window of one position per slot.
 
 Filters beyond one pass's residency (tiles * filters_per_tile) are handled
 in sequential passes that repeat the activation traversal. Functional
@@ -18,13 +19,13 @@ returned untruncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dispatch import (EmptyBrickCost, SyncPolicy, _lane_busy, _lane_costs, _require_enum,
-                       _window_cycles)
+from .dispatch import EmptyBrickCost, LaneCounts, SyncPolicy, _require_enum, _Schedule
 from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
@@ -68,7 +69,7 @@ class CycleReport:
     broadcasts: int
     footprint_bits: int
     utilization: float
-    per_lane_busy: tuple[int, ...] = field(default_factory=tuple)
+    per_lane_busy: Sequence[int] = ()
 
     CSV_COLUMNS = ("arch", "cycles", "macs_performed", "macs_skipped",
                    "broadcasts", "footprint_bits", "utilization")
@@ -95,7 +96,7 @@ def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
         # the container; value fields count 16 bits though the sums are wider
         footprint_bits=footprint_bits(out_format, out, crit, tile.brick).total_bits,
         utilization=int(busy.sum()) / (tile.lanes * cycles) if cycles else 0.0,
-        per_lane_busy=tuple(int(v) for v in busy),
+        per_lane_busy=LaneCounts(busy, tile.lanes),
     )
 
 
@@ -104,9 +105,9 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                  ) -> tuple[np.ndarray, CycleReport]:
     """Dense machine: every position of every window is multiplied.
 
-    The lanes share each window's positions round robin, not its bricks:
-    cycles are passes * windows * ceil(window_positions / lanes), and the
-    lane schedule runs with one position per slot for the busy counts.
+    The lanes share each window's positions round robin, not its bricks: the
+    lane schedule of one window with one position per slot, ceil(positions /
+    lanes) cycles, repeats for every window and pass.
     """
     layer.check_tensors(acts, filters)
     layer.check_brick(tile.brick)
@@ -114,12 +115,11 @@ def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
 
     k = layer.window_positions
     n_windows = layer.ox * layer.oy
-    n_passes = len(_pass_ranges(layer.f, tile.resident))
-    cycles = n_passes * n_windows * (-(-k // tile.lanes))
-
-    busy = _lane_busy(np.ones(k, dtype=np.int64), tile.lanes) * (n_windows * n_passes)
-    return out, _report("baseline", out, layer, tile, cycles, n_windows * k * layer.f,
-                        n_passes * n_windows * k, busy, ZERO, out_format)
+    repeat = n_windows * len(_pass_ranges(layer.f, tile.resident))  # windows x passes
+    window = _Schedule(np.ones(k, dtype=np.int64), tile.lanes, tile.sync, tile.empty_brick)
+    return out, _report("baseline", out, layer, tile, window.cycles * repeat,
+                        n_windows * k * layer.f, repeat * k, window.busy * repeat, ZERO,
+                        out_format)
 
 
 def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
@@ -171,8 +171,7 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
         passes, repeat, step = [(0, layer.f)], len(passes), layer.f
     else:
         weights = weights.copy()
-    cycles = performed = broadcasts = 0
-    busy = np.zeros(tile.lanes, dtype=np.int64)
+    cycles = performed = broadcasts = busy = 0
     for lo, hi in passes:
         pass_costs = None  # running maximum of the group costs
         for glo in range(lo, hi, step):
@@ -190,10 +189,10 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
                 pass_costs = costs
             else:
                 np.maximum(pass_costs, costs, out=pass_costs)
-        # the lane grid stays unnamed, so it is freed before conv3d runs
-        cycles += repeat * int(_window_cycles(
-            _lane_costs(pass_costs, tile.lanes, tile.empty_brick), tile.sync).sum())
-        busy += repeat * _lane_busy(pass_costs, tile.lanes)
+        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)
+        cycles += repeat * schedule.cycles
+        busy = busy + repeat * schedule.busy
+    del schedule  # its lane grid is freed before conv3d runs
 
     unmasked = np.array_equal(weights, filters.values)  # every zeroed weight was zero
     if plain is not None and unmasked:

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -290,6 +293,28 @@ def test_run_convolves_each_distinct_product_set_once(monkeypatch, act_crit, wt_
     assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE,
                    "--act-crit", act_crit, "--wt-crit", wt_crit) == 0
     assert calls == {"dense_conv": 1, "conv3d": convs, "reference_output": sweeps}
+
+
+def test_run_at_a_billion_lanes_fits_in_a_gib():
+    """Only the lanes that get a brick or position are stored, so `run` at
+    10^9 lanes fits in 1 GiB of address space, where busy counts padded to
+    the lane count asked for 7.45 GiB. The limit is set on the child alone,
+    so a failure costs no memory here; one BLAS thread keeps that library's
+    per-thread buffers out of the limit."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sparseaccel.cli", "run", "--dims", "6x6x32",
+                           "--filters", "4x3x3", "--pa", "0.5", "--lanes", "1000000000"],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == \
+        [("baseline", "PASS"), ("cnv", "PASS"), ("cnv2", "PASS")]
 
 
 def test_run_rejects_a_brick_the_reference_cannot_sum_exactly(monkeypatch, capsys):

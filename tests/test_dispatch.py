@@ -151,6 +151,13 @@ def test_window_sync_drain_cycles():
     assert run.cycles == 2
     assert run.events[0].is_idle
     assert (run.events[1].offset, run.events[1].value) == (0, 1)
+    # three bricks on two lanes: lane 0 costs 1 + 1 drain, lane 1 its 3 pairs,
+    # and the free slot padded after lane 1's brick drains nothing
+    ragged = RawDispatchSource(acts_1d([1, 0, 0, 0, 2, 3, 4, 0, 0, 0, 0, 0]), ZERO, brick=4)
+    run = run_dispatch(ragged, LayerConfig(x=1, y=1, i=12, fx=1, fy=1, f=1), lanes=2,
+                       policy=SyncPolicy.WINDOW_SYNC, empty_brick_cost=EmptyBrickCost.ONE_CYCLE)
+    assert run.cycles == 3
+    assert run.per_lane_busy == (1, 3)
 
 
 @pytest.mark.parametrize("name, value, crit, cycles", [
@@ -393,6 +400,38 @@ def test_run_dispatch_matches_event_loop_on_seeded_replays():
     by chance is still found every run."""
     for case in seeded_cases(dispatch_case, seed=14, n=150):
         assert_dispatch_matches_event_loop(case)
+
+
+def assert_lanes_past_the_slots_change_nothing(case, extra):
+    """At or above a window's slot count more lanes change neither the cycles
+    nor a stored busy count or event column, and every added lane reads 0."""
+    source, layer, kwargs = case
+    slots = layer.fx * layer.fy * (layer.i // source.brick)
+    narrow, wide = (run_dispatch(source, layer, **dict(kwargs, lanes=n))
+                    for n in (slots, slots + extra))
+    assert (wide.cycles, wide.broadcasts, wide.fetch_pointers) == \
+        (narrow.cycles, narrow.broadcasts, narrow.fetch_pointers)
+    assert wide.events.width == narrow.events.width == slots
+    assert np.array_equal(wide.events.offsets, narrow.events.offsets)
+    assert np.array_equal(wide.events.values, narrow.events.values)
+    assert wide.per_lane_busy[:slots] == narrow.per_lane_busy
+    assert len(wide.per_lane_busy) == slots + extra
+    assert wide.per_lane_busy[slots] == wide.per_lane_busy[-1] == 0
+
+
+LANES_PAST_THE_SLOTS = [1, 5, 1 << 20]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dispatch_cases(), st.sampled_from(LANES_PAST_THE_SLOTS))
+def test_lanes_past_the_slots_change_nothing(case, extra):
+    assert_lanes_past_the_slots_change_nothing(case, extra)
+
+
+def test_lanes_past_the_slots_change_nothing_on_seeded_replays():
+    """The property above on a fixed set of replays."""
+    for n, case in enumerate(seeded_cases(dispatch_case, seed=20, n=60)):
+        assert_lanes_past_the_slots_change_nothing(case, LANES_PAST_THE_SLOTS[n % 3])
 
 
 def event_lines(events) -> str:

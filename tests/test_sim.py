@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,20 +394,63 @@ def test_positive_fields_refuse_bools():
     assert TileConfig(lanes=np.int64(4)).lanes == 4
 
 
-@pytest.mark.parametrize("runner", [run_cnv, run_cnv2])
+MiB = 1 << 20
+MILLION_LANES = 1 << 20
+
+
+def run_raw_dispatch(acts, filters, layer, tile):
+    """`run_dispatch` over the raw source, called like the machines."""
+    return None, run_dispatch(RawDispatchSource(acts, ZERO, tile.brick), layer, lanes=tile.lanes)
+
+
+@pytest.mark.parametrize("runner", [run_baseline, run_cnv, run_cnv2, run_raw_dispatch])
 def test_lanes_past_the_window_allocate_nothing(runner):
-    """Lanes past a window's 18 bricks never get one, so 32768 lanes stay
-    under 2 MB; a grid padded to the lane count took 44.6 MB on it."""
+    """Lanes past a window's 18 bricks (its 288 positions for the baseline)
+    never get one, so 2^20 lanes stay under 2 MiB. A grid padded to the lane
+    count took 44.6 MB on this layer at 32768 lanes, and busy counts padded
+    to it take 8 MiB at 2^20."""
     acts, filters = gen_synthetic(SyntheticSpec(x=15, y=15, i=32, f=16, fx=3, fy=3))
     layer = LayerConfig.from_tensors(acts, filters)
     tracemalloc.start()
     try:
-        _, report = runner(acts, filters, layer, TileConfig(lanes=32768))
+        _, report = runner(acts, filters, layer, TileConfig(lanes=MILLION_LANES))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
-    assert len(report.per_lane_busy) == 32768 and not any(report.per_lane_busy[18:])
+    assert peak < 2 * MiB
+    busy = report.per_lane_busy
+    assert len(busy) == MILLION_LANES and busy[288] == busy[-1] == 0 < busy[0]
+
+
+LANES_PAST_THE_SLOTS = [1, 5, MILLION_LANES]
+
+
+def assert_lanes_past_the_slots_change_nothing(case, extra):
+    """At or above a machine's slot count (a window's bricks, or its positions
+    for the baseline) more lanes change neither the cycles nor a stored busy
+    count, and every added lane reads 0."""
+    acts, filters, layer, tile, act_crit, weight_crit, _ = case
+    for arch in ("baseline", "cnv", "cnv2"):
+        slots = layer.window_positions if arch == "baseline" else \
+            layer.fx * layer.fy * (layer.i // tile.brick)
+        narrow, wide = (run_arch(arch, acts, filters, layer, replace(tile, lanes=n), act_crit,
+                                 weight_crit)[1] for n in (slots, slots + extra))
+        assert wide.cycles == narrow.cycles, arch
+        assert wide.per_lane_busy[:slots] == narrow.per_lane_busy, arch
+        assert len(wide.per_lane_busy) == slots + extra, arch
+        assert wide.per_lane_busy[slots] == wide.per_lane_busy[-1] == 0, arch
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine_cases(), st.sampled_from(LANES_PAST_THE_SLOTS))
+def test_lanes_past_the_slots_change_nothing(case, extra):
+    assert_lanes_past_the_slots_change_nothing(case, extra)
+
+
+def test_lanes_past_the_slots_change_nothing_on_seeded_layers():
+    """The property above on a fixed set of layers."""
+    for n, case in enumerate(seeded_cases(machine_case, seed=20, n=60)):
+        assert_lanes_past_the_slots_change_nothing(case, LANES_PAST_THE_SLOTS[n % 3])
 
 
 def test_run_arch_rejects_unknown():
