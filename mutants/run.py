@@ -279,6 +279,11 @@ MUTANTS = (
            "        return self.counts[min(i, len(self.counts) - 1)]\n",
            ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",
             "tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick")),
+    Mutant("lane-counts-equal-at-any-lanes", "two busy-count sequences compare without their lanes",
+           "src/sparseaccel/dispatch.py",
+           "            return self.lanes == other.lanes and all(a == b for a, b in pairs)\n",
+           "            return all(a == b for a, b in pairs)\n",
+           ("tests/test_dispatch.py::test_lane_counts_compare_by_their_stored_counts",)),
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",

@@ -165,7 +165,8 @@ class EventColumns(_ItemSequence):
 
 class LaneCounts(_ItemSequence):
     """One count per lane, read-only: the stored ``counts`` of the first
-    lanes, then 0 for every lane past them, which never gets a brick."""
+    lanes, then 0 for every lane past them, which never gets a brick. Two of
+    them compare by lane count and stored counts, not lane by lane."""
 
     def __init__(self, counts: np.ndarray, lanes: int):
         self.counts = tuple(counts.tolist())
@@ -176,6 +177,16 @@ class LaneCounts(_ItemSequence):
 
     def _item(self, i: int) -> int:
         return self.counts[i] if i < len(self.counts) else 0
+
+    def __eq__(self, other):
+        if isinstance(other, LaneCounts):
+            # the lanes past the stored counts read 0 on either side
+            pairs = itertools.zip_longest(self.counts, other.counts, fillvalue=0)
+            return self.lanes == other.lanes and all(a == b for a, b in pairs)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"LaneCounts(lanes={self.lanes}, counts={self.counts})"
 
 
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:

@@ -403,12 +403,15 @@ def run_raw_dispatch(acts, filters, layer, tile):
     return None, run_dispatch(RawDispatchSource(acts, ZERO, tile.brick), layer, lanes=tile.lanes)
 
 
-@pytest.mark.parametrize("runner", [run_baseline, run_cnv, run_cnv2, run_raw_dispatch])
-def test_lanes_past_the_window_allocate_nothing(runner):
+@pytest.mark.parametrize("runner, slots", [(run_baseline, 288), (run_cnv, 18), (run_cnv2, 18),
+                                           (run_raw_dispatch, 18)],
+                         ids=["run_baseline", "run_cnv", "run_cnv2", "run_raw_dispatch"])
+def test_lanes_past_the_window_allocate_nothing(runner, slots):
     """Lanes past a window's 18 bricks (its 288 positions for the baseline)
     never get one, so 2^20 lanes stay under 2 MiB. A grid padded to the lane
     count took 44.6 MB on this layer at 32768 lanes, and busy counts padded
-    to it take 8 MiB at 2^20."""
+    to it take 8 MiB at 2^20. Every lane from the slot count up to lane
+    32768 reads 0, and so does the last lane."""
     acts, filters = gen_synthetic(SyntheticSpec(x=15, y=15, i=32, f=16, fx=3, fy=3))
     layer = LayerConfig.from_tensors(acts, filters)
     tracemalloc.start()
@@ -419,7 +422,8 @@ def test_lanes_past_the_window_allocate_nothing(runner):
         tracemalloc.stop()
     assert peak < 2 * MiB
     busy = report.per_lane_busy
-    assert len(busy) == MILLION_LANES and busy[288] == busy[-1] == 0 < busy[0]
+    assert len(busy) == MILLION_LANES and busy[-1] == 0
+    assert all(busy[:slots]) and not any(busy[slots:32768])
 
 
 LANES_PAST_THE_SLOTS = [1, 5, MILLION_LANES]
@@ -438,7 +442,8 @@ def assert_lanes_past_the_slots_change_nothing(case, extra):
         assert wide.cycles == narrow.cycles, arch
         assert wide.per_lane_busy[:slots] == narrow.per_lane_busy, arch
         assert len(wide.per_lane_busy) == slots + extra, arch
-        assert wide.per_lane_busy[slots] == wide.per_lane_busy[-1] == 0, arch
+        assert not any(wide.per_lane_busy[slots:slots + 1024]), arch
+        assert wide.per_lane_busy[-1] == 0, arch
 
 
 @settings(max_examples=100, deadline=None)
