@@ -32,29 +32,8 @@ PACKAGE = ROOT / "src" / "sparseaccel"
 
 # (file, enclosing definition, first line of the statement) -> why it stays unreached
 UNREACHED = {
-    ("cli.py", "_atomic_write", "if os.path.exists(tmp):"):
-        "clean-up after a failed write into a directory that took the temp file",
-    ("cli.py", "_atomic_write", "os.unlink(tmp)"):
-        "clean-up after a failed write into a directory that took the temp file",
-    ("cli.py", "_atomic_write", "raise"):
-        "clean-up after a failed write into a directory that took the temp file",
-    ("cli.py", "cmd_compare", 'print(text, end="")'):
-        "compare without --out prints; the tests read the file --out writes",
     ("cli.py", "<module>", "raise SystemExit(main())"):
         "the script guard runs only under python -m, in untraced subprocesses",
-    ("dispatch.py", "_ItemSequence.__eq__", "return NotImplemented"):
-        "no test compares a lane sequence with a value that is not a sequence",
-    ("dispatch.py", "EventColumns.__repr__",
-     'return f"EventColumns(lanes={self.lanes}, cycles={len(self) // self.lanes})"'):
-        "read only when a failing test prints its operands",
-    ("encodings.py", "_container_bits", 'raise ConfigurationError(f"unknown format {fmt!r}")'):
-        "every Format member returns before it; only a value that is not a Format gets here",
-    ("tensor.py", "ActTensor.__repr__",
-     'return f"ActTensor(dims={self.dims}, logical_i={self.logical_i})"'):
-        "read only when a failing test prints its operands",
-    ("tensor.py", "FilterSet.__repr__",
-     'return f"FilterSet(count={self.count}, dims={self.values.shape[1:]})"'):
-        "read only when a failing test prints its operands",
 }
 
 

@@ -196,15 +196,15 @@ MUTANTS = (
     Mutant("event-columns-stride-by-lanes", "an event past the width's columns is read "
            "with the lane count as the row stride",
            "src/sparseaccel/dispatch.py",
-           "            at = cycle * self.width + lane\n",
-           "            at = cycle * self.lanes + lane\n",
+           "c.item(row * self.width + lane)",
+           "c.item(row * self.lanes + lane)",
            ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("event-columns-pad-as-sent", "columns compared at a wider width pad their "
-           "extra lanes with offset 0, a sent pair, not idle",
+           "extra lanes with 0, for events offset 0, a sent pair, not idle",
            "src/sparseaccel/dispatch.py",
-           "np.pad(self.offsets.reshape(-1, self.width), pad, constant_values=-1)",
-           "np.pad(self.offsets.reshape(-1, self.width), pad)",
+           "np.pad(column.reshape(self.rows, self.width), pad, constant_values=fill)",
+           "np.pad(column.reshape(self.rows, self.width), pad)",
            ("tests/test_dispatch.py::test_event_columns_compare_by_columns_across_widths",)),
     Mutant("raw-source-unbounded", "the raw source reads a brick without the bounds rule",
            "src/sparseaccel/dispatch.py",
@@ -249,14 +249,11 @@ MUTANTS = (
            "            return out.reshape(a.shape[:-1] + (width, -1)).swapaxes(-1, -2)\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
-    Mutant("schedule-reductions-swapped", "lockstep and window sync swap their reductions",
+    Mutant("schedule-reductions-swapped", "a window takes each set's busiest paced lane "
+           "before summing the sets, so window sync costs what lockstep does",
            "src/sparseaccel/dispatch.py",
-           "            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)\n"
-           "        else:\n"
-           "            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)\n",
-           "            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)\n"
-           "        else:\n"
-           "            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)\n",
+           "        self.window_cycles = self.paced.sum(axis=-2).max(axis=-1)\n",
+           "        self.window_cycles = self.paced.max(axis=-1).sum(axis=-1)\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     # the first killer's 32768 lanes bound the grid this mutant builds for every lane
@@ -273,16 +270,37 @@ MUTANTS = (
            "1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)\n",
            ("tests/test_dispatch.py::test_window_sync_drain_cycles",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
-    Mutant("lane-counts-tail-nonzero", "lanes past the width read the last stored count",
+    Mutant("schedule-lockstep-unpaced", "lockstep lanes keep their own costs, not "
+           "waiting for their set's slowest",
            "src/sparseaccel/dispatch.py",
-           "        return self.counts[i] if i < len(self.counts) else 0\n",
-           "        return self.counts[min(i, len(self.counts) - 1)]\n",
+           "        self.paced = self.grid.max(axis=-1, keepdims=True) if lockstep else self.grid\n",
+           "        self.paced = self.grid\n",
+           ("tests/test_dispatch.py::test_policies_differ_on_imbalanced_sets",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("schedule-paced-by-min", "a lockstep set is paced by its fastest lane",
+           "src/sparseaccel/dispatch.py",
+           "self.grid.max(axis=-1, keepdims=True) if lockstep",
+           "self.grid.min(axis=-1, keepdims=True) if lockstep",
+           ("tests/test_dispatch.py::test_policies_differ_on_imbalanced_sets",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("lane-rows-fill-from-stored", "lanes past the width read the last stored item",
+           "src/sparseaccel/dispatch.py",
+           "            return self._build(row, lane, *self.fills)\n",
+           "            return self._build(row, lane, *[c.item(row * self.width + self.width - 1)\n"
+           "                                            for c in self.columns])\n",
+           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+            "tests/test_sim.py::test_lanes_past_the_window_allocate_nothing")),
+    Mutant("lane-counts-tail-nonzero", "lanes past the width count one pair each",
+           "src/sparseaccel/dispatch.py",
+           "    fills = (0,)\n",
+           "    fills = (1,)\n",
            ("tests/test_sim.py::test_lanes_past_the_window_allocate_nothing",
             "tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick")),
-    Mutant("lane-counts-equal-at-any-lanes", "two busy-count sequences compare without their lanes",
+    Mutant("lane-counts-equal-at-any-lanes", "two lane sequences of the same columns "
+           "compare equal at any lane count",
            "src/sparseaccel/dispatch.py",
-           "            return self.lanes == other.lanes and all(a == b for a, b in pairs)\n",
-           "            return all(a == b for a, b in pairs)\n",
+           "            return len(self) == len(other) and all(\n",
+           "            return all(\n",
            ("tests/test_dispatch.py::test_lane_counts_compare_by_their_stored_counts",)),
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
@@ -592,6 +610,14 @@ MUTANTS = (
            '{sorted(action.choices)}")\n',
            "",
            ("tests/test_cli.py::test_config_errors_exit_2_without_a_traceback",)),
+    Mutant("gen-output-unchecked", "gen without an output path is a traceback, not exit 2",
+           "src/sparseaccel/cli.py",
+           "    if not args.out:\n"
+           '        raise ValidationError("gen needs an output path: -o/--out, or out in the config")\n',
+           "",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-gen-without-an-output]",
+            "tests/test_cli.py::test_gen_takes_out_from_the_config_and_the_flag_wins")),
     Mutant("atomic-write-leaks-oserror", "a report into a missing directory is a traceback",
            "src/sparseaccel/cli.py",
            "    except OSError as exc:\n"

@@ -141,6 +141,8 @@ def _synthetic(args) -> LayerData:
 
 
 def cmd_gen(args) -> int:
+    if not args.out:
+        raise ValidationError("gen needs an output path: -o/--out, or out in the config")
     data = _synthetic(args)
     data.layer_config()  # fail early on untileable geometry
     save_layer(args.out, data)
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic layer file")
     _add_synth_flags(p_gen)
-    p_gen.add_argument("-o", "--out", required=True, help="output .layer or .json path")
+    p_gen.add_argument("-o", "--out", help="output .layer or .json path")
     p_gen.add_argument("--config", help="flat key=value defaults file")
     p_gen.set_defaults(func=cmd_gen, parser=p_gen)
 

@@ -8,11 +8,12 @@ dispatcher drops those pairs too.
 
 The lane schedule lives here once, as one private value that the cycle
 model in `sim` builds too. Slot s of a window (its bricks in (fx, fy, depth
-brick) order) runs on lane s % lanes in brick set s // lanes. A window costs
-the sum of its brick-set maxima under lockstep, or its busiest lane's total
-under window sync; an empty brick costs one drain cycle under
-`EmptyBrickCost.ONE_CYCLE`. Lanes past a window's slot count never get a
-brick, so they get no column, and `LaneCounts` stores no busy count for them.
+brick) order) runs on lane s % lanes in brick set s // lanes; an empty brick
+costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`. Under lockstep every
+lane of a set waits for its slowest, so the set paces its lanes as one
+column of its maximum; under window sync each lane keeps its own cost. A
+window costs its busiest paced lane's total either way. Lanes past a
+window's slot count never get a brick, so they get no column.
 
 The walk is computed for the whole layer at once, over the stored pairs
 only. Every source hands over one front-packed pair table (`pair_table`:
@@ -21,10 +22,9 @@ dispatcher lists the stored pairs of every brick slot of every window as one
 flat list, CSR style: a slot whose brick is table row r holds the entries
 r * B + 0, 1, ... up to that row's pair count. It drops the pairs whose
 offset the product table marks dead and stamps each pair with its cycle:
-the window's start, plus the start of the brick set (lockstep) or of the
-brick within its lane (window sync), plus the pair's rank, its place in its
-brick. No (window, slot, offset) position is gathered, so time and memory
-follow the stored pairs.
+the window's start, plus the paced cycles of the earlier sets on its lane,
+plus the pair's rank, its place in its brick. No (window, slot, offset)
+position is gathered, so time and memory follow the stored pairs.
 
 `brick_pairs` gives one brick's pairs alone: its set mask bits in offset
 order with their values, whether the mask comes from a container or from the
@@ -37,11 +37,12 @@ fetch pointers count the brick loads per bank.
 
 Events carry a cycle stamp, the lane, and either a pair or an idle marker.
 A run has lanes x cycles of them, cycle-major and in lane order within a
-cycle. It keeps them as two columns over the (cycles x width) grid, width =
-min(lanes, slots), since no lane past the width ever gets a brick; those
-lanes read as idle. `DispatchEvent` objects are built only on access. Trace
-lines are ``cycle,lane,offset,value`` or ``cycle,lane,IDLE``; a trace of a
-run is read straight off its columns, a few cycles at a time.
+cycle. One padded sequence serves both the events and the busy counts: it
+stores columns over (rows x width), width = min(lanes, slots), and every
+lane past the width reads a fill, idle or 0. `DispatchEvent` objects are
+built only on access. Trace lines are ``cycle,lane,offset,value`` or
+``cycle,lane,IDLE``; a trace of a run is read straight off its columns, a
+few cycles at a time.
 """
 
 from __future__ import annotations
@@ -89,12 +90,21 @@ class DispatchEvent:
         return f"{self.cycle},{self.lane},{self.offset},{self.value}"
 
 
-class _ItemSequence(Sequence):
-    """A read-only sequence whose items are made on access: a subclass gives
-    `__len__` and `_item`, for an index already in range. It compares equal to
-    any sequence holding the same items."""
+class _PaddedRows(Sequence):
+    """A read-only sequence over (rows x lanes): one flat column per field over
+    (rows x width), every lane at or past the width reading the field's fill.
+    A subclass gives ``fills`` and `_build`, which makes an item on access.
+    Two of one class compare column by column, not item by item."""
 
-    __hash__ = None
+    fills: tuple[int, ...]
+
+    def __init__(self, columns: tuple[np.ndarray, ...], rows: int, lanes: int, width: int):
+        for column in columns:
+            column.flags.writeable = False
+        self.columns, self.rows, self.lanes, self.width = columns, rows, lanes, width
+
+    def __len__(self) -> int:
+        return self.rows * self.lanes
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -104,89 +114,68 @@ class _ItemSequence(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"index {index} outside a sequence of {len(self)}")
-        return self._item(i)
+        row, lane = divmod(i, self.lanes)
+        if lane >= self.width:
+            return self._build(row, lane, *self.fills)
+        return self._build(row, lane, *[c.item(row * self.width + lane) for c in self.columns])
+
+    def _padded(self, width: int) -> list[np.ndarray]:
+        """Each column over (rows x ``width``), the lanes past this width filled."""
+        pad = [(0, 0), (0, width - self.width)]
+        return [np.pad(column.reshape(self.rows, self.width), pad, constant_values=fill)
+                for column, fill in zip(self.columns, self.fills)]
 
     def __eq__(self, other):
+        if type(other) is type(self):
+            # at equal lengths, other lanes mean other rows: the shapes differ
+            width = max(self.width, other.width)
+            return len(self) == len(other) and all(
+                map(np.array_equal, self._padded(width), other._padded(width)))
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
 
-class EventColumns(_ItemSequence):
+class EventColumns(_PaddedRows):
     """A run's events as read-only offset and value columns.
 
     Event i is cycle i // lanes on lane i % lanes. The columns hold only the
     first ``width`` lanes of each cycle, row-major over (cycles x width);
     every lane at or past the width is idle. An offset of -1 marks an idle
     lane-cycle, whose value is 0. Indexing builds `DispatchEvent` objects on
-    demand, and the columns compare equal to any sequence holding the same
-    events: to other columns column by column, over the wider width.
+    demand.
     """
 
+    fills = (-1, 0)
+
     def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int, width: int):
-        offsets.flags.writeable = False
-        values.flags.writeable = False
-        self.offsets = offsets
-        self.values = values
-        self.lanes = lanes
-        self.width = width
+        super().__init__((offsets, values), len(offsets) // width, lanes, width)
+        self.offsets, self.values = offsets, values
 
-    def __len__(self) -> int:
-        return len(self.offsets) // self.width * self.lanes
-
-    def _item(self, i: int) -> DispatchEvent:
-        cycle, lane = divmod(i, self.lanes)
-        if lane < self.width:
-            at = cycle * self.width + lane
-            offset = int(self.offsets[at])
-            if offset >= 0:
-                return DispatchEvent(cycle, lane, offset, int(self.values[at]))
-        return DispatchEvent(cycle, lane)
-
-    def _columns(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cycles x ``width``) offsets and values, the lanes past this run's
-        width idle."""
-        pad = [(0, 0), (0, width - self.width)]
-        return (np.pad(self.offsets.reshape(-1, self.width), pad, constant_values=-1),
-                np.pad(self.values.reshape(-1, self.width), pad))
-
-    def __eq__(self, other):
-        if isinstance(other, EventColumns):
-            # at other lane counts the same index is another (cycle, lane)
-            if (self.lanes, len(self)) != (other.lanes, len(other)):
-                return len(self) == len(other) == 0
-            width = max(self.width, other.width)
-            return all(map(np.array_equal, self._columns(width), other._columns(width)))
-        return super().__eq__(other)
+    def _build(self, cycle: int, lane: int, offset: int, value: int) -> DispatchEvent:
+        if offset < 0:
+            return DispatchEvent(cycle, lane)
+        return DispatchEvent(cycle, lane, offset, value)
 
     def __repr__(self) -> str:
-        return f"EventColumns(lanes={self.lanes}, cycles={len(self) // self.lanes})"
+        return f"EventColumns(lanes={self.lanes}, cycles={self.rows})"
 
 
-class LaneCounts(_ItemSequence):
-    """One count per lane, read-only: the stored ``counts`` of the first
-    lanes, then 0 for every lane past them, which never gets a brick. Two of
-    them compare by lane count and stored counts, not lane by lane."""
+class LaneCounts(_PaddedRows):
+    """One count per lane, read-only: one row of the stored ``counts`` of the
+    first lanes, then 0 for every lane past them."""
+
+    fills = (0,)
 
     def __init__(self, counts: np.ndarray, lanes: int):
-        self.counts = tuple(counts.tolist())
-        self.lanes = lanes
+        super().__init__((counts,), 1, lanes, len(counts))
+        self.counts = counts
 
-    def __len__(self) -> int:
-        return self.lanes
-
-    def _item(self, i: int) -> int:
-        return self.counts[i] if i < len(self.counts) else 0
-
-    def __eq__(self, other):
-        if isinstance(other, LaneCounts):
-            # the lanes past the stored counts read 0 on either side
-            pairs = itertools.zip_longest(self.counts, other.counts, fillvalue=0)
-            return self.lanes == other.lanes and all(a == b for a, b in pairs)
-        return super().__eq__(other)
+    def _build(self, row: int, lane: int, count: int) -> int:
+        return count
 
     def __repr__(self) -> str:
-        return f"LaneCounts(lanes={self.lanes}, counts={self.counts})"
+        return f"LaneCounts(lanes={self.lanes}, counts={tuple(self.counts.tolist())})"
 
 
 def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
@@ -281,14 +270,15 @@ class _Schedule:
     holds the (..., sets, width) cycles per brick set and lane, width =
     min(lanes, slots): the drained costs, padded with free slots and reshaped,
     so slot s is in set s // width on lane s % width, which is s % lanes for
-    every slot. Off it are read each window's cycles, their total and each
-    slot's start; ``busy`` holds the pairs each of the ``width`` lanes sends."""
+    every slot. ``paced`` is the cycles a set holds each lane: ``grid`` under
+    window sync, one column of set maxima under lockstep. Off it are read each
+    window's cycles, their total and each slot's start; ``busy`` holds the
+    pairs each of the ``width`` lanes sends."""
 
     def __init__(self, sent: np.ndarray, lanes: int, policy: SyncPolicy,
                  empty_brick: EmptyBrickCost):
         self.slots = slots = sent.shape[-1]
         self.width = width = min(lanes, slots)
-        self.lockstep = policy is SyncPolicy.BRICKSET_LOCKSTEP
 
         def by_set(a, floor=0):  # every slot at least ``floor``, every padded slot 0
             out = np.zeros(a.shape[:-1] + (-(-slots // width) * width,), np.int64)
@@ -296,19 +286,15 @@ class _Schedule:
             return out.reshape(a.shape[:-1] + (-1, width))
 
         self.grid = by_set(sent, 1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)
-        if self.lockstep:
-            self.window_cycles = self.grid.max(axis=-1).sum(axis=-1)
-        else:
-            self.window_cycles = self.grid.sum(axis=-2).max(axis=-1)
+        lockstep = policy is SyncPolicy.BRICKSET_LOCKSTEP
+        self.paced = self.grid.max(axis=-1, keepdims=True) if lockstep else self.grid
+        self.window_cycles = self.paced.sum(axis=-2).max(axis=-1)
         self.cycles = int(self.window_cycles.sum())
         self.busy = by_set(sent.reshape(-1, slots).sum(axis=0, dtype=np.int64)).sum(axis=0)
 
     def slot_starts(self) -> np.ndarray:
         """Each slot's first cycle within its window."""
-        if self.lockstep:
-            starts = np.repeat(_exclusive_cumsum(self.grid.max(axis=-1), -1), self.width, axis=-1)
-        else:
-            starts = _exclusive_cumsum(self.grid, -2)
+        starts = np.broadcast_to(_exclusive_cumsum(self.paced, -2), self.grid.shape)
         return starts.reshape(self.grid.shape[:-2] + (-1,))[..., :self.slots]
 
 

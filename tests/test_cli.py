@@ -74,6 +74,18 @@ def test_gen_requires_geometry(tmp_path):
     assert run_cli("gen", "-o", str(tmp_path / "x.layer")) == 2
 
 
+def test_gen_takes_out_from_the_config_and_the_flag_wins(tmp_path):
+    from_config, from_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"dims = 4x4x16\nfilters = 2x1x1\nout = {from_config}\n")
+    assert run_cli("gen", "--config", str(cfg)) == 0
+    assert load_layer(from_config).acts.dims == (4, 4, 16)
+    from_config.unlink()
+    assert run_cli("gen", "--config", str(cfg), "-o", str(from_flag)) == 0
+    assert load_layer(from_flag).acts.dims == (4, 4, 16)
+    assert not from_config.exists()
+
+
 # -- run ------------------------------------------------------------------
 
 def test_run_fixture_reports(tmp_path):
@@ -556,6 +568,17 @@ def test_reports_into_a_missing_directory_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "missing").exists()
 
 
+def test_a_report_onto_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    """The directory exists, so the temp file is made beside it and only the
+    rename fails; the temp file is then removed."""
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--json-out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert taken.is_dir() and not list(tmp_path.glob(".tmp-report-*"))
+
+
 @pytest.mark.parametrize("flag", ["--json-out", "--csv-out"])
 def test_run_checks_report_directories_before_simulating(tmp_path, monkeypatch, capsys, flag):
     def must_not_run(*args, **kwargs):
@@ -683,6 +706,17 @@ def test_compare_merges_and_appends_geomean(tmp_path):
             speeds += [r["speedup"] for r in doc["rows"] if r["arch"] == arch]
         want = math.exp(sum(math.log(s) for s in speeds) / len(speeds))
         assert geo[arch] == pytest.approx(want)
+
+
+def test_compare_without_out_prints_the_csv_and_the_geomean(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"rows": [{"arch": "cnv", "speedup": 2.0}]}))
+    assert run_cli("compare", str(report)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = list(csv.reader(lines[:-1]))
+    assert table[0][:2] == ["source", "arch"]
+    assert [row[:2] for row in table[1:]] == [[str(report), "cnv"], ["geomean", "cnv"]]
+    assert lines[-1] == "geomean speedup cnv: 2.000000"
 
 
 def test_compare_rejects_bad_report(tmp_path):

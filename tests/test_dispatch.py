@@ -278,6 +278,18 @@ def test_lane_counts_compare_by_their_stored_counts():
     assert repr(short) == "LaneCounts(lanes=4, counts=(3, 1))"
 
 
+def test_lane_sequences_compare_only_with_sequences():
+    """A busy-count or event sequence equals no value that is not a
+    sequence, and names its shape in its repr."""
+    counts = dispatch.LaneCounts(np.array([3, 1]), lanes=4)
+    assert (counts == 3) is False and counts != object()
+    assert dispatch.LaneCounts(np.array([], dtype=np.int64), lanes=3) == [0, 0, 0]
+    events = EventColumns(np.array([3, -1], dtype=np.int32), np.array([5, 0], dtype=np.int16),
+                          lanes=3, width=1)
+    assert events != 3
+    assert repr(events) == "EventColumns(lanes=3, cycles=2)"
+
+
 def test_event_columns_span_only_the_lanes_that_get_a_brick():
     """A window of this layer has 18 bricks, so 32768 lanes keep (cycles x 18)
     columns and report every later lane idle. The layer is small enough that

@@ -6,7 +6,8 @@ import pytest
 
 import sparseaccel.cli as cli
 from sparseaccel import (ActTensor, FilterSet, Format, LayerConfig, TileConfig, ZERO,
-                         encode_store, offset_bits_for, run_cnv2, run_dispatch)
+                         encode_store, footprint_bits, offset_bits_for, run_cnv2,
+                         run_dispatch)
 from sparseaccel.errors import ConfigurationError
 
 ACTS = ActTensor(np.arange(8, dtype=np.int16).reshape(1, 2, 4))
@@ -36,6 +37,8 @@ CASES = {
                           lambda tmp: encode_store(Format.VIAI, np.ones((1, 1, 4)))),
     "empty-act-tensor": (ConfigurationError, "non-empty",
                          lambda tmp: ActTensor(np.zeros((0, 2, 4), dtype=np.int16))),
+    "footprint-not-a-format": (ConfigurationError, "unknown format",
+                               lambda tmp: footprint_bits("zfnaf", ACTS)),
     "offset-bits-brick-0": (ConfigurationError, "brick size must be at least 1",
                             lambda tmp: offset_bits_for(0)),
     "cnv2-without-weight-criterion": (
@@ -48,6 +51,8 @@ CASES = {
         2, "cannot read config",
         lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
                               "--config", str(tmp / "missing.cfg"), "-o", str(tmp / "x.layer")])),
+    "cli-gen-without-an-output": (
+        2, "-o/--out", lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1"])),
     "cli-gen-into-missing-directory": (
         2, "cannot write layer file",
         lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",

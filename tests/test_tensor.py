@@ -86,6 +86,13 @@ def test_filter_set_shape_accessors():
     assert (fs.fx, fs.fy, fs.i) == (3, 2, 8)
 
 
+def test_tensor_reprs_name_their_shapes():
+    acts = ActTensor.padded(np.zeros((2, 3, 5), dtype=np.int16), 4)
+    assert repr(acts) == "ActTensor(dims=(2, 3, 8), logical_i=5)"
+    filters = FilterSet(np.zeros((5, 3, 2, 8), dtype=np.int16))
+    assert repr(filters) == "FilterSet(count=5, dims=(3, 2, 8))"
+
+
 # -- layer geometry ------------------------------------------------------
 
 def test_layer_config_output_extent():
