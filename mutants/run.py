@@ -198,7 +198,7 @@ MUTANTS = (
            "src/sparseaccel/dispatch.py",
            "c.item(row * self.width + lane)",
            "c.item(row * self.lanes + lane)",
-           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+           ("tests/test_dispatch.py::test_padded_rows_read_like_a_list_on_seeded_cases",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop")),
     Mutant("event-columns-pad-as-sent", "columns compared at a wider width pad their "
            "extra lanes with 0, for events offset 0, a sent pair, not idle",
@@ -241,7 +241,15 @@ MUTANTS = (
            "        for cycle, (offs, vals) in enumerate(rows, c0):\n",
            "        for cycle, (offs, vals) in enumerate(rows):\n",
            ("tests/test_dispatch.py::test_format_trace_reads_the_columns_on_seeded_replays",)),
-    # -- the lane schedule, shared by the dispatcher and the cycle model -----
+    # -- the slot order and the lane schedule, shared with the cycle model ----
+    Mutant("slot-rows-stride-dropped", "a window's bricks start at (wx, wy), not at "
+           "(wx * stride, wy * stride)",
+           "src/sparseaccel/dispatch.py",
+           "    origin = (wx * layer.y + wy) * layer.stride * nb",
+           "    origin = (wx * layer.y + wy) * nb",
+           ("tests/test_dispatch.py::test_slot_rows_follow_the_brick_rule_on_seeded_layers",
+            "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("schedule-lane-by-set", "slot s runs on lane s // sets in set s % sets, "
            "filling one lane after another, not on lane s % lanes in set s // lanes",
            "src/sparseaccel/dispatch.py",
@@ -283,13 +291,21 @@ MUTANTS = (
            "self.grid.min(axis=-1, keepdims=True) if lockstep",
            ("tests/test_dispatch.py::test_policies_differ_on_imbalanced_sets",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
-    Mutant("lane-rows-fill-from-stored", "lanes past the width read the last stored item",
+    Mutant("lane-rows-fill-from-stored", "a lane past the width, read by its index, reads "
+           "its row's last stored item",
            "src/sparseaccel/dispatch.py",
-           "            return self._build(row, lane, *self.fills)\n",
-           "            return self._build(row, lane, *[c.item(row * self.width + self.width - 1)\n"
-           "                                            for c in self.columns])\n",
-           ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
+           "        fields = (self.fills if lane >= self.width\n",
+           "        fields = ([c.item((row + 1) * self.width - 1) for c in self.columns]\n"
+           "                  if lane >= self.width\n",
+           ("tests/test_dispatch.py::test_padded_rows_read_like_a_list_on_seeded_cases",
             "tests/test_sim.py::test_lanes_past_the_window_allocate_nothing")),
+    Mutant("lane-rows-iterate-without-fills", "iteration and forward slices stop each row at "
+           "the width, skipping the lanes past it",
+           "src/sparseaccel/dispatch.py",
+           "itertools.repeat(fill, tail)",
+           "itertools.repeat(fill, 0)",
+           ("tests/test_dispatch.py::test_padded_rows_read_like_a_list_on_seeded_cases",
+            "tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick")),
     Mutant("lane-counts-tail-nonzero", "lanes past the width count one pair each",
            "src/sparseaccel/dispatch.py",
            "    fills = (0,)\n",
@@ -310,12 +326,8 @@ MUTANTS = (
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
            "src/sparseaccel/sim.py",
-           "    eff = act_crit.effectual(acts.values)\n"
-           "    windows = sliding_window_view(\n"
-           "        eff.reshape(",
-           "    eff = act_crit.effectual(acts.values)\n"
-           "    windows = sliding_window_view(\n"
-           "        (acts.values != 0).reshape(",
+           "    bits, rows = eff.reshape(-1, b), _slot_rows(layer, nb)",
+           "    bits, rows = (acts.values != 0).reshape(-1, b), _slot_rows(layer, nb)",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("cnv2-weight-criterion-optional", "cnv2 without a weight criterion reports "
            "cnv's counters as cnv2",

@@ -6,25 +6,30 @@ one pair per cycle per lane. In weight-aware mode a product table marks
 offsets whose weights are ineffectual in every resident filter, and the
 dispatcher drops those pairs too.
 
-The lane schedule lives here once, as one private value that the cycle
-model in `sim` builds too. Slot s of a window (its bricks in (fx, fy, depth
-brick) order) runs on lane s % lanes in brick set s // lanes; an empty brick
-costs one drain cycle under `EmptyBrickCost.ONE_CYCLE`. Under lockstep every
-lane of a set waits for its slowest, so the set paces its lanes as one
-column of its maximum; under window sync each lane keeps its own cost. A
-window costs its busiest paced lane's total either way. Lanes past a
-window's slot count never get a brick, so they get no column.
+The slot order and the lane schedule live here once, and the cycle model in
+`sim` uses both. `_slot_rows` is the one statement of the slot order: the
+pair-table row of the brick in every (window, slot), a window's slots being
+its bricks in (fx, fy, depth brick) order; the dispatcher lists its pairs
+by those rows, and the cycle model gathers its per-brick costs by them. The
+schedule is one private value. Slot s runs on lane s % lanes in brick
+set s // lanes; an empty brick costs one drain cycle under
+`EmptyBrickCost.ONE_CYCLE`. Under lockstep every lane of a set waits for
+its slowest, so the set paces its lanes as one column of its maximum; under
+window sync each lane keeps its own cost. A window costs its busiest paced
+lane's total either way. Lanes past a window's slot count never get a
+brick, so they get no column.
 
 The walk is computed for the whole layer at once, over the stored pairs
 only. Every source hands over one front-packed pair table (`pair_table`:
 per-brick offsets, values and pair counts, in (x, y, brick) order). The
-dispatcher lists the stored pairs of every brick slot of every window as one
-flat list, CSR style: a slot whose brick is table row r holds the entries
-r * B + 0, 1, ... up to that row's pair count. It drops the pairs whose
-offset the product table marks dead and stamps each pair with its cycle:
-the window's start, plus the paced cycles of the earlier sets on its lane,
-plus the pair's rank, its place in its brick. No (window, slot, offset)
-position is gathered, so time and memory follow the stored pairs.
+dispatcher lists the stored pairs of every brick slot of every window as
+one flat list, CSR style, in `_slot_rows` order: a slot whose brick is
+table row r holds the entries r * B + 0, 1, ... up to that row's pair
+count. It drops the pairs whose offset the product table marks dead and
+stamps each pair with its cycle: the window's start, plus the paced cycles
+of the earlier sets on its lane, plus the pair's rank, its place in its
+brick. No (window, slot, offset) position is gathered, so time and memory
+follow the stored pairs.
 
 `brick_pairs` gives one brick's pairs alone: its set mask bits in offset
 order with their values, whether the mask comes from a container or from the
@@ -93,8 +98,11 @@ class DispatchEvent:
 class _PaddedRows(Sequence):
     """A read-only sequence over (rows x lanes): one flat column per field over
     (rows x width), every lane at or past the width reading the field's fill.
-    A subclass gives ``fills`` and `_build`, which makes an item on access.
-    Two of one class compare column by column, not item by item."""
+    A subclass gives ``fills`` and `_items(row, lane, *fields)`, which makes
+    on access the items of a row's lanes from ``lane`` on out of each field's
+    values over those lanes. Iteration and forward slices read a row's stored
+    lanes with one ``tolist()`` per column. Two of one class compare column
+    by column, not item by item."""
 
     fills: tuple[int, ...]
 
@@ -108,16 +116,34 @@ class _PaddedRows(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            start, stop, step = index.indices(len(self))
+            if step > 0:
+                return list(itertools.islice(self, start, stop, step))
+            return [self[i] for i in range(start, stop, step)]
         i = operator.index(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"index {index} outside a sequence of {len(self)}")
         row, lane = divmod(i, self.lanes)
-        if lane >= self.width:
-            return self._build(row, lane, *self.fills)
-        return self._build(row, lane, *[c.item(row * self.width + lane) for c in self.columns])
+        fields = (self.fills if lane >= self.width
+                  else [c.item(row * self.width + lane) for c in self.columns])
+        return next(self._items(row, lane, *[(field,) for field in fields]))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(self._row, range(self.rows)))
+
+    def _row(self, row: int):
+        cut, tail = slice(row * self.width, (row + 1) * self.width), self.lanes - self.width
+        return self._items(row, 0, *[itertools.chain(c[cut].tolist(), itertools.repeat(fill, tail))
+                                     for c, fill in zip(self.columns, self.fills)])
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        start, stop, _ = slice(start, stop).indices(len(self))
+        for i, item in enumerate(itertools.islice(self, start, stop), start):
+            if item is value or item == value:
+                return i
+        raise ValueError(f"{value!r} is not in the sequence")
 
     def _padded(self, width: int) -> list[np.ndarray]:
         """Each column over (rows x ``width``), the lanes past this width filled."""
@@ -136,6 +162,10 @@ class _PaddedRows(Sequence):
         return NotImplemented
 
 
+def _event(cycle: int, lane: int, offset: int, value: int) -> DispatchEvent:
+    return DispatchEvent(cycle, lane) if offset < 0 else DispatchEvent(cycle, lane, offset, value)
+
+
 class EventColumns(_PaddedRows):
     """A run's events as read-only offset and value columns.
 
@@ -152,10 +182,8 @@ class EventColumns(_PaddedRows):
         super().__init__((offsets, values), len(offsets) // width, lanes, width)
         self.offsets, self.values = offsets, values
 
-    def _build(self, cycle: int, lane: int, offset: int, value: int) -> DispatchEvent:
-        if offset < 0:
-            return DispatchEvent(cycle, lane)
-        return DispatchEvent(cycle, lane, offset, value)
+    def _items(self, cycle: int, lane: int, offsets, values):
+        return map(_event, itertools.repeat(cycle), itertools.count(lane), offsets, values)
 
     def __repr__(self) -> str:
         return f"EventColumns(lanes={self.lanes}, cycles={self.rows})"
@@ -171,8 +199,8 @@ class LaneCounts(_PaddedRows):
         super().__init__((counts,), 1, lanes, len(counts))
         self.counts = counts
 
-    def _build(self, row: int, lane: int, count: int) -> int:
-        return count
+    def _items(self, row: int, lane: int, counts):
+        return iter(counts)
 
     def __repr__(self) -> str:
         return f"LaneCounts(lanes={self.lanes}, counts={tuple(self.counts.tolist())})"
@@ -305,17 +333,21 @@ def _runs(first: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
     return out
 
 
-def _stored_pairs(table, layer: LayerConfig, nb: int, brick: int):
-    """Offsets and values of the stored pairs of every (window, slot), one flat
-    list in slot order (slots in (fx, fy, depth brick) order), and the
-    (windows, slots) pair counts. A slot whose brick is pair-table row r holds
-    the table entries r * brick + 0, 1, ..."""
-    offsets, values, counts = table
+def _slot_rows(layer: LayerConfig, nb: int) -> np.ndarray:
+    """The slot order, stated once: the (windows, slots) pair-table rows of each
+    window's bricks in (fx, fy, depth brick) order, windows in (x, y) order."""
     fx, fy, ib = np.unravel_index(np.arange(layer.fx * layer.fy * nb), (layer.fx, layer.fy, nb))
     wx, wy = np.unravel_index(np.arange(layer.ox * layer.oy), (layer.ox, layer.oy))
-    x = wx[:, None] * layer.stride + fx
-    y = wy[:, None] * layer.stride + fy
-    rows = (x * layer.y + y) * nb + ib
+    origin = (wx * layer.y + wy) * layer.stride * nb  # row of brick (wx * stride, wy * stride, 0)
+    return origin[:, None] + ((fx * layer.y + fy) * nb + ib)
+
+
+def _stored_pairs(table, layer: LayerConfig, nb: int, brick: int):
+    """Offsets and values of the stored pairs of every (window, slot), one flat
+    list in `_slot_rows` order, and the (windows, slots) pair counts. A slot
+    whose brick is pair-table row r holds the table entries r * brick + 0, 1, ..."""
+    offsets, values, counts = table
+    rows = _slot_rows(layer, nb)
     stored = counts[rows]
     pair = _runs(rows.reshape(-1) * brick, stored.reshape(-1))
     return offsets.reshape(-1)[pair], values.reshape(-1)[pair], stored

@@ -6,7 +6,10 @@ processes every position of every window. The cnv machine skips activations
 the criterion classifies ineffectual. The cnv2 machine additionally skips
 positions whose weights are ineffectual in every filter of the resident
 group, so its per-brick work is the count of offsets that survive both
-tests. Every machine turns per-brick work into cycles and lane busy counts
+tests. The skippers' per-brick work is each input brick's effectual count
+(for cnv2, after its group's weight products), gathered by the dispatcher's
+slot rows (`dispatch._slot_rows`), so both walk a window's bricks in one
+order. Every machine turns per-brick work into cycles and lane busy counts
 through the dispatcher's lane schedule (`dispatch`), the same one
 `run_dispatch` stamps its events with: the skippers once per pass, the
 baseline once for a window of one position per slot.
@@ -23,9 +26,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .dispatch import EmptyBrickCost, LaneCounts, SyncPolicy, _require_enum, _Schedule
+from .dispatch import EmptyBrickCost, LaneCounts, SyncPolicy, _require_enum, _Schedule, _slot_rows
 from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
@@ -144,12 +146,14 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
                   plain: np.ndarray | None = None) -> tuple[np.ndarray, CycleReport, bool]:
     """The cnv/cnv2 pipeline: skip mask, then per-brick cost, then sync reduction.
 
-    The skip mask is the activation criterion's effectual bits in each
-    window's bricks; for cnv2 each filter group also drops the offsets its
-    `weight_product_table` marks dead. A brick costs its surviving offsets,
-    a pass costs the group maximum of each brick, and the lane schedule
-    turns that into cycles. Without weight products every pass walks the
-    same costs, so cnv reduces them once and repeats the result per pass.
+    Costs are each input brick's effectual count gathered by the
+    dispatcher's slot rows (`_slot_rows`), in its (windows, slots) order:
+    cnv sums each brick's effectual bits once and gathers the counts; cnv2
+    gathers the bits once per call, and each filter group drops the offsets
+    its `weight_product_table` marks dead before counting. A pass costs the
+    group maximum of each slot, and the lane schedule turns that into
+    cycles. Without weight products every pass walks the same costs, so cnv
+    reduces them once and repeats the result per pass.
 
     The output is one convolution of the effectual activations with each
     filter's weights zeroed where its group skips; when that zeroes no
@@ -160,28 +164,26 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     layer.check_tensors(acts, filters)
     b, nb = tile.brick, layer.check_brick(tile.brick)
     eff = act_crit.effectual(acts.values)
-    windows = sliding_window_view(
-        eff.reshape(layer.x, layer.y, nb, b), (layer.fx, layer.fy, nb, b)
-    )[::layer.stride, ::layer.stride, 0, 0]  # (ox, oy, fx, fy, nb, b)
+    bits, rows = eff.reshape(-1, b), _slot_rows(layer, nb)  # (windows, slots) brick rows
 
     weights = filters.values
     passes, repeat = _pass_ranges(layer.f, tile.resident), 1
     step = tile.filters_per_tile if tile.group_scope is GroupScope.PER_TILE else tile.resident
     if arch == "cnv":
         passes, repeat, step = [(0, layer.f)], len(passes), layer.f
+        costs = bits.sum(axis=-1, dtype=np.int64)[rows]  # each brick's count, gathered
     else:
-        weights = weights.copy()
+        weights, windows = weights.copy(), bits[rows]  # (windows, slots, b)
+    del rows  # not held through the group loop and conv3d
     cycles = performed = broadcasts = busy = 0
     for lo, hi in passes:
         pass_costs = None  # running maximum of the group costs
         for glo in range(lo, hi, step):
             ghi = min(glo + step, hi)
-            keep = windows
             if arch == "cnv2":
                 dead = weight_product_table(filters, weight_crit, b, glo, ghi)
                 weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
-                keep = windows & ~dead
-            costs = keep.sum(axis=-1, dtype=np.int64).reshape(layer.ox, layer.oy, -1)
+                costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=np.int64)
             sent = int(costs.sum())
             broadcasts += repeat * sent
             performed += sent * (ghi - glo)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
                          run_dispatch, stream_brick, weight_product_table, write_trace,
                          Format, brick_at, load_layer)
-from sparseaccel import dispatch
+from sparseaccel import dispatch, tensor
 from sparseaccel.dispatch import EventColumns
 from sparseaccel.errors import BoundsError, ConfigurationError, FormatError
 
@@ -510,6 +511,84 @@ def test_events_index_like_a_list():
         got.offsets[0] = 3  # the columns are read-only
 
 
+def padded_case(integer, choice):
+    """A `LaneCounts` or `EventColumns` over 1-9 lanes, of which 0-9 (at
+    least 1 for events) are stored, and every item it holds restated from its
+    columns and fills."""
+    lanes = integer(1, 9)
+    rng = np.random.default_rng(integer(0, 2**32 - 1))
+    if choice([False, True]):
+        width = integer(0, lanes)
+        seq = dispatch.LaneCounts(rng.integers(0, 3, width), lanes)
+        return seq, seq.counts.tolist() + [0] * (lanes - width)
+    width, cycles = integer(1, lanes), integer(0, 3)
+    offsets = rng.integers(-1, 3, cycles * width).astype(np.int32)
+    values = np.where(offsets < 0, 0, rng.integers(-3, 4, cycles * width)).astype(np.int16)
+    want = []
+    for cycle in range(cycles):
+        for lane in range(lanes):
+            at = cycle * width + lane
+            if lane < width and offsets[at] >= 0:
+                want.append(DispatchEvent(cycle, lane, int(offsets[at]), int(values[at])))
+            else:
+                want.append(DispatchEvent(cycle, lane))
+    return EventColumns(offsets, values, lanes, width), want
+
+
+def slice_picks(integer, choice, n):
+    """Ten slices of a sequence of ``n``: bounds past either end, steps of
+    either sign."""
+    def bound():
+        return choice([None, integer(-n - 2, n + 2)])
+    return [slice(bound(), bound(), choice([None, integer(-3, -1), integer(1, 3)]))
+            for _ in range(10)]
+
+
+def index_outcome(seq, item, start, stop):
+    try:
+        return seq.index(item, start, stop)
+    except ValueError:
+        return ValueError
+
+
+def assert_padded_rows_read_like_a_list(integer, choice):
+    """Indexing, slicing, iteration, ``in``, ``count`` and ``index`` of a
+    padded sequence give what they give on the list of its items."""
+    seq, want = padded_case(integer, choice)
+    n = len(want)
+    assert len(seq) == n and list(seq) == want
+    assert [seq[i] for i in range(-n, n)] == want + want
+    for sl in slice_picks(integer, choice, n):
+        assert seq[sl] == want[sl], sl
+        item = choice(want + [0, 2, DispatchEvent(0, 0)])
+        assert (item in seq, seq.count(item)) == (item in want, want.count(item))
+        assert index_outcome(seq, item, sl.start or 0, sl.stop) == \
+            index_outcome(want, item, sl.start or 0, sl.stop if sl.stop is not None else n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_padded_rows_read_like_a_list(data):
+    assert_padded_rows_read_like_a_list(*hypothesis_picks(data.draw))
+
+
+def test_padded_rows_read_like_a_list_on_seeded_cases():
+    """The property above on a fixed set of sequences."""
+    seeded_cases(assert_padded_rows_read_like_a_list, seed=19, n=200)
+
+
+def test_padded_rows_read_past_the_width_in_bulk():
+    """Reading 2^20 lanes of which 18 are stored makes one object per lane
+    and no call per lane: slices, iteration and the sequence mixins take
+    about 30 ms each on 2 vCPUs, where they took 1.0-1.8 s item by item."""
+    lanes = 1 << 20
+    busy = dispatch.LaneCounts(np.arange(1, 19), lanes)
+    start = time.perf_counter()
+    assert not any(busy[18:]) and busy.count(0) == lanes - 18
+    assert busy == list(busy) and 19 not in busy and busy.index(0, 5) == 18
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("wide_offsets, wide_values, equal", [
     ([3, -1, -1, -1, -1, -1], [5, 0, 0, 0, 0, 0], True),  # lanes 1 and 2 idle throughout
     ([3, -1, -1, -1, 2, -1], [5, 0, 0, 0, 7, 0], False),  # lane 1 sends in cycle 1
@@ -524,6 +603,28 @@ def test_event_columns_compare_by_columns_across_widths(wide_offsets, wide_value
                         np.array(wide_values, dtype=np.int16), lanes=3, width=3)
     assert (narrow == wide, wide == narrow) == (equal, equal)
     assert (narrow == list(wide), list(narrow) == wide) == (equal, equal)
+
+
+# -- the slot order, shared with the cycle model -----------------------------
+
+def slot_rows_case(integer, choice):
+    """A layer of stride 1-3, 1-3 x 1-3 windows, fx != fy and 1-4 depth bricks."""
+    brick, stride, nb = choice([1, 3, 4]), integer(1, 3), integer(1, 4)
+    fx = integer(1, 3)
+    fy = choice([n for n in (1, 2, 3) if n != fx])
+    x, y = fx + stride * integer(0, 2), fy + stride * integer(0, 2)
+    return LayerConfig(x, y, nb * brick, fx, fy, 1, stride), brick
+
+
+def test_slot_rows_follow_the_brick_rule_on_seeded_layers():
+    """Window (wx, wy) reads, in (fx, fy, depth brick) order, the bricks at
+    (wx * stride + fx, wy * stride + fy), each at its `_brick_row`."""
+    for layer, brick in seeded_cases(slot_rows_case, seed=3, n=150):
+        nb, dims = layer.i // brick, (layer.x, layer.y, layer.i)
+        want = [[tensor._brick_row(dims, brick, wx * layer.stride + fx, wy * layer.stride + fy, ib)
+                 for fx in range(layer.fx) for fy in range(layer.fy) for ib in range(nb)]
+                for wx in range(layer.ox) for wy in range(layer.oy)]
+        assert dispatch._slot_rows(layer, nb).tolist() == want, (layer, brick)
 
 
 # -- standing agreement with the cycle model ---------------------------------
