@@ -52,14 +52,14 @@ MUTANTS = (
            "src/sparseaccel/tensor.py",
            '    if brick < 1:\n'
            '        raise ConfigurationError(f"brick size must be at least 1, got {brick}")\n'
-           '    return -(-depth // brick) * brick\n',
-           '    return -(-depth // brick) * brick\n',
+           '    return brick\n',
+           '    return brick\n',
            ("tests/test_tensor.py::test_brick_sizes_below_one_are_configuration_errors",
             "tests/test_tensor.py::test_pad_depth")),
     Mutant("padded-depth-floor", "the depth is rounded down to a brick multiple",
            "src/sparseaccel/tensor.py",
-           "    return -(-depth // brick) * brick\n",
-           "    return depth // brick * brick\n",
+           "    return -(-depth // _brick_size(brick)) * brick\n",
+           "    return depth // _brick_size(brick) * brick\n",
            ("tests/test_tensor.py::test_pad_depth",
             "tests/test_workloads.py::test_brick_padding_is_bounded_by_the_depth")),
     Mutant("save-layer-skips-header-check", "the writer ignores the loaders' header rule",
@@ -158,6 +158,15 @@ MUTANTS = (
            "    start = np.cumsum(schedule.window_cycles, 0)[:, None]",
            ("tests/test_dispatch.py::test_lockstep_trace_two_sets",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
+    Mutant("dispatch-lanes-accept-bools", "the dispatcher checks its lane count by value "
+           "alone, so a bool or a float gets past it",
+           "src/sparseaccel/dispatch.py",
+           '    _positive_int(lanes, "lane count", ConfigurationError)\n',
+           "    if lanes < 1:\n"
+           '        raise ConfigurationError(f"lane count must be at least 1, got {lanes}")\n',
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[dispatch-bool-lanes]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2")),
     Mutant("dispatch-drain-ignored", "an empty brick never costs its drain cycle",
            "src/sparseaccel/dispatch.py",
            "        self.grid = by_set(sent, 1 if empty_brick is EmptyBrickCost.ONE_CYCLE else 0)\n",
@@ -391,10 +400,16 @@ MUTANTS = (
     # -- codecs --------------------------------------------------------------
     Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
            "src/sparseaccel/encodings.py",
-           "self.packed[(self.ir.reshape(-1, 1) + rank)[live]]",
-           "self.packed[(0 * self.ir.reshape(-1, 1) + rank)[live]]",
+           "self.packed[(self.ir[:, None] + rank)[live]]",
+           "self.packed[(0 * self.ir[:, None] + rank)[live]]",
            ("tests/test_dispatch.py::test_sources_agree_on_sparse_tensor",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
+    Mutant("stream-tags-shifted", "ZFNAf and RoE swap stream tags",
+           "src/sparseaccel/encodings.py",
+           "_STREAM_TAGS = (Format.RAW, Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)\n",
+           "_STREAM_TAGS = (Format.RAW, Format.ROE, Format.ZFNAF, Format.VIAI, Format.CVIAI)\n",
+           ("tests/test_encodings.py::test_zfnaf_golden_bytes",
+            "tests/test_encodings.py::test_roe_encoded_golden")),
     Mutant("ints-lsb-first", "the field reader takes the planes LSB first",
            "src/sparseaccel/encodings.py",
            "        out |= bits[..., k]\n",
@@ -409,9 +424,7 @@ MUTANTS = (
             "tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement_at_the_roe_fit")),
     Mutant("offset-bits-no-lower-bound", "a brick of 0 gets a 1-bit offset",
            "src/sparseaccel/encodings.py",
-           "    if brick < 1:\n"
-           '        raise ConfigurationError(f"brick size must be at least 1, got {brick}")\n'
-           "    return (brick - 1).bit_length()\n",
+           "    return (_brick_size(brick) - 1).bit_length()\n",
            "    return (brick - 1).bit_length()\n",
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
     Mutant("roe-view-raw-pairs", "a raw-mode RoE view lists its B raw pairs",
@@ -492,7 +505,7 @@ MUTANTS = (
             "tests/test_encodings.py::test_cviai_bytes_roundtrip_and_population_check")),
     Mutant("cviai-ir-unchecked", "CVIAI IR pointers off the prefix sums load",
            "src/sparseaccel/encodings.py",
-           "        if not np.array_equal(ir, _pointers(masks, brick)):\n"
+           "        if not np.array_equal(ir, _pointers(masks)):\n"
            '            raise FormatError("IR pointers differ from the prefix sums of the mask '
            'populations")\n',
            "",

@@ -37,7 +37,8 @@ from .dispatch import EmptyBrickCost, SyncPolicy
 from .sim import CycleReport, TileConfig, _run_machines
 from .sparsity import GroupScope, IneffCriterion
 from .tensor import LayerConfig
-from .workloads import LayerData, SyntheticSpec, gen_synthetic, load_layer, save_layer
+from .workloads import (LayerData, SyntheticSpec, _logical_views, gen_synthetic, load_layer,
+                        save_layer)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -146,8 +147,7 @@ def cmd_gen(args) -> int:
     data = _synthetic(args)
     data.layer_config()  # fail early on untileable geometry
     save_layer(args.out, data)
-    a = data.acts.values[:, :, :data.acts.logical_i]
-    w = data.filters.values[:, :, :, :data.filters.logical_i]
+    a, w = _logical_views(data)
     print(f"wrote {args.out}")
     print(f"activations: {a.size} values, {int((a == 0).sum())} zero "
           f"({100.0 * (a == 0).mean():.1f}%)")

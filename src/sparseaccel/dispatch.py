@@ -63,7 +63,7 @@ import numpy as np
 from .encodings import _front_pack, _mask_pairs
 from .errors import ConfigurationError, FormatError
 from .sparsity import ZERO, IneffCriterion, effectual_mask
-from .tensor import ActTensor, LayerConfig, brick_at
+from .tensor import ActTensor, LayerConfig, _exclusive_cumsum, _positive_int, brick_at
 
 
 class SyncPolicy(enum.Enum):
@@ -281,10 +281,6 @@ def _source_geometry(source) -> tuple[tuple[int, int, int], int]:
     return tuple(dims), int(brick)
 
 
-def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
-    return np.cumsum(a, axis=axis) - a
-
-
 def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
     """Refuse a plain value where the code branches on enum identity."""
     if not isinstance(value, kind):
@@ -389,8 +385,7 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
     nb = layer.check_brick(brick)
     _require_enum(policy, SyncPolicy, "policy")
     _require_enum(empty_brick_cost, EmptyBrickCost, "empty_brick_cost")
-    if lanes < 1:
-        raise ConfigurationError(f"lane count must be at least 1, got {lanes}")
+    _positive_int(lanes, "lane count", ConfigurationError)
     if prod_table is not None:
         prod_table = np.asarray(prod_table, dtype=bool)
         if prod_table.shape != (layer.fx, layer.fy, nb, brick):

@@ -17,10 +17,10 @@ VIAI    Values stay in place; a B-bit mask (bit = 1 means effectual, offset 0
         first) is prepended. B + B*16 bits per brick.
 
 CVIAI   VIAI masks plus only the effectual values, packed tensor-wide into
-        one pool. A per-brick indirection array IR of shape (X, Y, I/B)
-        holds each brick's start offset into the pool; pointers are
-        ceil(log2(pool_size + 1)) bits wide and never decrease in brick
-        traversal order.
+        one pool. The indirection array IR holds one pointer per brick
+        row, in (x, y, brick) order: the brick's start offset into the
+        pool. Pointers are ceil(log2(pool_size + 1)) bits wide and never
+        decrease.
 
 Bit packing is MSB first in field declaration order and serialized streams
 are big endian. Values are two's complement 16-bit. Every criterion
@@ -53,16 +53,15 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, TruncatedError, ValidationError
 from .sparsity import ZERO, IneffCriterion, _KINDS
-from .tensor import ActTensor, Brick, _as_int16, _brick_row, pad_depth
+from .tensor import (ActTensor, Brick, _as_int16, _brick_row, _brick_size, _exclusive_cumsum,
+                     _int_array, pad_depth)
 
 VALUE_BITS = 16
 
 
 def offset_bits_for(brick: int) -> int:
     """Bits needed to address an offset within a brick of the given size."""
-    if brick < 1:
-        raise ConfigurationError(f"brick size must be at least 1, got {brick}")
-    return (brick - 1).bit_length()
+    return (_brick_size(brick) - 1).bit_length()
 
 
 def pointer_bits_for(pool_size: int) -> int:
@@ -137,17 +136,11 @@ class Format(enum.Enum):
 
     @property
     def tag(self) -> int:
-        return _FORMAT_TAGS[self]
+        return _STREAM_TAGS.index(self)
 
 
-_FORMAT_TAGS = {
-    Format.RAW: 0,
-    Format.ZFNAF: 1,
-    Format.ROE: 2,
-    Format.VIAI: 3,
-    Format.CVIAI: 4,
-}
-_TAG_FORMATS = {v: k for k, v in _FORMAT_TAGS.items()}
+# a format's stream tag is its index here
+_STREAM_TAGS = (Format.RAW, Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)
 
 
 @dataclass(frozen=True)
@@ -195,11 +188,7 @@ def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
     """Normalize to a depth-padded (X, Y, I) integer array plus logical depth."""
     if isinstance(acts, ActTensor):
         return pad_depth(acts.values, brick), acts.logical_i
-    arr = np.asarray(acts)
-    if arr.ndim != 3 or arr.size == 0:
-        raise ConfigurationError(f"expected a non-empty 3-D tensor, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ConfigurationError(f"expected an integer tensor, got dtype {arr.dtype}")
+    arr = _int_array(acts, 3, "activation tensor")
     return pad_depth(arr, brick), arr.shape[2]
 
 
@@ -210,7 +199,7 @@ def _unpack_header(data: bytes) -> tuple[Format, int, int, int, int, int, IneffC
     if len(data) < _HEADER.size:
         raise TruncatedError(f"stream of {len(data)} bytes is shorter than the header")
     tag, x, y, i, logical_i, brick, kind, param = _HEADER.unpack_from(data)
-    if tag not in _TAG_FORMATS:
+    if tag >= len(_STREAM_TAGS):
         raise FormatError(f"unknown format tag {tag}")
     if kind >= len(_KINDS):
         raise FormatError(f"unknown criterion tag {kind}")
@@ -225,7 +214,7 @@ def _unpack_header(data: bytes) -> tuple[Format, int, int, int, int, int, IneffC
         raise FormatError(f"depth {i} is not a multiple of brick size {brick}")
     if not 1 <= logical_i <= i:
         raise FormatError(f"logical depth {logical_i} outside [1, {i}]")
-    return _TAG_FORMATS[tag], x, y, i, logical_i, brick, crit, data[_HEADER.size:]
+    return _STREAM_TAGS[tag], x, y, i, logical_i, brick, crit, data[_HEADER.size:]
 
 
 class _Store:
@@ -443,10 +432,9 @@ class ViaiStore(_Store):
         return cls(*meta, bits[:, :brick].astype(bool), values)
 
 
-def _pointers(masks: np.ndarray, brick: int) -> np.ndarray:
-    """Exclusive prefix sum of the per-brick mask populations."""
-    counts = masks.reshape(-1, brick).sum(axis=1, dtype=np.int64)
-    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+def _pointers(masks: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of the (bricks, B) masks' row populations."""
+    return _exclusive_cumsum(masks.sum(axis=1, dtype=np.int64), 0)
 
 
 class CviaiStore(_Store):
@@ -458,9 +446,9 @@ class CviaiStore(_Store):
                  crit: IneffCriterion, masks: np.ndarray, packed: np.ndarray,
                  ir: np.ndarray):
         super().__init__(dims, logical_i, brick, crit)
-        self.masks = masks      # (X, Y, I/B, B) bool
+        self.masks = masks      # (bricks, B) bool, one row per brick in (x, y, brick) order
         self.packed = packed    # (n_effectual,) int16
-        self.ir = ir            # (X, Y, I/B) int64 start offsets into packed
+        self.ir = ir            # (bricks,) int64: each brick row's start offset into packed
 
     @property
     def pointer_bits(self) -> int:
@@ -468,16 +456,12 @@ class CviaiStore(_Store):
 
     @classmethod
     def _from_values(cls, meta, vals, keep):
-        (x, y, depth), brick = meta[0], meta[2]
-        shape = (x, y, depth // brick)
-        return cls(*meta, keep.reshape(shape + (brick,)), vals[keep],
-                   _pointers(keep, brick).reshape(shape))
+        return cls(*meta, keep, vals[keep], _pointers(keep))
 
     def fetch(self, x: int, y: int, ib: int) -> tuple[np.ndarray, np.ndarray]:
         """Mask and packed effectual values of one brick, via the IR pointer."""
-        self._index(x, y, ib)
-        mask = self.masks[x, y, ib]
-        start = int(self.ir[x, y, ib])
+        k = self._index(x, y, ib)
+        mask, start = self.masks[k], int(self.ir[k])
         return mask.copy(), self.packed[start : start + int(mask.sum())].copy()
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
@@ -487,12 +471,11 @@ class CviaiStore(_Store):
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Front-packed offsets, values and counts of every brick; the value
         of a brick's pair of rank r is read through IR as ``packed[ir + r]``."""
-        masks = self.masks.reshape(-1, self.brick)
-        offsets, _, counts = _front_pack(masks, masks)
+        offsets, _, counts = _front_pack(self.masks, self.masks)
         rank = np.arange(self.brick)
         live = rank < counts[:, None]
-        values = np.zeros(masks.shape, dtype=np.int16)
-        values[live] = self.packed[(self.ir.reshape(-1, 1) + rank)[live]]
+        values = np.zeros(self.masks.shape, dtype=np.int16)
+        values[live] = self.packed[(self.ir[:, None] + rank)[live]]
         return offsets, values, counts
 
     def decode(self) -> np.ndarray:
@@ -512,17 +495,16 @@ class CviaiStore(_Store):
         if len(body) < 8:
             raise TruncatedError("stream ends before the pool size field")
         (pool,) = struct.unpack_from(">Q", body)
-        (x, y, i), brick = meta[0], meta[2]
+        brick = meta[2]
         bits = _unpack(body[8:], _container_bits(cls.format, n, brick, pool))
-        masks, bits = bits[: n * brick].astype(bool), bits[n * brick:]
+        masks, bits = bits[: n * brick].reshape(n, brick).astype(bool), bits[n * brick:]
         if int(masks.sum()) != pool:
             raise FormatError(f"mask population {int(masks.sum())} != declared pool size {pool}")
         packed = _ints(bits[: pool * VALUE_BITS].reshape(pool, VALUE_BITS)).astype(np.int16)
         ir = _ints(bits[pool * VALUE_BITS:].reshape(n, pointer_bits_for(pool)))
-        if not np.array_equal(ir, _pointers(masks, brick)):
+        if not np.array_equal(ir, _pointers(masks)):
             raise FormatError("IR pointers differ from the prefix sums of the mask populations")
-        shape = (x, y, i // brick)
-        return cls(*meta, masks.reshape(shape + (brick,)), packed, ir.reshape(shape))
+        return cls(*meta, masks, packed, ir)
 
 
 encode_cviai = CviaiStore.encode  # values pack in (x, y, brick) traversal order

@@ -28,15 +28,21 @@ INT16_MIN = -(1 << 15)
 INT16_MAX = (1 << 15) - 1
 
 
-def _int16_with_peak(values, ndim: int, what: str) -> tuple[np.ndarray, int]:
-    """``values`` as a C-contiguous int16 array, and their largest magnitude."""
+def _int_array(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as an array, refused unless ``ndim``-D, non-empty and integer."""
     arr = np.asarray(values)
     if arr.ndim != ndim:
         raise ConfigurationError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ConfigurationError(f"{what} must be non-empty, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        raise ConfigurationError(f"{what} must hold integers, got dtype {arr.dtype}")
+        raise ConfigurationError(f"{what} must be an integer tensor, got dtype {arr.dtype}")
+    return arr
+
+
+def _int16_with_peak(values, ndim: int, what: str) -> tuple[np.ndarray, int]:
+    """``values`` as a C-contiguous int16 array, and their largest magnitude."""
+    arr = _int_array(values, ndim, what)
     lo, hi = int(arr.min()), int(arr.max())
     if lo < INT16_MIN or hi > INT16_MAX:
         raise ConfigurationError(
@@ -49,19 +55,32 @@ def _as_int16(values, ndim: int, what: str) -> np.ndarray:
     return _int16_with_peak(values, ndim, what)[0]
 
 
+def _positive_int(value, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``value`` is an int of at least 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{what} must be at least 1 and an int, not a bool, got {value!r}")
+
+
 def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
-    """Raise ``error`` unless every named field of ``obj`` is a positive int (not a bool)."""
+    """Raise ``error`` unless every named field of ``obj`` is a `_positive_int`."""
     for name in names:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise error(f"{what} field {name} must be a positive int, got {v!r}")
+        _positive_int(getattr(obj, name), f"{what} field {name}", error)
+
+
+def _brick_size(brick: int) -> int:
+    """``brick``; ConfigurationError unless it is at least 1."""
+    if brick < 1:
+        raise ConfigurationError(f"brick size must be at least 1, got {brick}")
+    return brick
 
 
 def _padded_depth(depth: int, brick: int) -> int:
     """``depth`` zero padded up to a brick multiple: ceil(depth / brick) * brick."""
-    if brick < 1:
-        raise ConfigurationError(f"brick size must be at least 1, got {brick}")
-    return -(-depth // brick) * brick
+    return -(-depth // _brick_size(brick)) * brick
+
+
+def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
+    return np.cumsum(a, axis=axis) - a
 
 
 def _depth_bricks(depth: int, brick: int) -> int:

@@ -280,7 +280,7 @@ def test_cviai_ir_is_monotone_and_consistent():
     assert (np.diff(flat_ir) >= 0).all()
     assert flat_ir[0] == 0
     # every pointer equals the count of effectual values before its brick
-    counts = store.masks.sum(axis=3).reshape(-1)
+    counts = store.masks.sum(axis=-1).reshape(-1)
     assert np.array_equal(flat_ir, np.concatenate(([0], np.cumsum(counts)[:-1])))
     for (x, y, ib) in [(0, 0, 0), (1, 2, 1), (2, 3, 1)]:
         mask, vals = store.fetch(x, y, ib)

@@ -1,9 +1,11 @@
 """Every mutant of the mutation audit (`mutants/run.py`) still applies: its
 old text occurs exactly once in its file, and every test it names exists.
-The audit itself takes minutes; this finds a moved line in the suite."""
+The audit itself takes minutes; this finds a moved line in the suite. The
+README's count of killed mutants is the audit's count."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -36,3 +38,8 @@ def test_every_named_killer_exists():
             if name.split("[")[0] not in defined[path]:
                 missing.append(f"{m.name}: {test}")
     assert missing == []
+
+
+def test_readme_counts_every_mutant():
+    counts = re.findall(r"All\s+(\d+)\s+are\s+killed", (ROOT / "README.md").read_text())
+    assert counts == [str(len(_mutants()))]

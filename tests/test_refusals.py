@@ -27,6 +27,10 @@ class _NoPairTable:
 CASES = {
     "dispatch-zero-lanes": (ConfigurationError, "lane count must be at least 1",
                             lambda tmp: run_dispatch(_store(), LAYER, lanes=0)),
+    "dispatch-bool-lanes": (ConfigurationError, "lane count must be at least 1",
+                            lambda tmp: run_dispatch(_store(), LAYER, lanes=True)),
+    "dispatch-float-lanes": (ConfigurationError, "lane count must be at least 1",
+                             lambda tmp: run_dispatch(_store(), LAYER, lanes=2.5)),
     "dispatch-not-a-source": (ConfigurationError, "does not expose dims, brick and pair_table",
                               lambda tmp: run_dispatch(_NoPairTable(), LAYER, lanes=2)),
     "store-raw-format": (ConfigurationError, "cannot build an encoded store",
