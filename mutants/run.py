@@ -141,10 +141,17 @@ MUTANTS = (
            ("tests/test_workloads.py::test_load_layer_rejects_trailing_bytes",)),
     Mutant("generator-counter-from-lo", "each chunk's counters start at n, not n + 1",
            "src/sparseaccel/workloads.py",
-           "    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
-           "    n = np.arange(lo, hi, dtype=np.uint64)\n",
+           "        counters = np.arange(lo + 1, hi + 1, dtype=np.uint64)\n",
+           "        counters = np.arange(lo, hi, dtype=np.uint64)\n",
            ("tests/test_workloads.py::test_generator_matches_the_restated_stream_across_small_chunks",
             "tests/test_workloads.py::test_generator_matches_the_restated_stream_across_real_chunks")),
+    Mutant("draw-value-counter-shifted", "kept positions read the value word at counter n, "
+           "not n + 1",
+           "src/sparseaccel/workloads.py",
+           "_words(value_base, counters[kept])",
+           "_words(value_base, counters[kept] - np.uint64(1))",
+           ("tests/test_workloads.py::test_generator_matches_the_restated_stream_across_small_chunks",
+            "tests/test_workloads.py::test_generator_is_pinned")),
     # -- the dispatcher ------------------------------------------------------
     Mutant("dispatch-rank-off-by-one", "every pair is sent one cycle late",
            "src/sparseaccel/dispatch.py",
@@ -614,6 +621,19 @@ MUTANTS = (
            "(w[glo:ghi].any(axis=0) & ~keep).any()",
            "(~keep).any()",
            ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
+    Mutant("compare-fail-row-in-geomean", "compare counts a FAIL row's speedup and exits 0",
+           "src/sparseaccel/cli.py",
+           '            if row.get("verdict", "PASS") != "PASS":\n'
+           '                failed.append(f"{path} {row[\'arch\']}")\n'
+           "                continue\n",
+           "",
+           ("tests/test_cli.py::test_compare_keeps_fail_rows_out_of_the_geomean_and_exits_3",)),
+    Mutant("compare-any-schema-version", "compare merges a report of any schema_version",
+           "src/sparseaccel/cli.py",
+           "        if type(version) is not int or version != SCHEMA_VERSION:\n",
+           "        if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-unknown-schema]",)),
     Mutant("config-overrides-flags", "a config value overrides an explicit flag",
            "src/sparseaccel/cli.py",
            "            args = parser.parse_args(argv)\n",

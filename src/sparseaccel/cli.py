@@ -5,10 +5,11 @@ Subcommands:
     run      simulate one layer on the selected architectures and write
              JSON/CSV reports
     compare  merge run reports into one CSV and append geometric-mean
-             speedup rows
+             speedup rows over the rows whose verdict passed
 
 Exit codes: 0 success, 2 invalid input (bad parameters, malformed files,
-impossible geometry), 3 functional equivalence failure during a run.
+impossible geometry), 3 functional equivalence failure during a run, or a
+FAIL row in a report `compare` merges.
 
 A config file is a flat ``key = value`` text file mirroring the long flag
 names (dashes or underscores). Each value is converted by its flag's type
@@ -403,7 +404,11 @@ def _mergeable(row) -> bool:
 
 
 def cmd_compare(args) -> int:
+    """Merge reports: a stated `schema_version` must be this one (rows-only
+    documents state none), and a row with a verdict other than PASS is merged,
+    left out of the geomean, and makes the exit status 3, as in `run`."""
     merged: list[dict] = []
+    failed: list[str] = []
     speedups: dict[str, list[float]] = {}
     for path in args.reports:
         try:
@@ -412,6 +417,10 @@ def cmd_compare(args) -> int:
             rows = doc["rows"]
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from None
+        version = doc.get("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValidationError(f"cannot read report {path}: schema_version {version!r}, "
+                                  f"expected {SCHEMA_VERSION}")
         if not isinstance(rows, list) or not all(map(_mergeable, rows)):
             raise ValidationError(f"cannot read report {path}: rows must be objects with a "
                                   "string arch and numeric or null speedup and utilization")
@@ -419,6 +428,9 @@ def cmd_compare(args) -> int:
             entry = {"source": path}
             entry.update(row)
             merged.append(entry)
+            if row.get("verdict", "PASS") != "PASS":
+                failed.append(f"{path} {row['arch']}")
+                continue
             sp = row.get("speedup")
             if row.get("arch") != "baseline" and isinstance(sp, (int, float)) and sp > 0:
                 speedups.setdefault(row["arch"], []).append(float(sp))
@@ -438,6 +450,10 @@ def cmd_compare(args) -> int:
         print(text, end="")
     for row in geo_rows:
         print(f"geomean speedup {row['arch']}: {row['speedup']:.6f}")
+    if failed:
+        print(f"functional equivalence FAILED, left out of the geomean: {', '.join(failed)}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -152,13 +151,16 @@ class FootprintReport:
     raw_bits: int
 
     @property
-    def overhead(self) -> Fraction:
-        """(total - raw) / raw as an exact ratio; negative means compression."""
+    def overhead(self):
+        """(total - raw) / raw as an exact `fractions.Fraction`; negative means
+        compression."""
+        from fractions import Fraction  # only here: importing the package skips it
         return Fraction(self.total_bits - self.raw_bits, self.raw_bits)
 
     @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.total_bits, self.raw_bits)
+    def ratio(self):
+        """total / raw as an exact `fractions.Fraction`."""
+        return self.overhead + 1
 
 
 def _container_bits(fmt: Format, n_bricks: int, brick: int, kept: int = 0) -> int:

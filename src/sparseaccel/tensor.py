@@ -52,7 +52,11 @@ def _int16_with_peak(values, ndim: int, what: str) -> tuple[np.ndarray, int]:
 
 
 def _as_int16(values, ndim: int, what: str) -> np.ndarray:
-    return _int16_with_peak(values, ndim, what)[0]
+    """``values`` as a C-contiguous int16 array; only other dtypes need a range pass."""
+    arr = _int_array(values, ndim, what)
+    if arr.dtype == np.int16:
+        return np.ascontiguousarray(arr)
+    return _int16_with_peak(arr, ndim, what)[0]
 
 
 def _positive_int(value, what: str, error: type[Exception]) -> None:

@@ -12,9 +12,11 @@ Four fixed salts separate the activation-zero, activation-value,
 weight-zero, and weight-value streams; n counts positions in C order. A
 position is zeroed when the top 53 bits of its zero-stream word fall below
 round(p * 2**53), and nonzero values map a value-stream word onto the range
-with zero excluded. Streams are drawn in fixed chunks of counters into one
-int16 array, so generating a layer never holds a whole-tensor uint64
-temporary; the chunking does not change a single value.
+with zero excluded. A word depends on its counter alone, so the value
+stream is evaluated only at the kept (nonzero) positions' counters.
+Streams are drawn in fixed chunks of counters into one int16 array, so
+generating a layer never holds a whole-tensor uint64 temporary; neither
+the chunking nor the skipped value words change a single value.
 
 The binary ``.layer`` container is little endian: magic "CNVL", a u16
 version, the activation and filter dimensions at their logical (unpadded)
@@ -33,7 +35,6 @@ the same header rule, so it never writes a file the loaders refuse.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -70,10 +71,9 @@ def _stream_base(seed: int, salt: int) -> np.uint64:
     return _mix(np.array([np.uint64((seed ^ salt) & 0xFFFFFFFFFFFFFFFF)]))[0]
 
 
-def _words(base: np.uint64, lo: int, hi: int) -> np.ndarray:
-    """Words of one stream for positions n in [lo, hi): counters n + 1."""
-    n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    return _mix(base + n * _GOLDEN)
+def _words(base: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """Words of one stream at uint64 ``counters``; position n's counter is n + 1."""
+    return _mix(base + counters * _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,17 @@ def _draw(seed: int, zero_salt: int, value_salt: int, count: int,
     span = vmax - vmin + 1
     skip_zero = vmin <= 0 <= vmax
     nonzero_span = np.uint64(span - 1 if skip_zero else span)
-    out = np.empty(count, dtype=np.int16)
+    out = np.zeros(count, dtype=np.int16)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        zero = (_words(zero_base, lo, hi) >> np.uint64(11)) < threshold
-        vals = vmin + (_words(value_base, lo, hi) % nonzero_span).astype(np.int64)
+        counters = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        kept = np.flatnonzero((_words(zero_base, counters) >> np.uint64(11)) >= threshold)
+        words = _words(value_base, counters[kept])
+        # words % span: numpy divides by a scalar much faster than it takes a remainder
+        vals = vmin + (words - words // nonzero_span * nonzero_span).astype(np.int64)
         if skip_zero:
             vals += vals >= 0  # skip over 0 in the range
-        vals[zero] = 0
-        out[lo:hi] = vals
+        out[lo + kept] = vals
     return out
 
 
@@ -264,6 +266,7 @@ def _layer_data(path, dims, filters, stride: int, brick: int, acts: np.ndarray,
 
 
 def _save_json(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> None:
+    import json  # only the JSON variant needs it; importing the package skips it
     doc = {
         "format": _MAGIC.decode(),
         "version": _VERSION,
@@ -303,6 +306,7 @@ def _json_ints(path, key: str, value, dtype: type, count: int | None = None) -> 
 
 
 def _load_json(path) -> LayerData:
+    import json
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -719,6 +719,21 @@ def test_compare_without_out_prints_the_csv_and_the_geomean(tmp_path, capsys):
     assert lines[-1] == "geomean speedup cnv: 2.000000"
 
 
+def test_compare_keeps_fail_rows_out_of_the_geomean_and_exits_3(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    rows = [{"arch": "cnv", "speedup": 2.0, "verdict": "PASS"},
+            {"arch": "cnv", "speedup": 9.0, "verdict": "FAIL"},
+            {"arch": "cnv2", "speedup": 4.0}]  # no verdict: counts as passing
+    report.write_text(json.dumps({"schema_version": cli.SCHEMA_VERSION, "rows": rows}))
+    assert run_cli("compare", str(report)) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    table = list(csv.reader(lines[:-2]))
+    assert [row[1] for row in table[1:]] == ["cnv", "cnv", "cnv2", "cnv", "cnv2"]
+    assert lines[-2:] == ["geomean speedup cnv: 2.000000", "geomean speedup cnv2: 4.000000"]
+    assert f"{report} cnv" in err and "cnv2" not in err and "Traceback" not in err
+
+
 def test_compare_rejects_bad_report(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")

@@ -1,6 +1,8 @@
 """Refusals at the package's entry points, one case each: every call raises
 its `SparseAccelError` subclass, and every CLI case exits 2."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def _store():
 
 class _NoPairTable:
     dims, brick = ACTS.dims, 4
+
+
+def _compare(tmp, doc) -> int:
+    report = tmp / "report.json"
+    report.write_text(json.dumps(doc))
+    return cli.main(["compare", str(report)])
 
 
 CASES = {
@@ -61,6 +69,10 @@ CASES = {
         2, "cannot write layer file",
         lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
                               "-o", str(tmp / "missing" / "x.layer")])),
+    "cli-compare-unknown-schema": (
+        2, "schema_version 99",
+        lambda tmp: _compare(tmp, {"schema_version": 99,
+                                   "rows": [{"arch": "cnv", "speedup": 2.0}]})),
 }
 
 

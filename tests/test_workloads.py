@@ -1,7 +1,11 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,9 @@ def assert_matches_slow_draw(spec: SyntheticSpec) -> None:
     dict(x=4, y=4, i=6, f=3, fx=1, fy=2, vmin=2, vmax=9, p_act_zero=0.9, seed=2**64 - 1),
     dict(x=2, y=9, i=3, f=8, fx=2, fy=2, vmin=-32768, vmax=32767, p_wt_zero=1.0, seed=12),
     dict(x=5, y=5, i=1, f=1, fx=5, fy=5, vmin=-9, vmax=-1, p_act_zero=0.25, seed=3),
+    dict(x=3, y=3, i=3, f=3, fx=3, fy=1, vmin=1, vmax=3, p_wt_zero=1.0, seed=5),
+    dict(x=2, y=4, i=3, f=2, fx=2, fy=2, vmin=0, vmax=4, p_act_zero=1.0, seed=6),
+    dict(x=4, y=2, i=3, f=4, fx=1, fy=2, vmin=-1, vmax=1, seed=9),
 ])
 def test_generator_matches_the_restated_stream_across_small_chunks(monkeypatch, spec):
     monkeypatch.setattr(workloads, "_CHUNK", 7)
@@ -129,6 +136,20 @@ def test_generator_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_importing_the_package_loads_no_json_or_fractions():
+    # only `.json` layer files and exact footprint ratios use these; a
+    # fresh `import sparseaccel` after numpy must not pay for them
+    code = ("import sys, numpy; before = set(sys.modules); import sparseaccel; "
+            "print(sorted({'json', 'fractions', 'decimal'} & (set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_generator_pads_depth():
