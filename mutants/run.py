@@ -50,12 +50,25 @@ MUTANTS = (
     # -- geometry rules ------------------------------------------------------
     Mutant("brick-size-no-lower-bound", "a brick below 1 is not refused",
            "src/sparseaccel/tensor.py",
-           '    if brick < 1:\n'
-           '        raise ConfigurationError(f"brick size must be at least 1, got {brick}")\n'
-           '    return brick\n',
+           '    return _positive_int(brick, "brick size", ConfigurationError)\n',
            '    return brick\n',
            ("tests/test_tensor.py::test_brick_sizes_below_one_are_configuration_errors",
             "tests/test_tensor.py::test_pad_depth")),
+    Mutant("int-rule-accepts-bools", "the integer rule takes True as 1",
+           "src/sparseaccel/tensor.py",
+           "    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))\n",
+           "    if (not isinstance(value, (int, np.integer))\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[store-bool-brick]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2")),
+    Mutant("criterion-param-kept-as-numpy", "a numpy parameter is checked but kept, so "
+           "pow2 with an int16 16 wraps its bound to -1",
+           "src/sparseaccel/sparsity.py",
+           '        object.__setattr__(self, "param", _int_in(self.param, 0, _PARAM_MAX[self.kind],\n'
+           '                                                  f"{self.kind} parameter", ValidationError))\n',
+           '        _int_in(self.param, 0, _PARAM_MAX[self.kind], f"{self.kind} parameter",\n'
+           '                ValidationError)\n',
+           ("tests/test_sparsity.py::test_a_numpy_integer_parameter_is_the_same_int",)),
     Mutant("padded-depth-floor", "the depth is rounded down to a brick multiple",
            "src/sparseaccel/tensor.py",
            "    return -(-depth // _brick_size(brick)) * brick\n",
@@ -224,9 +237,9 @@ MUTANTS = (
            ("tests/test_dispatch.py::test_event_columns_compare_by_columns_across_widths",)),
     Mutant("raw-source-unbounded", "the raw source reads a brick without the bounds rule",
            "src/sparseaccel/dispatch.py",
-           "        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)\n",
+           "        return stream_brick(self.acts.values.reshape(-1, self.brick)[self._index(x, y, ib)],\n",
            "        base = ib * self.brick\n"
-           "        return stream_brick(self.acts.values[x, y, base:base + self.brick], self.crit)\n",
+           "        return stream_brick(self.acts.values[x, y, base:base + self.brick],\n",
            ("tests/test_dispatch.py::test_every_source_refuses_a_brick_outside_the_tensor",)),
     Mutant("lane-stream-range-unchecked", "a lane outside 0..lanes-1 reads other lanes' pairs",
            "src/sparseaccel/dispatch.py",
@@ -235,8 +248,14 @@ MUTANTS = (
            "",
            ("tests/test_dispatch.py::test_event_columns_span_only_the_lanes_that_get_a_brick",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
-    Mutant("enum-check-removed", "a plain string falls through to the other policy",
+    Mutant("dispatch-accepts-any-source", "the dispatcher takes any object as a source",
            "src/sparseaccel/dispatch.py",
+           "    if not isinstance(source, _ActSource):\n",
+           "    if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[dispatch-not-a-source]",)),
+    Mutant("enum-check-removed", "a plain string falls through to the other policy",
+           "src/sparseaccel/tensor.py",
            "    if not isinstance(value, kind):\n"
            '        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")\n',
            "",
@@ -480,10 +499,16 @@ MUTANTS = (
            ("tests/test_encodings.py::test_decoders_reject_zero_dims",)),
     Mutant("decoder-logical-depth", "a logical depth outside [1, I] loads",
            "src/sparseaccel/encodings.py",
-           "    if not 1 <= logical_i <= i:\n"
-           '        raise FormatError(f"logical depth {logical_i} outside [1, {i}]")\n',
+           '    _int_in(logical_i, 1, i, "logical depth", FormatError)\n',
            "",
            ("tests/test_encodings.py::test_decoders_reject_logical_depth_outside_depth",)),
+    Mutant("viai-mask-unchecked", "a VIAI mask that differs from the criterion's bits loads",
+           "src/sparseaccel/encodings.py",
+           "        if not np.array_equal(masks, meta[3].effectual(values)):\n",
+           "        if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[viai-mask-bit-flipped]",
+            "tests/test_encodings.py::test_accepted_viai_streams_are_the_encoders_bytes")),
     Mutant("decoder-offsets-not-rising", "pair offsets that do not rise strictly load",
            "src/sparseaccel/encodings.py",
            "    if ((np.diff(offsets, axis=1) <= 0) & live[:, 1:]).any():\n"

@@ -355,16 +355,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _json_safe(row: dict) -> dict:
-    out = dict(row)
-    if isinstance(out.get("speedup"), float) and math.isinf(out["speedup"]):
-        out["speedup"] = None
-    return out
-
-
 def _report_json(doc: dict) -> str:
-    doc = dict(doc, rows=[_json_safe(r) for r in doc["rows"]])
-    return json.dumps(doc, indent=1) + "\n"
+    """The report as JSON text; an infinite speedup is written as null."""
+    rows = [dict(r) for r in doc["rows"]]
+    for row in rows:
+        if isinstance(row.get("speedup"), float) and math.isinf(row["speedup"]):
+            row["speedup"] = None
+    return json.dumps(dict(doc, rows=rows), indent=1) + "\n"
 
 
 def _format_cell(key: str, value) -> str:
@@ -377,16 +374,17 @@ def _format_cell(key: str, value) -> str:
     return str(value)
 
 
-def _report_csv(rows: list[dict], columns=REPORT_COLUMNS, extra: list[dict] | None = None) -> str:
+def _report_csv(rows: list[dict], columns=REPORT_COLUMNS) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in rows + (extra or []):
+    for row in rows:
         writer.writerow([_format_cell(c, row.get(c)) for c in columns])
     return buf.getvalue()
 
 
-def _print_table(rows: list[dict], columns=REPORT_COLUMNS) -> None:
+def _print_table(rows: list[dict]) -> None:
+    columns = REPORT_COLUMNS
     cells = [[_format_cell(c, r.get(c)) or "-" for c in columns] for r in rows]
     widths = [max(len(c), *(len(row[j]) for row in cells)) if cells else len(c)
               for j, c in enumerate(columns)]
@@ -441,8 +439,7 @@ def cmd_compare(args) -> int:
         geo = math.exp(sum(math.log(v) for v in vals) / len(vals))
         geo_rows.append({"source": "geomean", "arch": arch, "speedup": geo})
 
-    columns = ("source",) + REPORT_COLUMNS
-    text = _report_csv(merged, columns=columns, extra=geo_rows)
+    text = _report_csv(merged + geo_rows, columns=("source",) + REPORT_COLUMNS)
     if args.out:
         _atomic_write(args.out, text)
         print(f"wrote {args.out}")

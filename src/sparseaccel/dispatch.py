@@ -60,10 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import _front_pack, _mask_pairs
+from .encodings import _ActSource, _front_pack, _mask_pairs
 from .errors import ConfigurationError, FormatError
-from .sparsity import ZERO, IneffCriterion, effectual_mask
-from .tensor import ActTensor, LayerConfig, _exclusive_cumsum, _positive_int, brick_at
+from .sparsity import ZERO, IneffCriterion, _brick_values
+from .tensor import ActTensor, LayerConfig, _exclusive_cumsum, _positive_int, _require_enum
 
 
 class SyncPolicy(enum.Enum):
@@ -212,11 +212,11 @@ def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
     Models the leading-one scan over the comparator outputs, which sends the
     set bits lowest first: the same pairs an encoded store hands over.
     """
-    values = np.asarray(getattr(brick, "values", brick))
-    return _mask_pairs(effectual_mask(values, crit), values)
+    values = _brick_values(brick)
+    return _mask_pairs(crit.effectual(values), values)
 
 
-class RawDispatchSource:
+class RawDispatchSource(_ActSource):
     """Detection-at-fetch source: a dense tensor plus a criterion.
 
     Presents the same `brick_pairs` and `pair_table` interface as the
@@ -225,17 +225,13 @@ class RawDispatchSource:
     """
 
     def __init__(self, acts: ActTensor, crit: IneffCriterion = ZERO, brick: int = 16):
-        acts.brick_count(brick)
+        super().__init__(acts.dims, acts.logical_i, brick, crit)
+        acts.brick_count(self.brick)
         self.acts = acts
-        self.crit = crit
-        self.brick = brick
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.acts.dims
 
     def brick_pairs(self, x: int, y: int, ib: int) -> list[tuple[int, int]]:
-        return stream_brick(brick_at(self.acts, x, y, ib, self.brick), self.crit)
+        return stream_brick(self.acts.values.reshape(-1, self.brick)[self._index(x, y, ib)],
+                            self.crit)
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Front-packed pairs of every brick, the comparators run over the whole tensor."""
@@ -268,23 +264,6 @@ class DispatchRun:
         sent = offsets >= 0
         values = self.events.values[lane::width]
         return list(zip(offsets[sent].tolist(), values[sent].tolist()))
-
-
-def _source_geometry(source) -> tuple[tuple[int, int, int], int]:
-    dims = getattr(source, "dims", None)
-    brick = getattr(source, "brick", None)
-    if dims is None or brick is None or not hasattr(source, "pair_table"):
-        raise ConfigurationError(
-            f"{type(source).__name__} does not expose dims, brick and pair_table; "
-            "expected an encoded store or RawDispatchSource"
-        )
-    return tuple(dims), int(brick)
-
-
-def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
-    """Refuse a plain value where the code branches on enum identity."""
-    if not isinstance(value, kind):
-        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 # -- the lane schedule, shared with the cycle model --------------------------
@@ -378,10 +357,13 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
         total cycles, the broadcast count (non-idle events) and the brick
         fetches per activation memory bank.
     """
-    dims, brick = _source_geometry(source)
-    if dims != (layer.x, layer.y, layer.i):
-        raise FormatError(f"source dims {dims} do not match layer "
+    if not isinstance(source, _ActSource):
+        raise ConfigurationError(f"{type(source).__name__} does not expose dims, brick and "
+                                 "pair_table; expected an encoded store or RawDispatchSource")
+    if source.dims != (layer.x, layer.y, layer.i):
+        raise FormatError(f"source dims {source.dims} do not match layer "
                           f"({layer.x}, {layer.y}, {layer.i})")
+    brick = source.brick
     nb = layer.check_brick(brick)
     _require_enum(policy, SyncPolicy, "policy")
     _require_enum(empty_brick_cost, EmptyBrickCost, "empty_brick_cost")

@@ -14,7 +14,8 @@ RoE     One mode bit per brick. Mode 1 stores k (offset, value) pairs, chosen
         container always occupies 1 + B*16 bits.
 
 VIAI    Values stay in place; a B-bit mask (bit = 1 means effectual, offset 0
-        first) is prepended. B + B*16 bits per brick.
+        first) is prepended. B + B*16 bits per brick. The decoder refuses a
+        mask other than the header criterion's effectual bits of the values.
 
 CVIAI   VIAI masks plus only the effectual values, packed tensor-wide into
         one pool. The indirection array IR holds one pointer per brick
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, TruncatedError, ValidationError
 from .sparsity import ZERO, IneffCriterion, _KINDS
 from .tensor import (ActTensor, Brick, _as_int16, _brick_row, _brick_size, _exclusive_cumsum,
-                     _int_array, pad_depth)
+                     _int_array, _int_in, pad_depth)
 
 VALUE_BITS = 16
 
@@ -214,26 +215,20 @@ def _unpack_header(data: bytes) -> tuple[Format, int, int, int, int, int, IneffC
                           f"brick {brick}")
     if i % brick != 0:
         raise FormatError(f"depth {i} is not a multiple of brick size {brick}")
-    if not 1 <= logical_i <= i:
-        raise FormatError(f"logical depth {logical_i} outside [1, {i}]")
+    _int_in(logical_i, 1, i, "logical depth", FormatError)
     return _STREAM_TAGS[tag], x, y, i, logical_i, brick, crit, data[_HEADER.size:]
 
 
-class _Store:
-    """Shape bookkeeping, header and footprint shared by the four stores.
-
-    Subclasses build themselves from a (bricks, B) value matrix and its
-    effectuality mask (`_from_values`), write their payload (`_body`) and
-    read it back (`_read`), each as whole-array operations.
-    """
-
-    format: Format = None  # set by subclasses
+class _ActSource:
+    """An activation source the dispatcher reads: dims, logical depth, brick,
+    criterion, and `_index`, a brick's pair-table row (BoundsError outside the
+    tensor). `brick_pairs` and `pair_table` read the pairs by separate paths."""
 
     def __init__(self, dims: tuple[int, int, int], logical_i: int, brick: int,
                  crit: IneffCriterion):
         self.x, self.y, self.i = dims
         self.logical_i = logical_i
-        self.brick = brick
+        self.brick = _brick_size(brick)
         self.crit = crit
 
     @property
@@ -242,6 +237,17 @@ class _Store:
 
     def _index(self, x: int, y: int, ib: int) -> int:
         return _brick_row(self.dims, self.brick, x, y, ib)
+
+
+class _Store(_ActSource):
+    """Header and footprint shared by the four encoded stores.
+
+    Subclasses build themselves from a (bricks, B) value matrix and its
+    effectuality mask (`_from_values`), write their payload (`_body`) and
+    read it back (`_read`), each as whole-array operations.
+    """
+
+    format: Format = None  # set by subclasses
 
     def footprint(self) -> FootprintReport:
         return _footprint(self.format, self.dims, self.brick)
@@ -431,7 +437,10 @@ class ViaiStore(_Store):
         brick = meta[2]
         bits = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, -1)
         values = _ints(bits[:, brick:].reshape(n, brick, VALUE_BITS)).astype(np.int16)
-        return cls(*meta, bits[:, :brick].astype(bool), values)
+        masks = bits[:, :brick].astype(bool)
+        if not np.array_equal(masks, meta[3].effectual(values)):
+            raise FormatError("VIAI mask bits differ from the criterion's effectual values")
+        return cls(*meta, masks, values)
 
 
 def _pointers(masks: np.ndarray) -> np.ndarray:
@@ -542,6 +551,7 @@ def footprint_bits(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 
     depends on how many values the criterion keeps. Value fields are always
     counted at 16 bits.
     """
+    brick = _brick_size(brick)
     arr, _ = _tensor_values(acts, brick)
     kept = int(crit.effectual(arr).sum()) if fmt is Format.CVIAI else 0
     return _footprint(fmt, arr.shape, brick, kept)

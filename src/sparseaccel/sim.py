@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import EmptyBrickCost, LaneCounts, SyncPolicy, _require_enum, _Schedule, _slot_rows
+from .dispatch import EmptyBrickCost, LaneCounts, SyncPolicy, _Schedule, _slot_rows
 from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
 from .tensor import (ActTensor, FilterSet, LayerConfig, _depth_bricks, _positive_fields,
-                     conv3d, dense_conv)
+                     _require_enum, conv3d, dense_conv)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .tensor import _int_in
 
-_KINDS = ("zero", "abs", "pow2")
+_PARAM_MAX = {"zero": 0, "abs": (1 << 16) - 1, "pow2": 16}  # each kind's largest parameter
+_KINDS = tuple(_PARAM_MAX)  # a kind's header tag is its index
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,8 @@ class IneffCriterion:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown criterion kind {self.kind!r}, expected one of {_KINDS}")
-        if isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer)):
-            raise ValidationError(f"criterion parameter must be an int, got {self.param!r}")
-        if self.kind == "zero" and self.param != 0:
-            raise ValidationError("the zero criterion takes no parameter")
-        if self.kind == "abs" and not 0 <= self.param < (1 << 16):
-            raise ValidationError(f"abs threshold {self.param} outside [0, 65535]")
-        if self.kind == "pow2" and not 0 <= self.param <= 16:
-            raise ValidationError(f"pow2 exponent {self.param} outside [0, 16]")
+        object.__setattr__(self, "param", _int_in(self.param, 0, _PARAM_MAX[self.kind],
+                                                  f"{self.kind} parameter", ValidationError))
 
     def ineffectual(self, values) -> np.ndarray:
         """Boolean array, True where an integer value's products may be dropped.

@@ -18,6 +18,7 @@ for full-range int16, the sums run in float64, exact up to 2**53.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,19 @@ def _as_int16(values, ndim: int, what: str) -> np.ndarray:
     return _int16_with_peak(arr, ndim, what)[0]
 
 
-def _positive_int(value, what: str, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``value`` is an int of at least 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise error(f"{what} must be at least 1 and an int, not a bool, got {value!r}")
+def _int_in(value, lo: int, hi: int | None, what: str, error: type[Exception]) -> int:
+    """The one integer rule: ``value`` as a Python int, or ``error`` unless it
+    is an int or a numpy integer, not a bool, with lo <= value and, when
+    ``hi`` is given, value <= hi."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{what} must be {bound} and an int, not a bool, got {value!r}")
+    return int(value)
+
+
+def _positive_int(value, what: str, error: type[Exception]) -> int:
+    return _int_in(value, 1, None, what, error)
 
 
 def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
@@ -71,16 +81,26 @@ def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
         _positive_int(getattr(obj, name), f"{what} field {name}", error)
 
 
-def _brick_size(brick: int) -> int:
-    """``brick``; ConfigurationError unless it is at least 1."""
-    if brick < 1:
-        raise ConfigurationError(f"brick size must be at least 1, got {brick}")
-    return brick
+def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
+    """Refuse a plain value where the code branches on enum identity."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _brick_size(brick) -> int:
+    """``brick`` as an int; ConfigurationError unless it is an int of at least 1."""
+    return _positive_int(brick, "brick size", ConfigurationError)
 
 
 def _padded_depth(depth: int, brick: int) -> int:
     """``depth`` zero padded up to a brick multiple: ceil(depth / brick) * brick."""
     return -(-depth // _brick_size(brick)) * brick
+
+
+def _filter_fits(extent: tuple[int, int], plane: tuple[int, int]) -> None:
+    """ConfigurationError unless the (fx, fy) filter fits the (x, y) input."""
+    if extent[0] > plane[0] or extent[1] > plane[1]:
+        raise ConfigurationError(f"filter extent {extent} exceeds input {plane}")
 
 
 def _exclusive_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -113,13 +133,8 @@ class _DepthTensor:
     def __init__(self, values, logical_i: int | None = None):
         self.values = _as_int16(values, self._ndim, self._what)
         depth = self.values.shape[-1]
-        if logical_i is None:
-            logical_i = depth
-        if not 1 <= int(logical_i) <= depth:
-            raise ConfigurationError(
-                f"logical depth {logical_i} outside [1, {depth}]"
-            )
-        self.logical_i = int(logical_i)
+        self.logical_i = depth if logical_i is None else _int_in(
+            logical_i, 1, depth, "logical depth", ConfigurationError)
 
     @classmethod
     def padded(cls, values, brick: int):
@@ -204,10 +219,7 @@ class LayerConfig:
     def __post_init__(self):
         _positive_fields(self, ("x", "y", "i", "fx", "fy", "f", "stride"), "layer",
                          ConfigurationError)
-        if self.fx > self.x or self.fy > self.y:
-            raise ConfigurationError(
-                f"filter extent ({self.fx}, {self.fy}) exceeds input ({self.x}, {self.y})"
-            )
+        _filter_fits((self.fx, self.fy), (self.x, self.y))
         if (self.x - self.fx) % self.stride or (self.y - self.fy) % self.stride:
             raise ConfigurationError(
                 f"stride {self.stride} does not tile input "
@@ -336,6 +348,8 @@ def conv3d(acts_values, filter_values, stride: int = 1) -> np.ndarray:
         raise ConfigurationError(
             f"filter depth {depth} does not match input depth {a.shape[2]}"
         )
+    _filter_fits((fx, fy), a.shape[:2])
+    stride = _positive_int(stride, "stride", ConfigurationError)
     ox = (a.shape[0] - fx) // stride + 1
     oy = (a.shape[1] - fy) // stride + 1
     dtype, limit = _exact_gemm(a_peak * w_peak, depth)

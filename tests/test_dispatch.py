@@ -11,7 +11,7 @@ from sparseaccel import (ActTensor, DispatchEvent, EmptyBrickCost,
                          SyncPolicy, SyntheticSpec, TileConfig, ZERO, deserialize_store,
                          encode_store, format_trace, gen_synthetic, run_cnv, run_cnv2,
                          run_dispatch, stream_brick, weight_product_table, write_trace,
-                         Format, brick_at, load_layer)
+                         Format, brick_at, footprint_bits, load_layer)
 from sparseaccel import dispatch, tensor
 from sparseaccel.dispatch import EventColumns
 from sparseaccel.errors import BoundsError, ConfigurationError, FormatError
@@ -241,6 +241,28 @@ def test_sources_agree_on_sparse_tensor():
     for other in runs[1:]:
         assert other.events == runs[0].events
         assert other.cycles == runs[0].cycles
+
+
+@pytest.mark.parametrize("fmt", [Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI, None])
+def test_a_numpy_integer_brick_is_the_same_int(fmt):
+    """An np.int64 brick gives the int brick's bytes, pairs, footprint and
+    replay; ``None`` is the raw source."""
+    acts = ActTensor(np.arange(-20, 28, dtype=np.int16).reshape(2, 3, 8) % 7)
+    crit = IneffCriterion("abs", 2)
+    layer = LayerConfig(x=2, y=3, i=8, fx=2, fy=2, f=1)
+    make = (lambda b: RawDispatchSource(acts, crit, b)) if fmt is None else (
+        lambda b: encode_store(fmt, acts, crit, b))
+    plain, numpy_brick = make(4), make(np.int64(4))
+    assert type(numpy_brick.brick) is int
+    if fmt is not None:
+        assert numpy_brick.to_bytes() == plain.to_bytes()
+        wide = footprint_bits(fmt, acts, crit, np.int64(4))
+        assert wide == footprint_bits(fmt, acts, crit, 4) and type(wide.total_bits) is int
+    assert numpy_brick.brick_pairs(1, 2, 1) == plain.brick_pairs(1, 2, 1)
+    assert all(map(np.array_equal, numpy_brick.pair_table(), plain.pair_table()))
+    runs = [run_dispatch(src, layer, lanes=3) for src in (plain, numpy_brick)]
+    assert runs[0].events == runs[1].events
+    assert (runs[0].cycles, runs[0].broadcasts) == (runs[1].cycles, runs[1].broadcasts)
 
 
 def test_dispatch_agrees_with_cycle_model_on_fixture():

@@ -421,8 +421,8 @@ def test_arbitrary_bytes_load_only_if_they_round_trip(blob):
 
 
 @st.composite
-def valid_blobs(draw):
-    fmt = draw(st.sampled_from(ALL_FORMATS))
+def valid_blobs(draw, formats=ALL_FORMATS):
+    fmt = draw(st.sampled_from(formats))
     brick = draw(st.sampled_from([1, 3, 4, 5]))
     dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2)), brick * draw(st.integers(1, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -436,6 +436,22 @@ def valid_blobs(draw):
 def test_mutated_bytes_load_only_if_they_round_trip(blob, where, byte):
     pos = where % len(blob)
     assert_total(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_blobs([Format.VIAI]), st.integers(0, 2**16), st.integers(0, 255))
+def test_accepted_viai_streams_are_the_encoders_bytes(blob, where, byte):
+    """A VIAI stream that loads is `encode_store`'s stream of its own values:
+    its masks are the header criterion's effectual bits."""
+    pos = where % len(blob)
+    blob = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+    try:
+        store = deserialize_store(blob)
+    except FormatError:
+        return
+    if store.format is Format.VIAI:
+        acts = ActTensor(store.values.reshape(store.dims), logical_i=store.logical_i)
+        assert encode_store(Format.VIAI, acts, store.crit, store.brick).to_bytes() == blob
 
 
 @settings(max_examples=200, deadline=None)

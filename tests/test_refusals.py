@@ -2,15 +2,16 @@
 its `SparseAccelError` subclass, and every CLI case exits 2."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 import sparseaccel.cli as cli
-from sparseaccel import (ActTensor, FilterSet, Format, LayerConfig, TileConfig, ZERO,
-                         encode_store, footprint_bits, offset_bits_for, run_cnv2,
-                         run_dispatch)
-from sparseaccel.errors import ConfigurationError
+from sparseaccel import (ActTensor, FilterSet, Format, LayerConfig, RawDispatchSource,
+                         TileConfig, ZERO, conv3d, deserialize_store, encode_store,
+                         footprint_bits, offset_bits_for, run_cnv2, run_dispatch)
+from sparseaccel.errors import ConfigurationError, FormatError
 
 ACTS = ActTensor(np.arange(8, dtype=np.int16).reshape(1, 2, 4))
 FILTERS = FilterSet(np.ones((1, 1, 1, 4), dtype=np.int16))
@@ -24,6 +25,14 @@ def _store():
 
 class _NoPairTable:
     dims, brick = ACTS.dims, 4
+
+
+def _viai_mask_bit_flipped() -> bytes:
+    """A VIAI stream of ACTS whose first mask bit, brick 0's offset 0, now
+    marks its ineffectual 0 as effectual."""
+    blob = bytearray(encode_store(Format.VIAI, ACTS, ZERO, 4).to_bytes())
+    blob[struct.calcsize(">BIIIIHBH")] ^= 0x80  # the first byte after the header
+    return bytes(blob)
 
 
 def _compare(tmp, doc) -> int:
@@ -59,6 +68,19 @@ CASES = {
     "layer-activation-dims": (
         ConfigurationError, "activation dims",
         lambda tmp: LAYER.check_tensors(ActTensor(np.ones((2, 1, 4), np.int16)), FILTERS)),
+    "act-float-logical-depth": (ConfigurationError, "logical depth must be in",
+                                lambda tmp: ActTensor(ACTS.values, logical_i=2.7)),
+    "act-str-logical-depth": (ConfigurationError, "logical depth must be in",
+                              lambda tmp: ActTensor(ACTS.values, logical_i="3")),
+    "act-bool-logical-depth": (ConfigurationError, "logical depth must be in",
+                               lambda tmp: ActTensor(ACTS.values, logical_i=True)),
+    "conv3d-stride-0": (ConfigurationError, "stride must be at least 1",
+                        lambda tmp: conv3d(ACTS.values, FILTERS.values, 0)),
+    "conv3d-filter-wider-than-input": (
+        ConfigurationError, "filter extent",
+        lambda tmp: conv3d(np.ones((1, 1, 4), np.int16), np.ones((1, 2, 2, 4), np.int16))),
+    "viai-mask-bit-flipped": (FormatError, "VIAI mask bits differ",
+                              lambda tmp: deserialize_store(_viai_mask_bit_flipped())),
     "cli-config-unreadable": (
         2, "cannot read config",
         lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
@@ -74,6 +96,19 @@ CASES = {
         lambda tmp: _compare(tmp, {"schema_version": 99,
                                    "rows": [{"arch": "cnv", "speedup": 2.0}]})),
 }
+
+# a bool, a float or a str brick, at each entry point that takes a brick
+BRICK_TAKERS = {
+    "store": lambda brick: encode_store(Format.ROE, ACTS, ZERO, brick),
+    "raw-source": lambda brick: RawDispatchSource(ACTS, ZERO, brick),
+    "footprint": lambda brick: footprint_bits(Format.ZFNAF, ACTS, ZERO, brick),
+}
+CASES.update({
+    f"{taker}-{kind}-brick": (ConfigurationError, "brick size must be at least 1",
+                              lambda tmp, take=take, brick=brick: take(brick))
+    for taker, take in BRICK_TAKERS.items()
+    for kind, brick in (("bool", True), ("float", 4.0), ("str", "4"))
+})
 
 
 @pytest.mark.parametrize("error, message, call", CASES.values(), ids=CASES.keys())

@@ -74,6 +74,14 @@ def test_criterion_refuses_bool_params():
     assert IneffCriterion("abs", np.int16(3)).spec() == "abs:3"
 
 
+def test_a_numpy_integer_parameter_is_the_same_int():
+    """The parameter is kept as a Python int: an int16 16 must not wrap
+    2**16 - 1 to -1, which made pow2:16 call nothing ineffectual, not even 0."""
+    crit = IneffCriterion("pow2", np.int16(16))
+    assert type(crit.param) is int and crit == IneffCriterion("pow2", 16)
+    assert crit.ineffectual(np.array([0, 1, -32768, 32767], dtype=np.int16)).all()
+
+
 def test_parse_and_spec_roundtrip():
     for text, kind, param in (("zero", "zero", 0), ("abs:12", "abs", 12),
                               ("pow2:4", "pow2", 4), ("ABS:3", "abs", 3)):
