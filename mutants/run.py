@@ -257,7 +257,7 @@ MUTANTS = (
     Mutant("enum-check-removed", "a plain string falls through to the other policy",
            "src/sparseaccel/tensor.py",
            "    if not isinstance(value, kind):\n"
-           '        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")\n',
+           '        raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")\n',
            "",
            ("tests/test_sim.py::test_tile_config_refuses_plain_values_for_enums",
             "tests/test_dispatch.py::test_run_dispatch_refuses_plain_values_for_enums")),
@@ -356,8 +356,8 @@ MUTANTS = (
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",
-           "np.maximum(pass_costs, costs, out=pass_costs)",
-           "np.minimum(pass_costs, costs, out=pass_costs)",
+           "np.maximum(pass_costs, costs)",
+           "np.minimum(pass_costs, costs)",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
            "src/sparseaccel/sim.py",
@@ -373,8 +373,8 @@ MUTANTS = (
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
     Mutant("sim-broadcasts-first-group-only", "a pass broadcasts only its first group's pairs",
            "src/sparseaccel/sim.py",
-           "            broadcasts += repeat * sent\n",
-           "            broadcasts += repeat * sent if glo == lo else 0\n",
+           "            broadcasts += sent\n",
+           "            broadcasts += sent if glo == lo else 0\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-footprint-zero-criterion", "the output footprint ignores the criterion",
            "src/sparseaccel/sim.py",
@@ -391,24 +391,21 @@ MUTANTS = (
     Mutant("sim-busy-first-group-only", "lane busy counts follow the first group, not the "
            "group maximum",
            "src/sparseaccel/sim.py",
-           "                pass_costs = costs\n"
-           "            else:\n"
-           "                np.maximum(pass_costs, costs, out=pass_costs)\n"
+           "            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)\n"
            "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
-           "        cycles += repeat * schedule.cycles\n"
-           "        busy = busy + repeat * schedule.busy\n",
-           "                pass_costs, first = costs, costs.copy()\n"
-           "            else:\n"
-           "                np.maximum(pass_costs, costs, out=pass_costs)\n"
-           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
-           "        cycles += repeat * schedule.cycles\n"
-           "        busy = busy + repeat * _Schedule(first, tile.lanes, tile.sync, "
-           "tile.empty_brick).busy\n",
-           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
-    Mutant("sim-busy-not-scaled-by-passes", "cnv's lane busy counts cover one pass of several",
-           "src/sparseaccel/sim.py",
-           "        busy = busy + repeat * schedule.busy\n",
+           "        cycles += schedule.cycles\n"
            "        busy = busy + schedule.busy\n",
+           "            if pass_costs is None:\n"
+           "                first = costs\n"
+           "            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)\n"
+           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
+           "        cycles += schedule.cycles\n"
+           "        busy = busy + _Schedule(first, tile.lanes, tile.sync, tile.empty_brick).busy\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-busy-not-scaled-by-passes", "lane busy counts cover the last pass of several",
+           "src/sparseaccel/sim.py",
+           "        busy = busy + schedule.busy\n",
+           "        busy = schedule.busy\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("baseline-cycles-one-set", "the baseline's cycles ignore ceil(positions / lanes): "
            "one cycle per window and pass",
@@ -423,6 +420,26 @@ MUTANTS = (
            "    if plain is not None and unmasked:\n",
            "    if plain is not None:\n",
            ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
+    Mutant("sim-dropping-group-costs-counts", "a cnv2 group that drops some positions, not "
+           "all, still costs the effectual counts and zeroes no weight",
+           "src/sparseaccel/sim.py",
+           "                if dead.any():\n",
+           "                if dead.all():\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-cnv-per-tile-groups", "cnv takes cnv2's per-tile groups, so each tile "
+           "of a pass broadcasts the same pairs",
+           "src/sparseaccel/sim.py",
+           '    per_tile = arch == "cnv2" and tile.group_scope is GroupScope.PER_TILE\n',
+           "    per_tile = tile.group_scope is GroupScope.PER_TILE\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("criterion-type-unchecked", "an encoder takes a string criterion and fails "
+           "with AttributeError",
+           "src/sparseaccel/encodings.py",
+           "    def encode(cls, acts, crit: IneffCriterion = ZERO, brick: int = 16):\n"
+           '        _require_type(crit, IneffCriterion, "criterion")\n',
+           "    def encode(cls, acts, crit: IneffCriterion = ZERO, brick: int = 16):\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[store-str-criterion]",)),
     # -- codecs --------------------------------------------------------------
     Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
            "src/sparseaccel/encodings.py",
@@ -509,6 +526,42 @@ MUTANTS = (
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
             "[viai-mask-bit-flipped]",
             "tests/test_encodings.py::test_accepted_viai_streams_are_the_encoders_bytes")),
+    Mutant("stored-ineffectual-values-load", "a ZFNAf, encoded-RoE or CVIAI value the "
+           "header's criterion calls ineffectual loads",
+           "src/sparseaccel/encodings.py",
+           "    if crit.ineffectual(stored).any():\n",
+           "    if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[zfnaf-ineffectual-stored-value]",
+            "tests/test_encodings.py::test_accepted_streams_are_the_encoders_bytes")),
+    Mutant("roe-raw-mode-unchecked", "a raw-mode RoE brick whose effectual values fit loads",
+           "src/sparseaccel/encodings.py",
+           "        if _roe_fits(meta[3].effectual(raw[~encoded]).sum(axis=1), brick).any():\n",
+           "        if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[roe-raw-brick-that-fits]",
+            "tests/test_encodings.py::test_accepted_streams_are_the_encoders_bytes")),
+    Mutant("padding-unchecked", "a nonzero value past the logical depth loads",
+           "src/sparseaccel/encodings.py",
+           "        if logical_i < i and store._held()[..., logical_i:].any():\n",
+           "        if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[viai-value-past-logical-depth]",
+            "tests/test_encodings.py::test_accepted_streams_are_the_encoders_bytes")),
+    Mutant("viai-padding-decoded", "VIAI's padding rule reads the decoded values, so an "
+           "ineffectual stored value past the logical depth loads",
+           "src/sparseaccel/encodings.py",
+           "        return self.values.reshape(self.dims)  # ineffectual values too\n",
+           "        return self.decode()\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[viai-ineffectual-value-past-logical-depth]",)),
+    Mutant("encoder-writes-dirty-padding", "the encoder writes an ActTensor's nonzero "
+           "values past its logical depth, a stream the decoder refuses",
+           "src/sparseaccel/encodings.py",
+           "        if acts.values[..., acts.logical_i:].any():\n",
+           "        if False:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[store-dirty-padding]",)),
     Mutant("decoder-offsets-not-rising", "pair offsets that do not rise strictly load",
            "src/sparseaccel/encodings.py",
            "    if ((np.diff(offsets, axis=1) <= 0) & live[:, 1:]).any():\n"

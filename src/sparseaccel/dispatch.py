@@ -62,8 +62,8 @@ import numpy as np
 
 from .encodings import _ActSource, _front_pack, _mask_pairs
 from .errors import ConfigurationError, FormatError
-from .sparsity import ZERO, IneffCriterion, _brick_values
-from .tensor import ActTensor, LayerConfig, _exclusive_cumsum, _positive_int, _require_enum
+from .sparsity import ZERO, IneffCriterion, _brick_values, effectual_mask
+from .tensor import ActTensor, LayerConfig, _exclusive_cumsum, _positive_int, _require_type
 
 
 class SyncPolicy(enum.Enum):
@@ -213,7 +213,7 @@ def stream_brick(brick, crit: IneffCriterion = ZERO) -> list[tuple[int, int]]:
     set bits lowest first: the same pairs an encoded store hands over.
     """
     values = _brick_values(brick)
-    return _mask_pairs(crit.effectual(values), values)
+    return _mask_pairs(effectual_mask(values, crit), values)
 
 
 class RawDispatchSource(_ActSource):
@@ -221,10 +221,13 @@ class RawDispatchSource(_ActSource):
 
     Presents the same `brick_pairs` and `pair_table` interface as the
     encoded stores, with the comparator bank applied at fetch time instead
-    of at encode time.
+    of at encode time. ``acts`` is an `ActTensor` or a plain (X, Y, I)
+    integer array, whose depth the brick must divide.
     """
 
-    def __init__(self, acts: ActTensor, crit: IneffCriterion = ZERO, brick: int = 16):
+    def __init__(self, acts, crit: IneffCriterion = ZERO, brick: int = 16):
+        _require_type(crit, IneffCriterion, "criterion")
+        acts = acts if isinstance(acts, ActTensor) else ActTensor(acts)
         super().__init__(acts.dims, acts.logical_i, brick, crit)
         acts.brick_count(self.brick)
         self.acts = acts
@@ -365,8 +368,8 @@ def run_dispatch(source, layer: LayerConfig, *, lanes: int = 16,
                           f"({layer.x}, {layer.y}, {layer.i})")
     brick = source.brick
     nb = layer.check_brick(brick)
-    _require_enum(policy, SyncPolicy, "policy")
-    _require_enum(empty_brick_cost, EmptyBrickCost, "empty_brick_cost")
+    _require_type(policy, SyncPolicy, "policy")
+    _require_type(empty_brick_cost, EmptyBrickCost, "empty_brick_cost")
     _positive_int(lanes, "lane count", ConfigurationError)
     if prod_table is not None:
         prod_table = np.asarray(prod_table, dtype=bool)

@@ -37,7 +37,11 @@ the last byte; `_ints` reads fields back by shifting in one plane at a
 time. Decoding is total: a stream whose length differs from the size its
 header declares, whose pad bits are set, or whose fields break a layout
 rule raises a `FormatError` subclass, and any stream that loads
-re-serializes to the same bytes.
+re-serializes to the same bytes. A stream that loads is also the encoder's
+stream of the tensor it holds: every stored pair or pool value is effectual
+under the header's criterion, an RoE brick is raw exactly when its
+effectual count does not fit, and nothing past the logical depth is
+nonzero.
 
 Footprint accounting is exact: overhead ratios are `fractions.Fraction`
 values against the raw cost of X*Y*I*16 bits.
@@ -54,7 +58,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, TruncatedError, ValidationError
 from .sparsity import ZERO, IneffCriterion, _KINDS
 from .tensor import (ActTensor, Brick, _as_int16, _brick_row, _brick_size, _exclusive_cumsum,
-                     _int_array, _int_in, pad_depth)
+                     _int_array, _int_in, _require_type, pad_depth)
 
 VALUE_BITS = 16
 
@@ -188,8 +192,12 @@ def _footprint(fmt: Format, dims: tuple[int, int, int], brick: int,
 
 
 def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
-    """Normalize to a depth-padded (X, Y, I) integer array plus logical depth."""
+    """Normalize to a depth-padded (X, Y, I) integer array plus logical depth;
+    an `ActTensor`'s values past its logical depth must be zero padding."""
     if isinstance(acts, ActTensor):
+        if acts.values[..., acts.logical_i:].any():
+            raise ConfigurationError(f"activation values past the logical depth "
+                                     f"{acts.logical_i} are not zero")
         return pad_depth(acts.values, brick), acts.logical_i
     arr = _int_array(acts, 3, "activation tensor")
     return pad_depth(arr, brick), arr.shape[2]
@@ -254,6 +262,7 @@ class _Store(_ActSource):
 
     @classmethod
     def encode(cls, acts, crit: IneffCriterion = ZERO, brick: int = 16):
+        _require_type(crit, IneffCriterion, "criterion")
         arr, logical = _tensor_values(acts, brick)
         vals = _as_int16(arr, 3, "activation tensor").reshape(-1, brick)
         return cls._from_values((arr.shape, logical, brick, crit), vals, crit.effectual(vals))
@@ -268,7 +277,20 @@ class _Store(_ActSource):
         fmt, x, y, i, logical_i, brick, crit, body = _unpack_header(data)
         if fmt is not cls.format:
             raise FormatError(f"stream holds {fmt.value}, expected {cls.format.value}")
-        return cls._read(((x, y, i), logical_i, brick, crit), x * y * (i // brick), body)
+        store = cls._read(((x, y, i), logical_i, brick, crit), x * y * (i // brick), body)
+        if logical_i < i and store._held()[..., logical_i:].any():
+            raise FormatError(f"a value past the logical depth {logical_i} is not zero")
+        return store
+
+    def _held(self) -> np.ndarray:
+        """The (X, Y, I) values the stream holds: what it decodes to."""
+        return self.decode()
+
+
+def _check_effectual(crit: IneffCriterion, stored: np.ndarray) -> None:
+    """Every value a stream stores as a pair or in a pool is effectual."""
+    if crit.ineffectual(stored).any():
+        raise FormatError("a stored value is ineffectual under the header's criterion")
 
 
 def _front_pack(vals: np.ndarray, keep: np.ndarray):
@@ -345,6 +367,7 @@ class ZfnafStore(_PairStore):
         if (live & np.logical_or.accumulate(~live, axis=1)).any():
             raise FormatError("value slot found after the zero-fill sentinel")
         _check_offsets(offsets, live, brick)
+        _check_effectual(meta[3], values[live])
         return cls(*meta, offsets, values, live.sum(axis=1))
 
 
@@ -398,6 +421,9 @@ class RoeStore(_PairStore):
         if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():
             raise FormatError("RoE padding bits are not zero")
         _check_offsets(offs, live, brick)
+        _check_effectual(meta[3], vals[live])
+        if _roe_fits(meta[3].effectual(raw[~encoded]).sum(axis=1), brick).any():
+            raise FormatError("a raw-mode RoE brick's effectual values fit the encoded mode")
         return cls(*meta, *_with_raw_rows(encoded, np.where(live, offs, 0),
                                           np.where(live, vals, 0).astype(np.int16),
                                           live.sum(axis=1), raw))
@@ -427,6 +453,9 @@ class ViaiStore(_Store):
 
     def decode(self) -> np.ndarray:
         return np.where(self.masks, self.values, 0).astype(np.int16).reshape(self.dims)
+
+    def _held(self) -> np.ndarray:
+        return self.values.reshape(self.dims)  # ineffectual values too
 
     def _body(self) -> bytes:
         n = len(self.masks)
@@ -512,6 +541,7 @@ class CviaiStore(_Store):
         if int(masks.sum()) != pool:
             raise FormatError(f"mask population {int(masks.sum())} != declared pool size {pool}")
         packed = _ints(bits[: pool * VALUE_BITS].reshape(pool, VALUE_BITS)).astype(np.int16)
+        _check_effectual(meta[3], packed)
         ir = _ints(bits[pool * VALUE_BITS:].reshape(n, pointer_bits_for(pool)))
         if not np.array_equal(ir, _pointers(masks)):
             raise FormatError("IR pointers differ from the prefix sums of the mask populations")
@@ -551,6 +581,7 @@ def footprint_bits(fmt: Format, acts, crit: IneffCriterion = ZERO, brick: int = 
     depends on how many values the criterion keeps. Value fields are always
     counted at 16 bits.
     """
+    _require_type(crit, IneffCriterion, "criterion")
     brick = _brick_size(brick)
     arr, _ = _tensor_values(acts, brick)
     kept = int(crit.effectual(arr).sum()) if fmt is Format.CVIAI else 0

@@ -32,7 +32,7 @@ from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
 from .tensor import (ActTensor, FilterSet, LayerConfig, _depth_bricks, _positive_fields,
-                     _require_enum, conv3d, dense_conv)
+                     _require_type, conv3d, dense_conv)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class TileConfig:
                          ConfigurationError)
         for name, kind in (("sync", SyncPolicy), ("empty_brick", EmptyBrickCost),
                            ("group_scope", GroupScope)):
-            _require_enum(getattr(self, name), kind, name)
+            _require_type(getattr(self, name), kind, name)
 
     @property
     def resident(self) -> int:
@@ -132,6 +132,7 @@ def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
     offset every covered filter agrees is dead. Suitable as the dispatcher's
     product table.
     """
+    _require_type(weight_crit, IneffCriterion, "weight criterion")
     hi = filters.count if hi is None else hi
     if not 0 <= lo < hi <= filters.count:
         raise ConfigurationError(f"filter range [{lo}, {hi}) invalid for {filters.count} filters")
@@ -146,14 +147,14 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
                   plain: np.ndarray | None = None) -> tuple[np.ndarray, CycleReport, bool]:
     """The cnv/cnv2 pipeline: skip mask, then per-brick cost, then sync reduction.
 
-    Costs are each input brick's effectual count gathered by the
-    dispatcher's slot rows (`_slot_rows`), in its (windows, slots) order:
-    cnv sums each brick's effectual bits once and gathers the counts; cnv2
-    gathers the bits once per call, and each filter group drops the offsets
-    its `weight_product_table` marks dead before counting. A pass costs the
-    group maximum of each slot, and the lane schedule turns that into
-    cycles. Without weight products every pass walks the same costs, so cnv
-    reduces them once and repeats the result per pass.
+    One cost rule serves both: cnv is cnv2 with no dead position, one group
+    per pass. Every group costs each input brick's effectual count, gathered
+    by the dispatcher's slot rows (`_slot_rows`) in its (windows, slots)
+    order. Only a cnv2 group whose `weight_product_table` marks a position
+    dead counts bits instead: it drops those positions from the bricks'
+    gathered effectual bits, gathered once per call when a group first
+    needs them. A pass costs the group maximum of each slot, and the lane
+    schedule turns that into cycles.
 
     The output is one convolution of the effectual activations with each
     filter's weights zeroed where its group skips; when that zeroes no
@@ -161,40 +162,37 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     """
     if arch == "cnv2" and weight_crit is None:
         raise ConfigurationError("cnv2 requires a weight criterion")
+    _require_type(act_crit, IneffCriterion, "activation criterion")
     layer.check_tensors(acts, filters)
     b, nb = tile.brick, layer.check_brick(tile.brick)
     eff = act_crit.effectual(acts.values)
     bits, rows = eff.reshape(-1, b), _slot_rows(layer, nb)  # (windows, slots) brick rows
+    counts = bits.sum(axis=-1, dtype=np.int64)[rows]  # each brick's count, gathered
 
-    weights = filters.values
-    passes, repeat = _pass_ranges(layer.f, tile.resident), 1
-    step = tile.filters_per_tile if tile.group_scope is GroupScope.PER_TILE else tile.resident
-    if arch == "cnv":
-        passes, repeat, step = [(0, layer.f)], len(passes), layer.f
-        costs = bits.sum(axis=-1, dtype=np.int64)[rows]  # each brick's count, gathered
-    else:
-        weights, windows = weights.copy(), bits[rows]  # (windows, slots, b)
-    del rows  # not held through the group loop and conv3d
+    weights, windows = filters.values, None  # copied and gathered when a group drops
+    per_tile = arch == "cnv2" and tile.group_scope is GroupScope.PER_TILE
+    step = tile.filters_per_tile if per_tile else tile.resident
     cycles = performed = broadcasts = busy = 0
-    for lo, hi in passes:
+    for lo, hi in _pass_ranges(layer.f, tile.resident):
         pass_costs = None  # running maximum of the group costs
         for glo in range(lo, hi, step):
-            ghi = min(glo + step, hi)
+            ghi, costs = min(glo + step, hi), counts
             if arch == "cnv2":
                 dead = weight_product_table(filters, weight_crit, b, glo, ghi)
-                weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
-                costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=np.int64)
+                if dead.any():
+                    if windows is None:
+                        weights, windows = weights.copy(), bits[rows]  # (windows, slots, b)
+                    weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
+                    costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=np.int64)
+                del dead  # not held through the schedule
             sent = int(costs.sum())
-            broadcasts += repeat * sent
+            broadcasts += sent
             performed += sent * (ghi - glo)
-            if pass_costs is None:
-                pass_costs = costs
-            else:
-                np.maximum(pass_costs, costs, out=pass_costs)
+            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)
         schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)
-        cycles += repeat * schedule.cycles
-        busy = busy + repeat * schedule.busy
-    del schedule  # its lane grid is freed before conv3d runs
+        cycles += schedule.cycles
+        busy = busy + schedule.busy
+    del rows, windows, schedule  # not held through conv3d
 
     unmasked = np.array_equal(weights, filters.values)  # every zeroed weight was zero
     if plain is not None and unmasked:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import _int_in
+from .tensor import _int_in, _require_type
 
 _PARAM_MAX = {"zero": 0, "abs": (1 << 16) - 1, "pow2": 16}  # each kind's largest parameter
 _KINDS = tuple(_PARAM_MAX)  # a kind's header tag is its index
@@ -115,11 +115,13 @@ def _brick_values(brick) -> np.ndarray:
 
 def effectual_mask(brick, crit: IneffCriterion = ZERO) -> np.ndarray:
     """Per-offset effectuality bits for one brick (True = effectual)."""
+    _require_type(crit, IneffCriterion, "criterion")
     return crit.effectual(_brick_values(brick))
 
 
 def is_vector(weight_brick, crit: IneffCriterion = ZERO) -> np.ndarray:
     """Weight ineffectuality bits (True = ineffectual), the complement polarity."""
+    _require_type(crit, IneffCriterion, "criterion")
     return crit.ineffectual(_brick_values(weight_brick))
 
 

@@ -18,7 +18,6 @@ for full-range int16, the sums run in float64, exact up to 2**53.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +80,11 @@ def _positive_fields(obj, names, what: str, error: type[Exception]) -> None:
         _positive_int(getattr(obj, name), f"{what} field {name}", error)
 
 
-def _require_enum(value, kind: type[enum.Enum], name: str) -> None:
-    """Refuse a plain value where the code branches on enum identity."""
+def _require_type(value, kind: type, name: str) -> None:
+    """The one type rule: refuse a plain value where the code branches on enum
+    identity or calls a criterion's methods."""
     if not isinstance(value, kind):
-        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def _brick_size(brick) -> int:

@@ -265,6 +265,22 @@ def test_a_numpy_integer_brick_is_the_same_int(fmt):
     assert (runs[0].cycles, runs[0].broadcasts) == (runs[1].cycles, runs[1].broadcasts)
 
 
+def test_raw_source_takes_a_plain_array_as_encode_store_does():
+    """A plain (X, Y, I) integer array is read as its `ActTensor`: the same
+    pairs and replay; a depth the brick does not divide is still refused."""
+    arr = np.arange(-20, 28, dtype=np.int64).reshape(2, 3, 8) % 7
+    crit = IneffCriterion("abs", 2)
+    layer = LayerConfig(x=2, y=3, i=8, fx=2, fy=2, f=1)
+    plain, wrapped = RawDispatchSource(arr, crit, 4), RawDispatchSource(ActTensor(arr), crit, 4)
+    assert plain.dims == (2, 3, 8) and plain.logical_i == 8
+    assert plain.brick_pairs(1, 2, 1) == wrapped.brick_pairs(1, 2, 1)
+    assert all(map(np.array_equal, plain.pair_table(), wrapped.pair_table()))
+    runs = [run_dispatch(src, layer, lanes=3) for src in (plain, wrapped)]
+    assert runs[0].events == runs[1].events and runs[0].cycles == runs[1].cycles
+    with pytest.raises(ConfigurationError, match="not a multiple of brick size"):
+        RawDispatchSource(arr, crit, 3)
+
+
 def test_dispatch_agrees_with_cycle_model_on_fixture():
     data = load_layer(FIXTURES / "weight_skip_demo.json")
     layer = data.layer_config()

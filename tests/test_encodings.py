@@ -421,10 +421,13 @@ def test_arbitrary_bytes_load_only_if_they_round_trip(blob):
 
 
 @st.composite
-def valid_blobs(draw, formats=ALL_FORMATS):
+def valid_blobs(draw, formats=ALL_FORMATS, padded=False):
+    """An encoder-written stream; a ``padded`` one may declare a logical
+    depth short of its stored depth."""
     fmt = draw(st.sampled_from(formats))
     brick = draw(st.sampled_from([1, 3, 4, 5]))
-    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2)), brick * draw(st.integers(1, 2)))
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+            draw(st.integers(1, 2 * brick)) if padded else brick * draw(st.integers(1, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arr = rng.integers(-40, 40, size=dims).astype(np.int16)
     crit = IneffCriterion.parse(draw(st.sampled_from(["zero", "abs:5", "pow2:3"])))
@@ -452,6 +455,25 @@ def test_accepted_viai_streams_are_the_encoders_bytes(blob, where, byte):
     if store.format is Format.VIAI:
         acts = ActTensor(store.values.reshape(store.dims), logical_i=store.logical_i)
         assert encode_store(Format.VIAI, acts, store.crit, store.brick).to_bytes() == blob
+
+
+@settings(max_examples=1000, deadline=None)
+@given(valid_blobs(padded=True), st.integers(0, 2**16), st.integers(0, 7))
+def test_accepted_streams_are_the_encoders_bytes(blob, where, bit):
+    """A stream of any format that loads after one bit flip is
+    `encode_store`'s stream of the tensor it holds, at its logical depth:
+    VIAI's stored values, the decoded values otherwise. It runs 1000
+    examples: a flip that leaves a raw-mode RoE brick's count fitting is
+    rare."""
+    pos = where % len(blob)
+    blob = blob[:pos] + bytes([blob[pos] ^ 1 << bit]) + blob[pos + 1:]
+    try:
+        store = deserialize_store(blob)
+    except FormatError:
+        return
+    held = store.values.reshape(store.dims) if store.format is Format.VIAI else store.decode()
+    acts = ActTensor(held, logical_i=store.logical_i)
+    assert encode_store(store.format, acts, store.crit, store.brick).to_bytes() == blob
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import sparseaccel.cli as cli
-from sparseaccel import (ActTensor, FilterSet, Format, LayerConfig, RawDispatchSource,
-                         TileConfig, ZERO, conv3d, deserialize_store, encode_store,
-                         footprint_bits, offset_bits_for, run_cnv2, run_dispatch)
+from sparseaccel import (ActTensor, FilterSet, Format, IneffCriterion, LayerConfig,
+                         RawDispatchSource, TileConfig, ZERO, conv3d, deserialize_store,
+                         encode_store, footprint_bits, is_vector, offset_bits_for, run_cnv,
+                         run_cnv2, run_dispatch, stream_brick, weight_product_table)
 from sparseaccel.errors import ConfigurationError, FormatError
+from sparseaccel.sparsity import _KINDS
 
 ACTS = ActTensor(np.arange(8, dtype=np.int16).reshape(1, 2, 4))
 FILTERS = FilterSet(np.ones((1, 1, 1, 4), dtype=np.int16))
@@ -33,6 +35,21 @@ def _viai_mask_bit_flipped() -> bytes:
     blob = bytearray(encode_store(Format.VIAI, ACTS, ZERO, 4).to_bytes())
     blob[struct.calcsize(">BIIIIHBH")] ^= 0x80  # the first byte after the header
     return bytes(blob)
+
+
+HEADER = struct.Struct(">BIIIIHBH")  # tag, X, Y, I, logical_i, B, crit kind, crit param
+
+
+def _rewritten(fmt, values, crit=ZERO, *, logical_i=None, header_crit=None) -> bytes:
+    """``fmt``'s stream of ``values`` in 4-bricks, its header's logical depth
+    or criterion then replaced: a stream the encoder never writes."""
+    blob = encode_store(fmt, values, crit, 4).to_bytes()
+    tag, x, y, i, logical, brick, kind, param = HEADER.unpack_from(blob)
+    if logical_i is not None:
+        logical = logical_i
+    if header_crit is not None:
+        kind, param = _KINDS.index(header_crit.kind), header_crit.param
+    return HEADER.pack(tag, x, y, i, logical, brick, kind, param) + blob[HEADER.size:]
 
 
 def _compare(tmp, doc) -> int:
@@ -96,6 +113,52 @@ CASES = {
         lambda tmp: _compare(tmp, {"schema_version": 99,
                                    "rows": [{"arch": "cnv", "speedup": 2.0}]})),
 }
+
+# streams that re-serialize to themselves but are not the encoder's: ACTS's
+# bricks (0, 1, 2, 3) and (4, 5, 6, 7) stored under zero, read under abs:1,
+# which calls the stored 1 ineffectual; (5, 6, 7, 8), raw under zero, read
+# under abs:5, whose three effectual values fit the encoded mode; and ACTS's
+# nonzero depth-3 values, or an ineffectual 2 that VIAI stores in place,
+# past a logical depth of 3
+CASES.update({
+    f"{fmt.value}-ineffectual-stored-value": (
+        FormatError, "a stored value is ineffectual",
+        lambda tmp, fmt=fmt: deserialize_store(
+            _rewritten(fmt, ACTS, header_crit=IneffCriterion("abs", 1))))
+    for fmt in (Format.ZFNAF, Format.ROE, Format.CVIAI)
+})
+CASES["roe-raw-brick-that-fits"] = (
+    FormatError, "raw-mode RoE brick's effectual values fit",
+    lambda tmp: deserialize_store(_rewritten(Format.ROE, np.arange(5, 9).reshape(1, 1, 4),
+                                             header_crit=IneffCriterion("abs", 5))))
+CASES.update({
+    f"{fmt.value}-value-past-logical-depth": (
+        FormatError, "past the logical depth 3 is not zero",
+        lambda tmp, fmt=fmt: deserialize_store(_rewritten(fmt, ACTS, logical_i=3)))
+    for fmt in (Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)
+})
+CASES["viai-ineffectual-value-past-logical-depth"] = (
+    FormatError, "past the logical depth 3 is not zero",
+    lambda tmp: deserialize_store(_rewritten(Format.VIAI, np.array([[[5, 6, 7, 2]]]),
+                                             IneffCriterion("abs", 3), logical_i=3)))
+CASES["store-dirty-padding"] = (
+    ConfigurationError, "past the logical depth 3 are not zero",
+    lambda tmp: encode_store(Format.ZFNAF, ActTensor(ACTS.values, logical_i=3), ZERO, 4))
+
+# a str criterion at each entry point that takes a criterion
+CASES.update({
+    f"{taker}-str-criterion": (ConfigurationError, "criterion must be of type IneffCriterion", call)
+    for taker, call in {
+        "store": lambda tmp: encode_store(Format.VIAI, ACTS, "zero", 4),
+        "footprint": lambda tmp: footprint_bits(Format.CVIAI, ACTS, "abs:3", 4),
+        "raw-source": lambda tmp: RawDispatchSource(ACTS, "zero", 4),
+        "cnv": lambda tmp: run_cnv(ACTS, FILTERS, LAYER, TILE, "zero"),
+        "cnv2-weight": lambda tmp: run_cnv2(ACTS, FILTERS, LAYER, TILE, ZERO, "zero"),
+        "weight-product-table": lambda tmp: weight_product_table(FILTERS, "zero", 4),
+        "stream-brick": lambda tmp: stream_brick(ACTS.values[0, 0], "zero"),
+        "is-vector": lambda tmp: is_vector(FILTERS.values[0, 0, 0], "abs:1"),
+    }.items()
+})
 
 # a bool, a float or a str brick, at each entry point that takes a brick
 BRICK_TAKERS = {

@@ -426,6 +426,30 @@ def test_lanes_past_the_window_allocate_nothing(runner, slots):
     assert all(busy[:slots]) and not any(busy[slots:32768])
 
 
+def test_cnv2_without_a_dropped_position_peaks_no_higher_than_cnv():
+    """No filter group of this layer drops a position, so cnv2 costs cnv's
+    gathered effectual counts: it gathers no (windows, slots, B) bits and
+    copies no weights, and its traced peak is no higher than cnv's. Each
+    machine runs once untraced first, so neither peak holds a first call's
+    one-off allocations. The 1 KiB allowance covers small Python objects,
+    such as a line tracer's (`mutants/reach.py`); the bits would take 57.6
+    KB and a weight copy 73.7 KB."""
+    acts, filters = gen_synthetic(SyntheticSpec(x=12, y=12, i=64, f=64, fx=3, fy=3,
+                                                p_act_zero=0.5, p_wt_zero=0.4, seed=3))
+    layer, tile = LayerConfig.from_tensors(acts, filters), TileConfig()
+    assert not weight_product_table(filters, ZERO, tile.brick).any()
+    peaks = {}
+    for runner in (run_cnv, run_cnv2):
+        runner(acts, filters, layer, tile)
+        tracemalloc.start()
+        try:
+            runner(acts, filters, layer, tile)
+            peaks[runner] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[run_cnv2] <= peaks[run_cnv] + 1024
+
+
 LANES_PAST_THE_SLOTS = [1, 5, MILLION_LANES]
 
 
