@@ -69,6 +69,15 @@ MUTANTS = (
            '        _int_in(self.param, 0, _PARAM_MAX[self.kind], f"{self.kind} parameter",\n'
            '                ValidationError)\n',
            ("tests/test_sparsity.py::test_a_numpy_integer_parameter_is_the_same_int",)),
+    Mutant("depth-tensor-accepts-dirty-padding", "a tensor keeps nonzero values past its "
+           "logical depth, which the machines multiply",
+           "src/sparseaccel/tensor.py",
+           "        if self.values[..., self.logical_i:].any():",
+           "        if False:",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[act-dirty-padding]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[filters-dirty-padding]")),
     Mutant("padded-depth-floor", "the depth is rounded down to a brick multiple",
            "src/sparseaccel/tensor.py",
            "    return -(-depth // _brick_size(brick)) * brick\n",
@@ -391,17 +400,31 @@ MUTANTS = (
     Mutant("sim-busy-first-group-only", "lane busy counts follow the first group, not the "
            "group maximum",
            "src/sparseaccel/sim.py",
-           "            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)\n"
+           "            if pass_costs is None or costs is counts:\n"
+           "                pass_costs = costs\n"
+           "            elif pass_costs is not counts:\n"
+           "                pass_costs = np.maximum(pass_costs, costs)\n"
+           "        if pass_costs is counts:\n"
+           "            shared += 1\n"
+           "            continue\n"
            "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
            "        cycles += schedule.cycles\n"
            "        busy = busy + schedule.busy\n",
            "            if pass_costs is None:\n"
            "                first = costs\n"
-           "            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)\n"
+           "            if pass_costs is None or costs is counts:\n"
+           "                pass_costs = costs\n"
+           "            elif pass_costs is not counts:\n"
+           "                pass_costs = np.maximum(pass_costs, costs)\n"
+           "        if pass_costs is counts:\n"
+           "            shared += 1\n"
+           "            continue\n"
            "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
            "        cycles += schedule.cycles\n"
            "        busy = busy + _Schedule(first, tile.lanes, tile.sync, tile.empty_brick).busy\n",
-           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+           ("tests/test_sim.py::test_passes_that_drop_nothing_share_one_schedule"
+            "[GroupScope.PER_TILE-SyncPolicy.BRICKSET_LOCKSTEP]",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("sim-busy-not-scaled-by-passes", "lane busy counts cover the last pass of several",
            "src/sparseaccel/sim.py",
            "        busy = busy + schedule.busy\n",
@@ -426,6 +449,25 @@ MUTANTS = (
            "                if dead.any():\n",
            "                if dead.all():\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-costs-in-uint8", "costs are counted in uint8 whatever the brick, so a "
+           "full 256-brick costs 0",
+           "src/sparseaccel/sim.py",
+           "    width = np.min_scalar_type(b)",
+           "    width = np.uint8",
+           ("tests/test_sim.py::test_a_full_brick_costs_its_whole_width"
+            "[256-no-dead-weight-SyncPolicy.BRICKSET_LOCKSTEP]",
+            "tests/test_sim.py::test_a_full_brick_costs_its_whole_width")),
+    Mutant("sim-shared-schedule-once", "the shared schedule is added for one pass only, "
+           "however many passes cost the shared counts",
+           "src/sparseaccel/sim.py",
+           "        cycles += shared * schedule.cycles\n"
+           "        busy = busy + shared * schedule.busy\n",
+           "        cycles += schedule.cycles\n"
+           "        busy = busy + schedule.busy\n",
+           ("tests/test_sim.py::test_passes_that_drop_nothing_share_one_schedule"
+            "[GroupScope.PASS_WIDE-SyncPolicy.WINDOW_SYNC]",
+            "tests/test_sim.py::test_cnv_multi_pass_scales_cycles",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("sim-cnv-per-tile-groups", "cnv takes cnv2's per-tile groups, so each tile "
            "of a pass broadcasts the same pairs",
            "src/sparseaccel/sim.py",

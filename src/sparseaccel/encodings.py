@@ -193,7 +193,8 @@ def _footprint(fmt: Format, dims: tuple[int, int, int], brick: int,
 
 def _tensor_values(acts, brick: int) -> tuple[np.ndarray, int]:
     """Normalize to a depth-padded (X, Y, I) integer array plus logical depth;
-    an `ActTensor`'s values past its logical depth must be zero padding."""
+    an `ActTensor`'s values past its logical depth must be zero padding. Its
+    constructor checks that too, but its values stay writable."""
     if isinstance(acts, ActTensor):
         if acts.values[..., acts.logical_i:].any():
             raise ConfigurationError(f"activation values past the logical depth "

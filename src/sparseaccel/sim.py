@@ -11,8 +11,9 @@ tests. The skippers' per-brick work is each input brick's effectual count
 slot rows (`dispatch._slot_rows`), so both walk a window's bricks in one
 order. Every machine turns per-brick work into cycles and lane busy counts
 through the dispatcher's lane schedule (`dispatch`), the same one
-`run_dispatch` stamps its events with: the skippers once per pass, the
-baseline once for a window of one position per slot.
+`run_dispatch` stamps its events with: the skippers once per pass whose
+every group drops a position and once for all other passes, the baseline
+once for a window of one position per slot.
 
 Filters beyond one pass's residency (tiles * filters_per_tile) are handled
 in sequential passes that repeat the activation traversal. Functional
@@ -154,7 +155,10 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     dead counts bits instead: it drops those positions from the bricks'
     gathered effectual bits, gathered once per call when a group first
     needs them. A pass costs the group maximum of each slot, and the lane
-    schedule turns that into cycles.
+    schedule turns that into cycles. No group costs more than the counts, so
+    a pass with a group that drops nothing costs exactly the counts: those
+    passes share one schedule, built once per call. Every cost is held in the
+    brick's own width, `np.min_scalar_type(B)`, since none exceeds B.
 
     The output is one convolution of the effectual activations with each
     filter's weights zeroed where its group skips; when that zeroes no
@@ -165,16 +169,17 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     _require_type(act_crit, IneffCriterion, "activation criterion")
     layer.check_tensors(acts, filters)
     b, nb = tile.brick, layer.check_brick(tile.brick)
+    width = np.min_scalar_type(b)  # a brick's cost never exceeds b
     eff = act_crit.effectual(acts.values)
     bits, rows = eff.reshape(-1, b), _slot_rows(layer, nb)  # (windows, slots) brick rows
-    counts = bits.sum(axis=-1, dtype=np.int64)[rows]  # each brick's count, gathered
+    counts = bits.sum(axis=-1, dtype=width)[rows]  # each brick's count, gathered
 
     weights, windows = filters.values, None  # copied and gathered when a group drops
     per_tile = arch == "cnv2" and tile.group_scope is GroupScope.PER_TILE
     step = tile.filters_per_tile if per_tile else tile.resident
-    cycles = performed = broadcasts = busy = 0
+    cycles = performed = broadcasts = busy = shared = 0  # shared: passes that cost counts
     for lo, hi in _pass_ranges(layer.f, tile.resident):
-        pass_costs = None  # running maximum of the group costs
+        pass_costs = None  # running maximum of the group costs; counts once one drops none
         for glo in range(lo, hi, step):
             ghi, costs = min(glo + step, hi), counts
             if arch == "cnv2":
@@ -183,15 +188,25 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
                     if windows is None:
                         weights, windows = weights.copy(), bits[rows]  # (windows, slots, b)
                     weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
-                    costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=np.int64)
+                    costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=width)
                 del dead  # not held through the schedule
             sent = int(costs.sum())
             broadcasts += sent
             performed += sent * (ghi - glo)
-            pass_costs = costs if pass_costs is None else np.maximum(pass_costs, costs)
+            if pass_costs is None or costs is counts:
+                pass_costs = costs
+            elif pass_costs is not counts:
+                pass_costs = np.maximum(pass_costs, costs)
+        if pass_costs is counts:
+            shared += 1
+            continue
         schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)
         cycles += schedule.cycles
         busy = busy + schedule.busy
+    if shared:
+        schedule = _Schedule(counts, tile.lanes, tile.sync, tile.empty_brick)
+        cycles += shared * schedule.cycles
+        busy = busy + shared * schedule.busy
     del rows, windows, schedule  # not held through conv3d
 
     unmasked = np.array_equal(weights, filters.values)  # every zeroed weight was zero

@@ -125,7 +125,8 @@ def pad_depth(arr: np.ndarray, brick: int) -> np.ndarray:
 
 class _DepthTensor:
     """int16 values whose last axis is the depth, with its pre-padding
-    ``logical_i``; subclasses fix the number of axes."""
+    ``logical_i``, past which every value is zero; subclasses fix the number
+    of axes."""
 
     _ndim: int
     _what: str
@@ -135,6 +136,9 @@ class _DepthTensor:
         depth = self.values.shape[-1]
         self.logical_i = depth if logical_i is None else _int_in(
             logical_i, 1, depth, "logical depth", ConfigurationError)
+        if self.values[..., self.logical_i:].any():  # the machines would multiply them
+            raise ConfigurationError(f"{self._what} values past the logical depth "
+                                     f"{self.logical_i} are not zero")
 
     @classmethod
     def padded(cls, values, brick: int):

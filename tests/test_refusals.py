@@ -141,9 +141,26 @@ CASES["viai-ineffectual-value-past-logical-depth"] = (
     FormatError, "past the logical depth 3 is not zero",
     lambda tmp: deserialize_store(_rewritten(Format.VIAI, np.array([[[5, 6, 7, 2]]]),
                                              IneffCriterion("abs", 3), logical_i=3)))
-CASES["store-dirty-padding"] = (
-    ConfigurationError, "past the logical depth 3 are not zero",
-    lambda tmp: encode_store(Format.ZFNAF, ActTensor(ACTS.values, logical_i=3), ZERO, 4))
+
+
+def _dirtied_after_build() -> ActTensor:
+    """ACTS at logical depth 3, built clean, then written past that depth."""
+    acts = ActTensor(np.where(np.arange(4) < 3, ACTS.values, 0), logical_i=3)
+    acts.values[..., 3] = 9
+    return acts
+
+
+CASES.update({
+    "act-dirty-padding": (ConfigurationError,
+                          "activation tensor values past the logical depth 3 are not zero",
+                          lambda tmp: ActTensor(ACTS.values, logical_i=3)),
+    "filters-dirty-padding": (ConfigurationError,
+                              "filter set values past the logical depth 2 are not zero",
+                              lambda tmp: FilterSet(FILTERS.values, logical_i=2)),
+    "store-dirty-padding": (
+        ConfigurationError, "activation values past the logical depth 3 are not zero",
+        lambda tmp: encode_store(Format.ZFNAF, _dirtied_after_build(), ZERO, 4)),
+})
 
 # a str criterion at each entry point that takes a criterion
 CASES.update({

@@ -115,6 +115,79 @@ def test_cnv_agrees_with_event_walker():
         assert rep.per_lane_busy == walk.per_lane_busy
 
 
+# -- cost width and passes that cost the shared counts ------------------------
+
+def walk_totals(acts, filters, layer, tile, prod_tables):
+    """Cycles, broadcasts and per-lane busy counts of one dispatcher walk per
+    pass, each under its pass's product table, summed."""
+    walks = [run_dispatch(RawDispatchSource(acts, ZERO, tile.brick), layer, lanes=tile.lanes,
+                          policy=tile.sync, empty_brick_cost=tile.empty_brick, prod_table=prod)
+             for prod in prod_tables]
+    busy = [sum(lane) for lane in zip(*(w.per_lane_busy for w in walks))]
+    return sum(w.cycles for w in walks), sum(w.broadcasts for w in walks), busy
+
+
+@pytest.mark.parametrize("sync", list(SyncPolicy))
+@pytest.mark.parametrize("drop", [False, True], ids=["no-dead-weight", "dead-offset-0"])
+@pytest.mark.parametrize("brick", [1, 255, 256])
+def test_a_full_brick_costs_its_whole_width(brick, drop, sync):
+    """Every activation is effectual, so each brick costs B, or B - 1 where
+    cnv2 drops offset 0: a count held in uint8 would read 256 as 0. Four
+    bricks per window over three lanes, in one pass; cnv2's counters are
+    checked last."""
+    acts = ActTensor(np.ones((3, 2, 2 * brick), dtype=np.int16))
+    weights = np.ones((2, 2, 1, 2 * brick), dtype=np.int16)
+    if drop:
+        weights[..., ::brick] = 0  # offset 0 of each depth brick
+    filters = FilterSet(weights)
+    layer = LayerConfig.from_tensors(acts, filters)
+    tile = TileConfig(tiles=1, filters_per_tile=2, lanes=3, brick=brick, sync=sync)
+    prod = weight_product_table(filters, ZERO, brick)
+    for runner, table in ((run_cnv, None), (run_cnv2, prod)):
+        _, rep = runner(acts, filters, layer, tile)
+        assert (rep.cycles, rep.broadcasts, list(rep.per_lane_busy)) == \
+            walk_totals(acts, filters, layer, tile, [table]), runner.__name__
+    assert rep.broadcasts == layer.ox * layer.oy * 4 * (brick - drop)
+
+
+def mixed_pass_filters() -> FilterSet:
+    """Eight 2x2x8 filters in four passes of two. Pass-wide, passes 0 and 2
+    drop no position, pass 1 drops (0, 0, 1) and pass 3 drops (1, 1, 2).
+    Per tile (one filter a group), pass 2 mixes a group that drops (0, 1, 5)
+    with one that drops nothing, and pass 3's groups drop different sets."""
+    weights = np.random.default_rng(5).integers(1, 9, size=(8, 2, 2, 8)).astype(np.int16)
+    weights[2:4, 0, 0, 1] = 0
+    weights[4, 0, 1, 5] = 0
+    weights[6:8, 1, 1, 2] = 0
+    weights[6, 1, 0, 3] = 0
+    return FilterSet(weights)
+
+
+@pytest.mark.parametrize("sync", list(SyncPolicy))
+@pytest.mark.parametrize("scope", list(GroupScope))
+def test_passes_that_drop_nothing_share_one_schedule(scope, sync):
+    """cnv2 over passes that drop positions and passes that drop none: every
+    report field equals the oracle's, and pass-wide each pass is the
+    dispatcher's walk under that pass's product table."""
+    rng = np.random.default_rng(12)
+    values = rng.integers(-5, 6, size=(5, 4, 8))
+    values[rng.random(values.shape) < 0.4] = 0
+    acts, filters = ActTensor(values), mixed_pass_filters()
+    layer = LayerConfig.from_tensors(acts, filters)
+    tile = TileConfig(tiles=2, filters_per_tile=1, lanes=3, brick=4, sync=sync,
+                      group_scope=scope)
+    tables = [weight_product_table(filters, ZERO, 4, lo, lo + 2) for lo in range(0, 8, 2)]
+    assert [t.any() for t in tables] == [False, True, False, True]
+    out, rep = run_cnv2(acts, filters, layer, tile)
+    want = cycle_report_oracle("cnv2", acts, filters, layer, tile, ZERO, ZERO, "zfnaf")
+    assert np.array_equal(out, want.out)
+    assert {k: getattr(rep, k) for k in REPORT_FIELDS} == \
+        {k: getattr(want, k) for k in REPORT_FIELDS}
+    if scope is GroupScope.PASS_WIDE:
+        assert (rep.cycles, rep.broadcasts, list(rep.per_lane_busy)) == \
+            walk_totals(acts, filters, layer, tile, tables)
+
+
 # -- every report field against the oracle ----------------------------------
 
 CRITERIA = ["zero", "abs:1", "abs:4", "abs:30", "pow2:1", "pow2:3"]
