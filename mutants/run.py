@@ -362,11 +362,17 @@ MUTANTS = (
            "            return len(self) == len(other) and all(\n",
            "            return all(\n",
            ("tests/test_dispatch.py::test_lane_counts_compare_by_their_stored_counts",)),
+    Mutant("lane-rows-with-dict", "every lane sequence carries an instance __dict__ "
+           "beside its columns",
+           "src/sparseaccel/dispatch.py",
+           '    __slots__ = ("columns", "rows", "lanes", "width")\n',
+           "",
+           ("tests/test_dispatch.py::test_lane_sequences_carry_no_instance_dict",)),
     # -- the cycle model -----------------------------------------------------
     Mutant("sim-min-for-group-max", "a pass costs its cheapest filter group",
            "src/sparseaccel/sim.py",
-           "np.maximum(pass_costs, costs)",
-           "np.minimum(pass_costs, costs)",
+           "np.maximum.reduce(costs)",
+           "np.minimum.reduce(costs)",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-criterion-ignored-in-costs", "costs count nonzero, not effectual, activations",
            "src/sparseaccel/sim.py",
@@ -382,13 +388,13 @@ MUTANTS = (
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2",)),
     Mutant("sim-broadcasts-first-group-only", "a pass broadcasts only its first group's pairs",
            "src/sparseaccel/sim.py",
-           "            broadcasts += sent\n",
-           "            broadcasts += sent if glo == lo else 0\n",
+           "int(sent.sum())",
+           "int(sent[::groups].sum())",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-footprint-zero-criterion", "the output footprint ignores the criterion",
            "src/sparseaccel/sim.py",
-           "                        act_crit, out_format), unmasked\n",
-           "                        ZERO, out_format), unmasked\n",
+           "                                                 busy, act_crit)\n",
+           "                                                 busy, ZERO)\n",
            ("tests/test_sim.py::test_cviai_footprint_counts_what_the_skip_criterion_keeps",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("baseline-ragged-lanes-reversed", "the baseline's ragged positions go to the last lanes",
@@ -400,35 +406,16 @@ MUTANTS = (
     Mutant("sim-busy-first-group-only", "lane busy counts follow the first group, not the "
            "group maximum",
            "src/sparseaccel/sim.py",
-           "            if pass_costs is None or costs is counts:\n"
-           "                pass_costs = costs\n"
-           "            elif pass_costs is not counts:\n"
-           "                pass_costs = np.maximum(pass_costs, costs)\n"
-           "        if pass_costs is counts:\n"
-           "            shared += 1\n"
-           "            continue\n"
-           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
-           "        cycles += schedule.cycles\n"
-           "        busy = busy + schedule.busy\n",
-           "            if pass_costs is None:\n"
-           "                first = costs\n"
-           "            if pass_costs is None or costs is counts:\n"
-           "                pass_costs = costs\n"
-           "            elif pass_costs is not counts:\n"
-           "                pass_costs = np.maximum(pass_costs, costs)\n"
-           "        if pass_costs is counts:\n"
-           "            shared += 1\n"
-           "            continue\n"
-           "        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)\n"
-           "        cycles += schedule.cycles\n"
-           "        busy = busy + _Schedule(first, tile.lanes, tile.sync, tile.empty_brick).busy\n",
+           "            busy = busy + schedule.busy\n",
+           "            busy = busy + _Schedule(costs[0], tile.lanes, tile.sync,\n"
+           "                                    tile.empty_brick).busy\n",
            ("tests/test_sim.py::test_passes_that_drop_nothing_share_one_schedule"
             "[GroupScope.PER_TILE-SyncPolicy.BRICKSET_LOCKSTEP]",
             "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
     Mutant("sim-busy-not-scaled-by-passes", "lane busy counts cover the last pass of several",
            "src/sparseaccel/sim.py",
-           "        busy = busy + schedule.busy\n",
-           "        busy = schedule.busy\n",
+           "            busy = busy + schedule.busy\n",
+           "            busy = schedule.busy\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("baseline-cycles-one-set", "the baseline's cycles ignore ceil(positions / lanes): "
            "one cycle per window and pass",
@@ -440,14 +427,57 @@ MUTANTS = (
     Mutant("sim-cnv2-reuses-masked-output", "cnv2 takes cnv's output although its groups "
            "zeroed nonzero weights",
            "src/sparseaccel/sim.py",
-           "    if plain is not None and unmasked:\n",
-           "    if plain is not None:\n",
-           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once",)),
-    Mutant("sim-dropping-group-costs-counts", "a cnv2 group that drops some positions, not "
-           "all, still costs the effectual counts and zeroes no weight",
+           "        weights = _operand(weights, np.repeat(live, sizes, axis=0)"
+           ".reshape(weights.shape))\n",
+           "",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once"
+            "[zero-abs:1-2-2]",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers")),
+    Mutant("sim-operand-always-a-copy", "every operand is a masked copy, so machines that "
+           "multiply the same products convolve once each",
            "src/sparseaccel/sim.py",
-           "                if dead.any():\n",
-           "                if dead.all():\n",
+           "    return values if np.array_equal(masked, values) else masked\n",
+           "    return masked\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once"
+            "[zero-zero-1-1]",
+            "tests/test_cli.py::test_run_convolves_as_often_as_the_reference_sweeps_on_seeded_layers")),
+    Mutant("sim-key-ignores-weights", "a product set is told from the last by its "
+           "activations alone, so cnv2 takes the output of a set with other weights",
+           "src/sparseaccel/sim.py",
+           "        products = (a is acts.values, w is filters.values)\n",
+           "        products = a is acts.values\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once"
+            "[zero-abs:1-2-2]",
+            "tests/test_cli.py::test_run_catches_a_corrupted_simulator",
+            "tests/test_cli.py::test_run_convolves_as_often_as_the_reference_sweeps_on_seeded_layers")),
+    Mutant("sim-key-ignores-activations", "a product set is told from the last by its "
+           "weights alone, so cnv takes the baseline's output",
+           "src/sparseaccel/sim.py",
+           "        products = (a is acts.values, w is filters.values)\n",
+           "        products = w is filters.values\n",
+           ("tests/test_cli.py::test_run_convolves_each_distinct_product_set_once"
+            "[abs:1-zero-2-2]",
+            "tests/test_cli.py::test_run_catches_a_corrupted_simulator",
+            "tests/test_cli.py::test_run_convolves_as_often_as_the_reference_sweeps_on_seeded_layers")),
+    Mutant("sim-dead-table-or", "a group's dead table ORs its filters' ineffectual weights, "
+           "so a position one filter drops is dropped for the whole group",
+           "src/sparseaccel/sim.py",
+           "    dead = [ineff[:cut].reshape(-1, step, *ineff.shape[1:]).all(axis=1)]\n",
+           "    dead = [ineff[:cut].reshape(-1, step, *ineff.shape[1:]).any(axis=1)]\n",
+           ("tests/test_sim.py::test_weight_product_table_values",
+            "tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",
+            "tests/test_cli.py::test_run_catches_cnv2_ignoring_the_weight_products")),
+    Mutant("sim-dead-tail-or", "the last, narrower group's dead table ORs its filters' "
+           "ineffectual weights",
+           "src/sparseaccel/sim.py",
+           "        dead.append(ineff[cut:].all(axis=0, keepdims=True))\n",
+           "        dead.append(ineff[cut:].any(axis=0, keepdims=True))\n",
+           ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
+    Mutant("sim-dropping-group-costs-counts", "a cnv2 group drops positions only when it "
+           "drops all of them, so one that drops some costs the effectual counts",
+           "src/sparseaccel/sim.py",
+           "        drops = ~live.all(axis=(1, 2))\n",
+           "        drops = ~live.any(axis=(1, 2))\n",
            ("tests/test_sim.py::test_reports_match_oracle_on_seeded_layers",)),
     Mutant("sim-costs-in-uint8", "costs are counted in uint8 whatever the brick, so a "
            "full 256-brick costs 0",
@@ -645,6 +675,65 @@ MUTANTS = (
            "",
            ("tests/test_encodings.py::test_every_proper_prefix_is_refused",)),
     # -- the CLI -------------------------------------------------------------
+    # every text input decodes as strict UTF-8 in its loader, which refuses
+    # what it cannot decode or parse
+    Mutant("json-layer-decode-unguarded", "a JSON layer that is not UTF-8 escapes the loader "
+           "as UnicodeDecodeError",
+           "src/sparseaccel/workloads.py",
+           "    except (ValueError, RecursionError) as exc:\n",
+           "    except (json.JSONDecodeError, RecursionError) as exc:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-json-layer-not-utf8]",
+            "tests/test_cli.py::test_every_byte_mutated_input_exits_0_2_or_3")),
+    Mutant("json-layer-depth-unguarded", "a JSON layer nested too deep escapes the loader "
+           "as RecursionError",
+           "src/sparseaccel/workloads.py",
+           "    except (ValueError, RecursionError) as exc:\n",
+           "    except ValueError as exc:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-json-layer-nested-too-deep]",)),
+    Mutant("layer-path-nul-unguarded", "a layer path holding a NUL escapes the loader as "
+           "ValueError",
+           "src/sparseaccel/workloads.py",
+           "    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL\n"
+           '        raise ValidationError(f"cannot read layer file',
+           "    except OSError as exc:\n"
+           '        raise ValidationError(f"cannot read layer file',
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-config-layer-path-with-nul]",)),
+    Mutant("layer-out-path-nul-unguarded", "a layer output path holding a NUL escapes the "
+           "writer as ValueError",
+           "src/sparseaccel/workloads.py",
+           "    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL\n"
+           '        raise ValidationError(f"cannot write layer file',
+           "    except OSError as exc:\n"
+           '        raise ValidationError(f"cannot write layer file',
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-config-gen-out-with-nul]",)),
+    Mutant("report-decode-unguarded", "a report that is not UTF-8 escapes compare as "
+           "UnicodeDecodeError",
+           "src/sparseaccel/cli.py",
+           "        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:\n",
+           "        except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError)"
+           " as exc:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-report-not-utf8]",
+            "tests/test_cli.py::test_every_byte_mutated_input_exits_0_2_or_3")),
+    Mutant("report-depth-unguarded", "a report nested too deep escapes compare as "
+           "RecursionError",
+           "src/sparseaccel/cli.py",
+           "        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:\n",
+           "        except (OSError, ValueError, KeyError, TypeError) as exc:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-report-nested-too-deep]",)),
+    Mutant("config-decode-unguarded", "a config file that is not UTF-8 escapes as "
+           "UnicodeDecodeError",
+           "src/sparseaccel/cli.py",
+           "    except (OSError, UnicodeDecodeError) as exc:\n",
+           "    except OSError as exc:\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-config-not-utf8]",
+            "tests/test_cli.py::test_every_byte_mutated_input_exits_0_2_or_3")),
     Mutant("reference-float32-gemm", "the reference check sums in float32",
            "src/sparseaccel/cli.py",
            "acc[:, glo:ghi] += vals @ wts[glo:ghi, sl].T\n",

@@ -61,20 +61,26 @@ def _parse_dims(text: str, n: int, what: str) -> tuple[int, ...]:
     return dims
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path``, decoded as strict UTF-8."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"{path}:{ln}: expected key = value")
-                key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+        text = _read_text(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
+    for ln, line in enumerate(io.StringIO(text, newline=None), 1):  # as open() splits lines
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{ln}: expected key = value")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -105,7 +111,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -410,10 +416,10 @@ def cmd_compare(args) -> int:
     speedups: dict[str, list[float]] = {}
     for path in args.reports:
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = json.loads(_read_text(path))
             rows = doc["rows"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep to parse
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from None
         version = doc.get("schema_version", SCHEMA_VERSION)
         if type(version) is not int or version != SCHEMA_VERSION:

@@ -104,6 +104,7 @@ class _PaddedRows(Sequence):
     lanes with one ``tolist()`` per column. Two of one class compare column
     by column, not item by item."""
 
+    __slots__ = ("columns", "rows", "lanes", "width")
     fills: tuple[int, ...]
 
     def __init__(self, columns: tuple[np.ndarray, ...], rows: int, lanes: int, width: int):
@@ -176,6 +177,7 @@ class EventColumns(_PaddedRows):
     demand.
     """
 
+    __slots__ = ("offsets", "values")
     fills = (-1, 0)
 
     def __init__(self, offsets: np.ndarray, values: np.ndarray, lanes: int, width: int):
@@ -193,6 +195,7 @@ class LaneCounts(_PaddedRows):
     """One count per lane, read-only: one row of the stored ``counts`` of the
     first lanes, then 0 for every lane past them."""
 
+    __slots__ = ("counts",)
     fills = (0,)
 
     def __init__(self, counts: np.ndarray, lanes: int):

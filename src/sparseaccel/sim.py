@@ -16,9 +16,9 @@ every group drops a position and once for all other passes, the baseline
 once for a window of one position per slot.
 
 Filters beyond one pass's residency (tiles * filters_per_tile) are handled
-in sequential passes that repeat the activation traversal. Functional
-outputs are exact integer convolutions over the surviving products and are
-returned untruncated.
+in sequential passes that repeat the activation traversal. A machine's
+output is the exact integer convolution of its product set, the
+activations and weights it keeps, returned untruncated.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .encodings import Format, footprint_bits
 from .errors import ConfigurationError
 from .sparsity import ZERO, GroupScope, IneffCriterion
 from .tensor import (ActTensor, FilterSet, LayerConfig, _depth_bricks, _positive_fields,
-                     _require_type, conv3d, dense_conv)
+                     _require_type, conv3d)
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ class CycleReport:
         return {c: getattr(self, c) for c in self.CSV_COLUMNS}
 
 
-def _pass_ranges(f: int, resident: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + resident, f)) for lo in range(0, f, resident)]
-
-
 def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
             cycles: int, performed: int, broadcasts: int, busy: np.ndarray,
             crit: IneffCriterion, out_format: Format) -> CycleReport:
@@ -103,26 +99,35 @@ def _report(arch: str, out: np.ndarray, layer: LayerConfig, tile: TileConfig,
     )
 
 
-def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
-                 tile: TileConfig, *, out_format: Format = Format.ZFNAF
-                 ) -> tuple[np.ndarray, CycleReport]:
-    """Dense machine: every position of every window is multiplied.
+def _operand(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The layer's own ``values``, unless keeping only ``kept`` zeroes a nonzero one."""
+    masked = values * kept  # as np.where(kept, values, 0), in a tenth of the time or less
+    return values if np.array_equal(masked, values) else masked
 
-    The lanes share each window's positions round robin, not its bricks: the
-    lane schedule of one window with one position per slot, ceil(positions /
-    lanes) cycles, repeats for every window and pass.
-    """
+
+def _dead_tables(weights: np.ndarray, weight_crit: IneffCriterion, brick: int,
+                 step: int) -> np.ndarray:
+    """`weight_product_table` of each run of ``step`` filters from the first,
+    as a (groups, fx, fy, depth_bricks, brick) array: one reshape of the
+    weight ineffectuality for the whole runs, and the last, narrower one."""
+    _require_type(weight_crit, IneffCriterion, "weight criterion")
+    nb, ineff = _depth_bricks(weights.shape[-1], brick), weight_crit.ineffectual(weights)
+    cut = len(weights) - len(weights) % step  # the filters of the whole runs
+    dead = [ineff[:cut].reshape(-1, step, *ineff.shape[1:]).all(axis=1)]
+    if cut < len(weights):
+        dead.append(ineff[cut:].all(axis=0, keepdims=True))
+    return np.concatenate(dead).reshape(-1, *weights.shape[1:3], nb, brick)
+
+
+def _run_dense(acts: ActTensor, filters: FilterSet, layer: LayerConfig, tile: TileConfig):
+    """The baseline's product set, the layer's own arrays, and its counters."""
     layer.check_tensors(acts, filters)
     layer.check_brick(tile.brick)
-    out = dense_conv(acts, filters, layer)
-
-    k = layer.window_positions
-    n_windows = layer.ox * layer.oy
-    repeat = n_windows * len(_pass_ranges(layer.f, tile.resident))  # windows x passes
+    k, n_windows = layer.window_positions, layer.ox * layer.oy
+    repeat = n_windows * -(-layer.f // tile.resident)  # windows x passes
     window = _Schedule(np.ones(k, dtype=np.int64), tile.lanes, tile.sync, tile.empty_brick)
-    return out, _report("baseline", out, layer, tile, window.cycles * repeat,
-                        n_windows * k * layer.f, repeat * k, window.busy * repeat, ZERO,
-                        out_format)
+    return acts.values, filters.values, (window.cycles * repeat, n_windows * k * layer.f,
+                                         repeat * k, window.busy * repeat, ZERO)
 
 
 def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
@@ -133,36 +138,27 @@ def weight_product_table(filters: FilterSet, weight_crit: IneffCriterion,
     offset every covered filter agrees is dead. Suitable as the dispatcher's
     product table.
     """
-    _require_type(weight_crit, IneffCriterion, "weight criterion")
     hi = filters.count if hi is None else hi
     if not 0 <= lo < hi <= filters.count:
         raise ConfigurationError(f"filter range [{lo}, {hi}) invalid for {filters.count} filters")
-    nb = _depth_bricks(filters.i, brick)
-    ineff = weight_crit.ineffectual(filters.values[lo:hi])
-    return ineff.reshape(hi - lo, filters.fx, filters.fy, nb, brick).all(axis=0)
+    return _dead_tables(filters.values[lo:hi], weight_crit, brick, hi - lo)[0]
 
 
 def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                   tile: TileConfig, act_crit: IneffCriterion,
-                  weight_crit: IneffCriterion | None, out_format: Format,
-                  plain: np.ndarray | None = None) -> tuple[np.ndarray, CycleReport, bool]:
+                  weight_crit: IneffCriterion | None):
     """The cnv/cnv2 pipeline: skip mask, then per-brick cost, then sync reduction.
 
     One cost rule serves both: cnv is cnv2 with no dead position, one group
     per pass. Every group costs each input brick's effectual count, gathered
     by the dispatcher's slot rows (`_slot_rows`) in its (windows, slots)
-    order. Only a cnv2 group whose `weight_product_table` marks a position
-    dead counts bits instead: it drops those positions from the bricks'
-    gathered effectual bits, gathered once per call when a group first
-    needs them. A pass costs the group maximum of each slot, and the lane
-    schedule turns that into cycles. No group costs more than the counts, so
-    a pass with a group that drops nothing costs exactly the counts: those
-    passes share one schedule, built once per call. Every cost is held in the
-    brick's own width, `np.min_scalar_type(B)`, since none exceeds B.
-
-    The output is one convolution of the effectual activations with each
-    filter's weights zeroed where its group skips; when that zeroes no
-    nonzero weight, it is ``plain`` if given. Also returns whether it is.
+    order. A cnv2 group whose dead table (all of them from one
+    `_dead_tables` call) marks a position drops it from the bricks' gathered
+    bits instead. A pass whose every group drops one costs the group maximum
+    of each slot; any other pass costs exactly the counts, and those passes
+    share one schedule. Every cost is held in the brick's own width,
+    `np.min_scalar_type(B)`, since none exceeds B. Returns the product set,
+    the effectual activations and the weights each group keeps, and counters.
     """
     if arch == "cnv2" and weight_crit is None:
         raise ConfigurationError("cnv2 requires a weight criterion")
@@ -174,71 +170,69 @@ def _run_skipping(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerCo
     bits, rows = eff.reshape(-1, b), _slot_rows(layer, nb)  # (windows, slots) brick rows
     counts = bits.sum(axis=-1, dtype=width)[rows]  # each brick's count, gathered
 
-    weights, windows = filters.values, None  # copied and gathered when a group drops
     per_tile = arch == "cnv2" and tile.group_scope is GroupScope.PER_TILE
     step = tile.filters_per_tile if per_tile else tile.resident
-    cycles = performed = broadcasts = busy = shared = 0  # shared: passes that cost counts
-    for lo, hi in _pass_ranges(layer.f, tile.resident):
-        pass_costs = None  # running maximum of the group costs; counts once one drops none
-        for glo in range(lo, hi, step):
-            ghi, costs = min(glo + step, hi), counts
-            if arch == "cnv2":
-                dead = weight_product_table(filters, weight_crit, b, glo, ghi)
-                if dead.any():
-                    if windows is None:
-                        weights, windows = weights.copy(), bits[rows]  # (windows, slots, b)
-                    weights[glo:ghi, dead.reshape(layer.fx, layer.fy, layer.i)] = 0
-                    costs = (windows & ~dead.reshape(-1, b)).sum(axis=-1, dtype=width)
-                del dead  # not held through the schedule
-            sent = int(costs.sum())
-            broadcasts += sent
-            performed += sent * (ghi - glo)
-            if pass_costs is None or costs is counts:
-                pass_costs = costs
-            elif pass_costs is not counts:
-                pass_costs = np.maximum(pass_costs, costs)
-        if pass_costs is counts:
-            shared += 1
-            continue
-        schedule = _Schedule(pass_costs, tile.lanes, tile.sync, tile.empty_brick)
-        cycles += schedule.cycles
-        busy = busy + schedule.busy
+    starts, groups = np.arange(0, layer.f, step), tile.resident // step  # groups per pass
+    sizes = np.diff(starts, append=layer.f)
+    sent = np.full(len(starts), int(counts.sum()))  # the pairs each group broadcasts
+    weights, drops = filters.values, np.zeros(len(starts), dtype=bool)
+    if arch == "cnv2":
+        live = ~_dead_tables(weights, weight_crit, b, step).reshape(len(starts), -1, b)
+        drops = ~live.all(axis=(1, 2))
+    dropping = np.logical_and.reduceat(drops, np.arange(0, len(starts), groups))  # per pass
+    cycles = busy = 0
+    if drops.any():
+        windows = bits[rows]  # (windows, slots, b)
+        sent = (windows.sum(axis=0) * live).sum(axis=(1, 2))
+        for lo in np.flatnonzero(dropping) * groups:
+            costs = [(windows & keep).sum(axis=-1, dtype=width) for keep in live[lo:lo + groups]]
+            schedule = _Schedule(np.maximum.reduce(costs), tile.lanes, tile.sync,
+                                 tile.empty_brick)
+            cycles += schedule.cycles
+            busy = busy + schedule.busy
+        weights = _operand(weights, np.repeat(live, sizes, axis=0).reshape(weights.shape))
+    shared = len(dropping) - int(dropping.sum())  # passes that cost the counts
     if shared:
         schedule = _Schedule(counts, tile.lanes, tile.sync, tile.empty_brick)
         cycles += shared * schedule.cycles
         busy = busy + shared * schedule.busy
-    del rows, windows, schedule  # not held through conv3d
-
-    unmasked = np.array_equal(weights, filters.values)  # every zeroed weight was zero
-    if plain is not None and unmasked:
-        out = plain
-    else:
-        out = conv3d(np.where(eff, acts.values, 0), weights, layer.stride)
-    return out, _report(arch, out, layer, tile, cycles, performed, broadcasts, busy,
-                        act_crit, out_format), unmasked
+    return _operand(acts.values, eff), weights, (cycles, int(sent @ sizes), int(sent.sum()),
+                                                 busy, act_crit)
 
 
 def _run_machines(archs, acts: ActTensor, filters: FilterSet, layer: LayerConfig,
                   tile: TileConfig, act_crit: IneffCriterion, weight_crit: IneffCriterion,
                   out_format: Format):
-    """Yield (output, report) for each named machine in turn.
-
-    A skipping machine whose groups zero no nonzero weight, as cnv and cnv2
-    under a zero weight criterion, takes the last such machine's output of
-    this call instead of convolving again. The baseline convolves on its own.
-    """
-    plain = None
+    """Yield (output, report) for each named machine in turn: one convolution
+    per product set that is not the last machine's, whose output is the only
+    one held, so all three machines share one under zero criteria."""
+    last = out = None
     for arch in archs:
         if arch == "baseline":
-            yield run_baseline(acts, filters, layer, tile, out_format=out_format)
+            a, w, counters = _run_dense(acts, filters, layer, tile)
         elif arch in ("cnv", "cnv2"):
-            out, report, unmasked = _run_skipping(arch, acts, filters, layer, tile, act_crit,
-                                                  weight_crit, out_format, plain)
-            if unmasked:
-                plain = out
-            yield out, report
+            a, w, counters = _run_skipping(arch, acts, filters, layer, tile, act_crit,
+                                           weight_crit)
         else:
             raise ConfigurationError(f"unknown architecture {arch!r}")
+        products = (a is acts.values, w is filters.values)
+        if products != last:
+            out = None  # freed before the next one is computed
+            out, last = conv3d(a, w, layer.stride), products
+        del a, w  # not held while the caller reads the output
+        yield out, _report(arch, out, layer, tile, *counters, out_format)
+
+
+def run_baseline(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
+                 tile: TileConfig, *, out_format: Format = Format.ZFNAF
+                 ) -> tuple[np.ndarray, CycleReport]:
+    """Dense machine: every position of every window is multiplied.
+
+    The lanes share each window's positions round robin, not its bricks: the
+    lane schedule of one window with one position per slot, ceil(positions /
+    lanes) cycles, repeats for every window and pass.
+    """
+    return run_arch("baseline", acts, filters, layer, tile, out_format=out_format)
 
 
 def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
@@ -251,7 +245,7 @@ def run_cnv(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     activations are zeroed before the functional convolution, which changes
     nothing under the zero criterion.
     """
-    return _run_skipping("cnv", acts, filters, layer, tile, act_crit, None, out_format)[:2]
+    return run_arch("cnv", acts, filters, layer, tile, act_crit, out_format=out_format)
 
 
 def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
@@ -266,8 +260,8 @@ def run_cnv2(acts: ActTensor, filters: FilterSet, layer: LayerConfig,
     functional output as well, which is a no-op under zero criteria because
     the removed products are zero.
     """
-    return _run_skipping("cnv2", acts, filters, layer, tile, act_crit, weight_crit,
-                         out_format)[:2]
+    return run_arch("cnv2", acts, filters, layer, tile, act_crit, weight_crit,
+                    out_format=out_format)
 
 
 def run_arch(arch: str, acts: ActTensor, filters: FilterSet, layer: LayerConfig,

@@ -175,17 +175,20 @@ def save_layer(path, data: LayerData) -> None:
             _save_json(path, a, w, data.stride, data.brick)
         else:
             _save_binary(path, a, w, data.stride, data.brick)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise ValidationError(f"cannot write layer file {path}: {exc}") from None
 
 
 def load_layer(path) -> LayerData:
+    """Read a layer file; the suffix picks binary (.layer) or JSON (.json)."""
     try:
-        if str(path).endswith(".json"):
-            return _load_json(path)
-        return _load_binary(path)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise ValidationError(f"cannot read layer file {path}: {exc}") from None
+    if str(path).endswith(".json"):
+        return _load_json(path, blob)
+    return _load_binary(path, blob)
 
 
 def _logical_views(data: LayerData) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +208,7 @@ def _save_binary(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) ->
         fh.write(np.ascontiguousarray(w, dtype="<i2").tobytes())
 
 
-def _load_binary(path) -> LayerData:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _load_binary(path, blob: bytes) -> LayerData:
     if len(blob) < 4 or blob[:4] != _MAGIC:
         raise BadMagicError(f"{path}: not a layer file (bad magic)")
     if len(blob) < _BIN_HEADER.size:
@@ -277,7 +278,7 @@ def _save_json(path, a: np.ndarray, w: np.ndarray, stride: int, brick: int) -> N
         "activations": a.reshape(-1).tolist(),
         "weights": w.reshape(-1).tolist(),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -305,12 +306,12 @@ def _json_ints(path, key: str, value, dtype: type, count: int | None = None) -> 
     raise FormatError(f"{path}: {key}[{n}] is {v!r}, expected an integer in [{lo}, {hi}]")
 
 
-def _load_json(path) -> LayerData:
+def _load_json(path, blob: bytes) -> LayerData:
     import json
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(blob.decode("utf-8"))
+    # not UTF-8, not JSON, or nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         raise BadMagicError(f"{path}: not a JSON layer file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != _MAGIC.decode():
         raise BadMagicError(f"{path}: missing or wrong format field")

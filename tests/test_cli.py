@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import sparseaccel.cli as cli
 import sparseaccel.sim as sim
 from sparseaccel import (ActTensor, FilterSet, GroupScope, IneffCriterion, LayerData,
-                         TileConfig, ValidationError, load_layer, save_layer)
+                         SyncPolicy, TileConfig, ValidationError, load_layer, save_layer)
 
 from helpers import (FLOAT32_LIMIT_CASES, einsum_conv, hypothesis_picks, pick_criterion,
                      seeded_cases, traced_peak, window_reference_output)
@@ -212,6 +214,54 @@ def test_run_rejects_malformed_json_layer(tmp_path, capsys, dims, acts):
     assert "expected an integer" in err and "Traceback" not in err
 
 
+def byte_mutated(blob: bytes, rng) -> bytes:
+    """``blob`` with one to three bytes replaced, inserted or deleted."""
+    out = bytearray(blob)
+    for _ in range(rng.integers(1, 4)):
+        at, byte, edit = int(rng.integers(len(out))), int(rng.integers(256)), rng.integers(3)
+        if edit == 0:
+            out[at] = byte
+        elif edit == 1:
+            out.insert(at, byte)
+        else:
+            del out[at]
+    return bytes(out)
+
+
+def valid_input(kind: str, tmp: Path) -> tuple[bytes, list[str]]:
+    """A valid file of each kind the CLI reads, and the arguments that read
+    it, "{}" standing for its path."""
+    if kind == "report":
+        jout = tmp / "valid.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE,
+                           "--json-out", str(jout)) == 0
+        return jout.read_bytes(), ["compare", "{}"]
+    if kind == "config":
+        text = (f"# a run\nlayer = {FIXTURE}\ntiles = 1\nfilters-per-tile = 2\nlanes = 4\n"
+                "act-crit = abs:1\nwt-crit = zero\nsync = window\narch = cnv,cnv2\n")
+        return text.encode(), ["run", "--config", "{}"]
+    path = tmp / f"valid.{kind}"
+    save_layer(path, load_layer(FIXTURE))
+    return path.read_bytes(), ["run", "--layer", "{}", *FIXTURE_TILE]
+
+
+@pytest.mark.parametrize("kind", ["json", "layer", "report", "config"])
+def test_every_byte_mutated_input_exits_0_2_or_3(tmp_path, kind):
+    """One to three bytes of a valid JSON or binary layer, report or config
+    file replaced, inserted or deleted: `cli.main` returns 0, 2 or 3, and no
+    exception escapes it."""
+    valid, argv = valid_input(kind, tmp_path)
+    rng = np.random.default_rng(12)
+    path = tmp_path / f"mutated.{'json' if kind == 'report' else kind}"
+    codes = set()
+    for _ in range(60):
+        path.write_bytes(byte_mutated(valid, rng))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.add(run_cli(*[arg.format(path) for arg in argv]))
+    assert codes <= {0, 2, 3} and 2 in codes
+
+
 @pytest.mark.parametrize("name, stride, brick, message", [
     ("zero.layer", 0, 4, "stride[0] is 0"),
     ("wide.layer", 1, 65535, "padded depth 65535"),
@@ -242,23 +292,42 @@ def test_run_equivalence_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "equivalence" in err
 
 
-def _off_by_one(real):
+def _off_by_one_at(call, real):
+    """``real``, with the output of its ``call``-th call (from 0) off by one."""
+    calls = itertools.count()
+
     def corrupted(*args, **kwargs):
-        out = real(*args, **kwargs).copy()
-        out[..., 0] += 1
+        out = real(*args, **kwargs)
+        if next(calls) == call:
+            out = out.copy()
+            out[..., 0] += 1
         return out
     return corrupted
 
 
-@pytest.mark.parametrize("target, failing", [
-    ("dense_conv", {"baseline"}),
-    ("conv3d", {"cnv", "cnv2"}),
-])
-def test_run_catches_a_corrupted_simulator(tmp_path, monkeypatch, capsys, target, failing):
-    # the converse of the test above: the simulator is wrong, the reference is not
-    monkeypatch.setattr(sim, target, _off_by_one(getattr(sim, target)))
+# The fixture's activation 1 and the weights both filters hold at 0 or 1
+# are dropped by abs:1; under zero criteria every machine multiplies the same
+# nonzero products.
+PRODUCT_SETS = [
+    ("zero", "zero", [{"baseline", "cnv", "cnv2"}]),   # one product set
+    ("abs:1", "zero", [{"baseline"}, {"cnv", "cnv2"}]),
+    ("zero", "abs:1", [{"baseline", "cnv"}, {"cnv2"}]),
+    ("abs:1", "abs:1", [{"baseline"}, {"cnv"}, {"cnv2"}]),  # three product sets
+]
+
+
+@pytest.mark.parametrize("act_crit, wt_crit, call, failing", [
+    pytest.param(act, wt, call, machines, id=f"{act}-{wt}-call{call}")
+    for act, wt, sets in PRODUCT_SETS for call, machines in enumerate(sets)])
+def test_run_catches_a_corrupted_simulator(tmp_path, monkeypatch, capsys, act_crit, wt_crit,
+                                           call, failing):
+    # the converse of the test above: the simulator's convolution of one
+    # product set is wrong, the reference is not, and every machine that
+    # shares that set fails
+    monkeypatch.setattr(sim, "conv3d", _off_by_one_at(call, sim.conv3d))
     jout = tmp_path / "r.json"
-    rc = run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--json-out", str(jout))
+    rc = run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--act-crit", act_crit,
+                 "--wt-crit", wt_crit, "--json-out", str(jout))
     assert rc == 3
     assert "equivalence" in capsys.readouterr().err
     rows = json.loads(jout.read_text())["rows"]
@@ -268,9 +337,8 @@ def test_run_catches_a_corrupted_simulator(tmp_path, monkeypatch, capsys, target
 def test_run_catches_cnv2_ignoring_the_weight_products(tmp_path, monkeypatch, capsys):
     args = ("run", "--layer", str(FIXTURE), *FIXTURE_TILE, "--wt-crit", "abs:1")
     assert run_cli(*args) == 0
-    real = sim.weight_product_table
-    monkeypatch.setattr(sim, "weight_product_table",
-                        lambda *a, **kw: np.zeros_like(real(*a, **kw)))
+    real = sim._dead_tables
+    monkeypatch.setattr(sim, "_dead_tables", lambda *a, **kw: np.zeros_like(real(*a, **kw)))
     jout = tmp_path / "r.json"
     assert run_cli(*args, "--json-out", str(jout)) == 3
     assert "equivalence" in capsys.readouterr().err
@@ -278,18 +346,9 @@ def test_run_catches_cnv2_ignoring_the_weight_products(tmp_path, monkeypatch, ca
     assert [r["arch"] for r in rows if r["verdict"] == "FAIL"] == ["cnv2"]
 
 
-# The fixture's activation 1 and the weights both filters hold at 0 or 1
-# are dropped by abs:1; under zero criteria every machine multiplies the same
-# nonzero products.
-@pytest.mark.parametrize("act_crit, wt_crit, convs, sweeps", [
-    ("zero", "zero", 1, 1),     # one product set
-    ("abs:1", "zero", 1, 2),    # baseline | cnv, cnv2
-    ("zero", "abs:1", 2, 2),    # baseline, cnv | cnv2
-    ("abs:1", "abs:1", 2, 3),   # three product sets
-])
-def test_run_convolves_each_distinct_product_set_once(monkeypatch, act_crit, wt_crit,
-                                                      convs, sweeps):
-    calls = {"dense_conv": 0, "conv3d": 0, "reference_output": 0}
+def count_calls(monkeypatch, *targets) -> dict:
+    """Count the calls of each (module, name) in ``targets`` by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
 
     def counted(module, name):
         real = getattr(module, name)
@@ -299,12 +358,20 @@ def test_run_convolves_each_distinct_product_set_once(monkeypatch, act_crit, wt_
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, count)
 
-    counted(sim, "dense_conv")
-    counted(sim, "conv3d")
-    counted(cli, "reference_output")
+    for module, name in targets:
+        counted(module, name)
+    return calls
+
+
+# ids: criteria, then the convolutions and the reference sweeps expected
+@pytest.mark.parametrize("act_crit, wt_crit, sets", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{len(case[2])}-{len(case[2])}")
+    for case in PRODUCT_SETS])
+def test_run_convolves_each_distinct_product_set_once(monkeypatch, act_crit, wt_crit, sets):
+    calls = count_calls(monkeypatch, (sim, "conv3d"), (cli, "reference_output"))
     assert run_cli("run", "--layer", str(FIXTURE), *FIXTURE_TILE,
                    "--act-crit", act_crit, "--wt-crit", wt_crit) == 0
-    assert calls == {"dense_conv": 1, "conv3d": convs, "reference_output": sweeps}
+    assert calls == {"conv3d": len(sets), "reference_output": len(sets)}
 
 
 def test_run_at_a_billion_lanes_fits_in_a_gib():
@@ -408,6 +475,14 @@ def test_reference_output_matches_window_loop_on_seeded_layers():
         assert_reference_matches_window_loop(*case)
 
 
+def run_argv(path, archs, tile, act_crit, weight_crit) -> list[str]:
+    """`run` on the layer file ``path``, these machines, shape and criteria."""
+    return ["run", "--layer", str(path), "--arch", ",".join(archs), "--tiles", str(tile.tiles),
+            "--filters-per-tile", str(tile.filters_per_tile), "--lanes", str(tile.lanes),
+            "--sync", tile.sync.value, "--group-scope", tile.group_scope.value,
+            "--act-crit", act_crit.spec(), "--wt-crit", weight_crit.spec()]
+
+
 def _row_of(report, out, expected, base_cycles) -> dict:
     row = dict(report.to_record(), speedup=None, verdict="PASS")
     if base_cycles is not None and report.cycles:
@@ -429,11 +504,7 @@ def test_run_rows_equal_separate_machine_runs(case, order, n_archs):
         path, jout = Path(tmp, "l.layer"), Path(tmp, "r.json")
         save_layer(path, data)
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = run_cli("run", "--layer", str(path), "--arch", ",".join(archs),
-                         "--tiles", str(tile.tiles), "--filters-per-tile",
-                         str(tile.filters_per_tile), "--lanes", str(tile.lanes),
-                         "--group-scope", tile.group_scope.value,
-                         "--act-crit", act_crit.spec(), "--wt-crit", weight_crit.spec(),
+            rc = run_cli(*run_argv(path, archs, tile, act_crit, weight_crit),
                          "--json-out", str(jout))
         rows = json.loads(jout.read_text())["rows"]
     runs = {arch: sim.run_arch(arch, data.acts, data.filters, layer, tile, act_crit,
@@ -444,6 +515,27 @@ def test_run_rows_equal_separate_machine_runs(case, order, n_archs):
             for arch, (out, report) in runs.items()]
     assert rc == 0
     assert rows == want
+
+
+def test_run_convolves_as_often_as_the_reference_sweeps_on_seeded_layers(tmp_path,
+                                                                         monkeypatch):
+    """Over random layers, criteria, scopes, sync policies and machine orders,
+    `run`'s simulator convolves exactly as often as its reference sweeps, and
+    every verdict is PASS: both sides find the same product sets."""
+    calls = count_calls(monkeypatch, (sim, "conv3d"), (cli, "reference_output"))
+    rng = np.random.default_rng(26)
+    path, jout = tmp_path / "l.layer", tmp_path / "r.json"
+    for data, tile, act_crit, weight_crit in seeded_cases(reference_case, seed=26, n=40):
+        save_layer(path, data)
+        archs = list(rng.permutation(cli.ARCH_CHOICES)[:rng.integers(1, 4)])
+        tile = replace(tile, sync=list(SyncPolicy)[rng.integers(2)])
+        calls.update(conv3d=0, reference_output=0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = run_cli(*run_argv(path, archs, tile, act_crit, weight_crit),
+                         "--json-out", str(jout))
+        assert rc == 0
+        assert {r["verdict"] for r in json.loads(jout.read_text())["rows"]} == {"PASS"}
+        assert calls["conv3d"] == calls["reference_output"], (archs, act_crit, weight_crit)
 
 
 def test_reference_output_per_tile_groups_in_a_ragged_last_pass():

@@ -329,6 +329,23 @@ def test_lane_sequences_compare_only_with_sequences():
     assert repr(events) == "EventColumns(lanes=3, cycles=2)"
 
 
+def test_lane_sequences_carry_no_instance_dict():
+    """Every kept `CycleReport` holds a `LaneCounts`, so the lane sequences
+    keep their fields in slots: no instance ``__dict__``, and the same
+    values and repr."""
+    counts = dispatch.LaneCounts(np.arange(1, 17), lanes=18)
+    events = EventColumns(np.array([3, -1], dtype=np.int32), np.array([5, 0], dtype=np.int16),
+                          lanes=3, width=1)
+    for seq in (counts, events):
+        assert not hasattr(seq, "__dict__")
+        with pytest.raises(AttributeError):
+            seq.cache = None
+    assert list(counts) == list(range(1, 17)) + [0, 0]
+    assert repr(counts) == f"LaneCounts(lanes=18, counts={tuple(range(1, 17))})"
+    assert list(events) == [DispatchEvent(0, 0, 3, 5), DispatchEvent(0, 1), DispatchEvent(0, 2),
+                            DispatchEvent(1, 0), DispatchEvent(1, 1), DispatchEvent(1, 2)]
+
+
 def test_event_columns_span_only_the_lanes_that_get_a_brick():
     """A window of this layer has 18 bricks, so 32768 lanes keep (cycles x 18)
     columns and report every later lane idle. The layer is small enough that

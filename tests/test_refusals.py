@@ -58,6 +58,18 @@ def _compare(tmp, doc) -> int:
     return cli.main(["compare", str(report)])
 
 
+NOT_UTF8 = b'{"rows": []}\xff'
+DEEP = b"[" * 200000 + b"]" * 200000  # nested deeper than the JSON parser recurses
+
+
+def _cli_on_file(tmp, name: str, blob: bytes, *argv: str) -> int:
+    """`cli.main` on ``argv``, each "{}" in it the path of a file ``name``
+    holding ``blob``."""
+    path = tmp / name
+    path.write_bytes(blob)
+    return cli.main([arg.format(path) for arg in argv])
+
+
 CASES = {
     "dispatch-zero-lanes": (ConfigurationError, "lane count must be at least 1",
                             lambda tmp: run_dispatch(_store(), LAYER, lanes=0)),
@@ -108,6 +120,27 @@ CASES = {
         2, "cannot write layer file",
         lambda tmp: cli.main(["gen", "--dims", "2x2x4", "--filters", "1x1x1",
                               "-o", str(tmp / "missing" / "x.layer")])),
+    "cli-json-layer-not-utf8": (
+        2, "not a JSON layer file", lambda tmp: _cli_on_file(tmp, "l.json", NOT_UTF8,
+                                                             "run", "--layer", "{}")),
+    "cli-json-layer-nested-too-deep": (
+        2, "not a JSON layer file", lambda tmp: _cli_on_file(tmp, "l.json", DEEP,
+                                                             "run", "--layer", "{}")),
+    "cli-report-not-utf8": (
+        2, "cannot read report", lambda tmp: _cli_on_file(tmp, "r.json", NOT_UTF8,
+                                                          "compare", "{}")),
+    "cli-report-nested-too-deep": (
+        2, "cannot read report", lambda tmp: _cli_on_file(tmp, "r.json", DEEP, "compare", "{}")),
+    "cli-config-not-utf8": (
+        2, "cannot read config", lambda tmp: _cli_on_file(tmp, "c.cfg", b"dims = 2x2x4\xff\n",
+                                                          "run", "--config", "{}")),
+    "cli-config-layer-path-with-nul": (
+        2, "cannot read layer file", lambda tmp: _cli_on_file(tmp, "c.cfg", b"layer = l\0.json\n",
+                                                              "run", "--config", "{}")),
+    "cli-config-gen-out-with-nul": (
+        2, "cannot write layer file",
+        lambda tmp: _cli_on_file(tmp, "c.cfg", b"dims = 2x2x4\nfilters = 1x1x1\nout = x\0.layer\n",
+                                 "gen", "--config", "{}")),
     "cli-compare-unknown-schema": (
         2, "schema_version 99",
         lambda tmp: _compare(tmp, {"schema_version": 99,
