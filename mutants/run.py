@@ -519,6 +519,19 @@ MUTANTS = (
            "self.packed[(0 * self.ir[:, None] + rank)[live]]",
            ("tests/test_dispatch.py::test_sources_agree_on_sparse_tensor",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
+    Mutant("front-pack-inclusive-rank", "a kept value's rank counts its own row's kept "
+           "positions too, so pairs land rows early or wrap to the table's end",
+           "src/sparseaccel/encodings.py",
+           "np.arange(0, n * b, b) - _exclusive_cumsum(counts, 0)",
+           "np.arange(0, n * b, b) - np.cumsum(counts)",
+           ("tests/test_encodings.py::test_front_pack_matches_the_stable_sort",
+            "tests/test_encodings.py::test_zfnaf_golden_bytes")),
+    Mutant("front-pack-offset-is-row", "a pair's offset is its brick row, not its column",
+           "src/sparseaccel/encodings.py",
+           "    offsets[dest] = src % b\n",
+           "    offsets[dest] = src // b\n",
+           ("tests/test_encodings.py::test_front_pack_matches_the_stable_sort",
+            "tests/test_dispatch.py::test_sources_agree_on_sparse_tensor")),
     Mutant("stream-tags-shifted", "ZFNAf and RoE swap stream tags",
            "src/sparseaccel/encodings.py",
            "_STREAM_TAGS = (Format.RAW, Format.ZFNAF, Format.ROE, Format.VIAI, Format.CVIAI)\n",
@@ -884,6 +897,17 @@ MUTANTS = (
            "        if not isinstance(rows, list) or not all(map(_mergeable, rows)):\n",
            "        if not isinstance(rows, list):\n",
            ("tests/test_cli.py::test_compare_rejects_malformed_rows",)),
+    Mutant("compare-accepts-non-finite", "compare merges NaN, an infinity or an int beyond "
+           "the float range, and a huge int is a traceback",
+           "src/sparseaccel/cli.py",
+           " and math.isfinite(v)\n",
+           "\n",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-huge-int-speedup]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-nan-utilization]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-minus-infinity-speedup]")),
 )
 
 

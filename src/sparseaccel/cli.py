@@ -399,12 +399,20 @@ def _print_table(rows: list[dict]) -> None:
         print("  ".join(row[j].ljust(widths[j]) for j in range(len(columns))))
 
 
+def _finite(v) -> bool:
+    """A non-bool number whose float value is finite: not NaN, ±Infinity or
+    an int beyond the float range."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _mergeable(row) -> bool:
     """A report row `compare` can merge: an object with a string arch, and a
-    non-bool number or null as speedup and utilization."""
+    finite number or null as speedup and utilization."""
     return isinstance(row, dict) and isinstance(row.get("arch"), str) and all(
-        v is None or isinstance(v, (int, float)) and not isinstance(v, bool)
-        for v in (row.get("speedup"), row.get("utilization")))
+        v is None or _finite(v) for v in (row.get("speedup"), row.get("utilization")))
 
 
 def cmd_compare(args) -> int:
@@ -427,7 +435,7 @@ def cmd_compare(args) -> int:
                                   f"expected {SCHEMA_VERSION}")
         if not isinstance(rows, list) or not all(map(_mergeable, rows)):
             raise ValidationError(f"cannot read report {path}: rows must be objects with a "
-                                  "string arch and numeric or null speedup and utilization")
+                                  "string arch and finite numeric or null speedup and utilization")
         for row in rows:
             entry = {"source": path}
             entry.update(row)

@@ -43,6 +43,12 @@ under the header's criterion, an RoE brick is raw exactly when its
 effectual count does not fit, and nothing past the logical depth is
 nonzero.
 
+A pair table (the ZFNAf and RoE containers, and the table VIAI, CVIAI and
+the dispatcher's fetch-time source compute) front-packs each brick's kept
+values by rank, not by sort: the kept positions listed row-major are the
+packed order, and each goes to its row's first slot plus its rank among
+that row's kept positions.
+
 Footprint accounting is exact: overhead ratios are `fractions.Fraction`
 values against the raw cost of X*Y*I*16 bits.
 """
@@ -295,13 +301,23 @@ def _check_effectual(crit: IneffCriterion, stored: np.ndarray) -> None:
 
 
 def _front_pack(vals: np.ndarray, keep: np.ndarray):
-    """Kept (offset, value) pairs moved to the front of each row, zero filled."""
-    order = np.argsort(~keep, axis=1, kind="stable")
+    """Kept (offset, value) pairs moved to the front of each row, zero filled:
+    (rows, B) offsets (intp) and values (int16), and (rows,) counts (int64).
+
+    No sort: `np.flatnonzero(keep)` lists the kept flat positions row-major,
+    which is already the front-packed order. The one at index j of that list
+    in row k has rank r = j - (positions kept before row k, the exclusive
+    cumsum of the counts) and goes to flat slot k*B + r."""
+    n, b = keep.shape
     counts = keep.sum(axis=1)
-    live = np.arange(vals.shape[1]) < counts[:, None]
-    offsets = np.where(live, order, 0)
-    values = np.where(live, np.take_along_axis(vals, order, axis=1), 0).astype(np.int16)
-    return offsets, values, counts
+    src = np.flatnonzero(keep)
+    shift = np.arange(0, n * b, b) - _exclusive_cumsum(counts, 0)
+    dest = np.arange(len(src)) + np.repeat(shift, counts)
+    offsets = np.zeros(n * b, dtype=np.intp)
+    values = np.zeros(n * b, dtype=np.int16)
+    offsets[dest] = src % b
+    values[dest] = vals.reshape(-1)[src]
+    return offsets.reshape(n, b), values.reshape(n, b), counts
 
 
 def _mask_pairs(mask: np.ndarray, values: np.ndarray) -> list[tuple[int, int]]:

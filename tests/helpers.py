@@ -396,6 +396,18 @@ def _slow_effectual(value: int, kind: str, param: int) -> bool:
     return value != 0
 
 
+def argsort_front_pack(vals: np.ndarray, keep: np.ndarray):
+    """Each row's kept (offset, value) pairs moved to its front by a stable
+    argsort of ``~keep``, zero filled: (rows, B) offsets (intp) and values
+    (int16), and (rows,) counts (int64)."""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    counts = keep.sum(axis=1)
+    live = np.arange(vals.shape[1]) < counts[:, None]
+    offsets = np.where(live, order, 0)
+    values = np.where(live, np.take_along_axis(vals, order, axis=1), 0).astype(np.int16)
+    return offsets, values, counts
+
+
 def slow_brick_codec(fmt: str, values, kind: str, param: int) -> SimpleNamespace:
     """One brick's ZFNAf, RoE or VIAI form, restated from the `encodings` docstring.
 

@@ -10,11 +10,11 @@ from sparseaccel import (ActTensor, CviaiStore, Format, IneffCriterion, RoeStore
                          decode_zfnaf, deserialize_store, encode_cviai, encode_roe,
                          encode_store, encode_viai, encode_zfnaf, footprint_bits,
                          offset_bits_for, pointer_bits_for)
-from sparseaccel.encodings import _bits, _ints
+from sparseaccel.encodings import _bits, _front_pack, _ints
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
-from helpers import slow_brick_codec, slow_container_bytes
+from helpers import argsort_front_pack, slow_brick_codec, slow_container_bytes
 
 # header layout, rebuilt here from first principles so the byte-level
 # goldens do not lean on the code under test
@@ -257,6 +257,50 @@ def test_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed):
 @pytest.mark.parametrize("brick, spec, zeros, seed", ROE_FIT_CASES)
 def test_brick_codecs_match_the_slow_restatement_at_the_roe_fit(brick, spec, zeros, seed):
     assert_brick_codecs_match_the_slow_restatement(brick, spec, zeros, seed)
+
+
+# -- front-packed pair tables against the stable sort -----------------------
+
+FRONT_PACK_BRICKS = (1, 3, 16, 17, 64)
+# contiguous rows; every other column of wider rows; the transpose of a
+# (B, rows) array; and the mask as its own values, as CVIAI's pair table
+FRONT_PACK_LAYOUTS = ("contiguous", "strided", "transposed", "mask")
+
+
+def front_pack_table(brick, rows, layout, seed):
+    """A (rows, B) int16 table and keep mask in ``layout``; with two rows or
+    more, row 0 keeps nothing and row 1 everything."""
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(-32768, 32768, size=(rows, 2 * brick)).astype(np.int16)
+    keep = rng.random((rows, 2 * brick)) < rng.random()
+    if rows >= 2:
+        keep[0], keep[1] = False, True
+    if layout == "strided":
+        return vals[:, ::2], keep[:, 1::2]
+    vals, keep = vals[:, :brick].copy(), keep[:, :brick].copy()
+    if layout == "transposed":
+        return vals.T.copy().T, keep.T.copy().T
+    return (keep if layout == "mask" else vals), keep
+
+
+def assert_front_pack_matches_the_stable_sort(vals, keep):
+    got, want = _front_pack(vals, keep), argsort_front_pack(vals, keep)
+    assert [a.dtype for a in got] == [a.dtype for a in want] == [np.intp, np.int16, np.int64]
+    assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("layout", FRONT_PACK_LAYOUTS)
+@pytest.mark.parametrize("brick", FRONT_PACK_BRICKS)
+def test_front_pack_matches_the_stable_sort(brick, layout):
+    assert_front_pack_matches_the_stable_sort(*front_pack_table(brick, 9, layout, brick))
+    assert_front_pack_matches_the_stable_sort(*front_pack_table(brick, 0, layout, brick))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FRONT_PACK_BRICKS), st.integers(0, 12),
+       st.sampled_from(FRONT_PACK_LAYOUTS), st.integers(0, 2**32 - 1))
+def test_front_pack_matches_the_stable_sort_property(brick, rows, layout, seed):
+    assert_front_pack_matches_the_stable_sort(*front_pack_table(brick, rows, layout, seed))
 
 
 # -- cviai ---------------------------------------------------------------

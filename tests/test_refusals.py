@@ -147,6 +147,18 @@ CASES = {
                                    "rows": [{"arch": "cnv", "speedup": 2.0}]})),
 }
 
+# a number compare cannot merge, in each column it merges: an int beyond the
+# float range, NaN, and both infinities, which JSON text can hold
+CASES.update({
+    f"cli-compare-{kind}-{column}": (
+        2, "finite numeric or null speedup and utilization",
+        lambda tmp, column=column, value=value: _compare(tmp, {"rows": [{"arch": "cnv",
+                                                                         column: value}]}))
+    for column in ("speedup", "utilization")
+    for kind, value in (("huge-int", 10 ** 400), ("nan", float("nan")),
+                        ("infinity", float("inf")), ("minus-infinity", float("-inf")))
+})
+
 # streams that re-serialize to themselves but are not the encoder's: ACTS's
 # bricks (0, 1, 2, 3) and (4, 5, 6, 7) stored under zero, read under abs:1,
 # which calls the stored 1 ineffectual; (5, 6, 7, 8), raw under zero, read
