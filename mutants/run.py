@@ -515,8 +515,8 @@ MUTANTS = (
     # -- codecs --------------------------------------------------------------
     Mutant("cviai-pair-table-ignores-ir", "every brick reads its values from the pool's start",
            "src/sparseaccel/encodings.py",
-           "self.packed[(self.ir[:, None] + rank)[live]]",
-           "self.packed[(0 * self.ir[:, None] + rank)[live]]",
+           "self.packed[np.repeat(self.ir - row_start, counts) + dest]",
+           "self.packed[np.repeat(0 * self.ir - row_start, counts) + dest]",
            ("tests/test_dispatch.py::test_sources_agree_on_sparse_tensor",
             "tests/test_dispatch.py::test_run_dispatch_matches_event_loop_on_seeded_replays")),
     Mutant("front-pack-inclusive-rank", "a kept value's rank counts its own row's kept "
@@ -540,10 +540,28 @@ MUTANTS = (
             "tests/test_encodings.py::test_roe_encoded_golden")),
     Mutant("ints-lsb-first", "the field reader takes the planes LSB first",
            "src/sparseaccel/encodings.py",
-           "        out |= bits[..., k]\n",
-           "        out |= bits[..., -1 - k]\n",
-           ("tests/test_encodings.py::test_deserialize_store_dispatches_every_format",
+           "    block[..., 8 * n - width:] = bits\n",
+           "    block[..., 8 * n - width:] = bits[..., ::-1]\n",
+           ("tests/test_encodings.py::test_packer_matches_the_plane_loop[16-int16]",
+            "tests/test_encodings.py::test_deserialize_store_dispatches_every_format",
             "tests/test_encodings.py::test_ints_reads_back_bits_on_strided_views")),
+    Mutant("ints-left-aligned", "the field reader copies the planes into the first "
+           "columns of their words, so a field narrower than its word reads shifted up",
+           "src/sparseaccel/encodings.py",
+           "    block[..., 8 * n - width:] = bits\n",
+           "    block[..., :width] = bits\n",
+           ("tests/test_encodings.py::test_packer_matches_the_plane_loop[20-int64]",
+            "tests/test_encodings.py::test_zfnaf_golden_bytes",
+            "tests/test_encodings.py::test_packer_matches_the_plane_loop_property")),
+    Mutant("zfnaf-slot-fields-swapped", "a ZFNAf slot is written offset first, in RoE's "
+           "pair order",
+           "src/sparseaccel/encodings.py",
+           "        return _pack(_bits(self.values, VALUE_BITS),\n"
+           "                     _bits(self.offsets, offset_bits_for(self.brick)))\n",
+           "        return _pack(_bits(self.offsets, offset_bits_for(self.brick)),\n"
+           "                     _bits(self.values, VALUE_BITS))\n",
+           ("tests/test_encodings.py::test_zfnaf_golden_bytes",
+            "tests/test_encodings.py::test_store_bytes_match_the_slow_packer")),
     Mutant("roe-fit-strict", "a RoE brick that exactly fits is stored raw",
            "src/sparseaccel/encodings.py",
            "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
@@ -908,6 +926,15 @@ MUTANTS = (
             "[cli-compare-nan-utilization]",
             "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
             "[cli-compare-minus-infinity-speedup]")),
+    Mutant("compare-accepts-non-positive-speedup", "compare takes a speedup of 0 or below, "
+           "which the schema excludes, and its geomean is a traceback",
+           "src/sparseaccel/cli.py",
+           "(sp is None or _finite(sp) and sp > 0)",
+           "(sp is None or _finite(sp))",
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-zero-speedup]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-negative-speedup]")),
 )
 
 

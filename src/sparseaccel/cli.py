@@ -409,10 +409,13 @@ def _finite(v) -> bool:
 
 
 def _mergeable(row) -> bool:
-    """A report row `compare` can merge: an object with a string arch, and a
-    finite number or null as speedup and utilization."""
-    return isinstance(row, dict) and isinstance(row.get("arch"), str) and all(
-        v is None or _finite(v) for v in (row.get("speedup"), row.get("utilization")))
+    """A report row `compare` can merge: an object with a string arch, a
+    finite number or null as speedup and utilization, and a speedup above 0,
+    as the report schema declares and `run` writes."""
+    if not isinstance(row, dict) or not isinstance(row.get("arch"), str):
+        return False
+    sp, util = row.get("speedup"), row.get("utilization")
+    return (sp is None or _finite(sp) and sp > 0) and (util is None or _finite(util))
 
 
 def cmd_compare(args) -> int:
@@ -435,7 +438,8 @@ def cmd_compare(args) -> int:
                                   f"expected {SCHEMA_VERSION}")
         if not isinstance(rows, list) or not all(map(_mergeable, rows)):
             raise ValidationError(f"cannot read report {path}: rows must be objects with a "
-                                  "string arch and finite numeric or null speedup and utilization")
+                                  "string arch and finite numeric or null speedup and utilization, "
+                                  "and a speedup above 0")
         for row in rows:
             entry = {"source": path}
             entry.update(row)
@@ -444,7 +448,7 @@ def cmd_compare(args) -> int:
                 failed.append(f"{path} {row['arch']}")
                 continue
             sp = row.get("speedup")
-            if row.get("arch") != "baseline" and isinstance(sp, (int, float)) and sp > 0:
+            if row.get("arch") != "baseline" and sp is not None:
                 speedups.setdefault(row["arch"], []).append(float(sp))
 
     geo_rows = []

@@ -29,12 +29,15 @@ classifies 0 as ineffectual, so a zero value field doubles as the
 end-of-pairs sentinel inside the fixed-size containers.
 
 The stores hold whole-tensor arrays, one row per brick in (x, y, brick)
-traversal order, and serialize through one field packer: `_bits` turns an
-array of unsigned fields into MSB-first bit planes, each layout above is
-those planes concatenated in field order, and `_pack`/`_unpack` map the
-flat bit sequence to bytes with `np.packbits`/`np.unpackbits`, zero padding
-the last byte; `_ints` reads fields back by shifting in one plane at a
-time. Decoding is total: a stream whose length differs from the size its
+traversal order, and serialize through one field packer that converts a
+whole stream between fields and bits with one flat call. `_bits` casts
+unsigned fields to big-endian words of 1, 2, 4 or 8 bytes, unpacks all
+their bytes with one `np.unpackbits` and keeps each field's low ``width``
+planes; `_ints` copies the planes right-aligned into a zeroed block of
+whole words, packs it with one `np.packbits` and reads the words. Each
+layout above is its fields' planes concatenated in field order, and
+`_pack`/`_unpack` map the flat bit sequence to bytes, zero padding the last
+byte. Decoding is total: a stream whose length differs from the size its
 header declares, whose pad bits are set, or whose fields break a layout
 rule raises a `FormatError` subclass, and any stream that loads
 re-serializes to the same bytes. A stream that loads is also the encoder's
@@ -89,31 +92,39 @@ def _roe_fits(pairs, brick: int):
 # ---------------------------------------------------------------------------
 
 
+def _word_bytes(width: int) -> int:
+    """Bytes of the narrowest machine word that holds a ``width``-bit field."""
+    return next(n for n in (1, 2, 4, 8) if 8 * n >= width)
+
+
 def _bits(values, width: int) -> np.ndarray:
-    """MSB-first bit planes of unsigned ``width``-bit fields.
+    """MSB-first bit planes of unsigned ``width``-bit fields, from one flat
+    `np.unpackbits` over the fields' big-endian words.
 
     Returns uint8 of shape ``values.shape + (width,)``; negative int16 values
     come out as their two's complement.
     """
-    n = next(n for n in (1, 2, 4, 8) if 8 * n >= width)
-    words = np.asarray(values).astype(f">u{n}")
-    planes = np.unpackbits(words.view(np.uint8).reshape(words.shape + (n,)), axis=-1)
+    n = _word_bytes(width)
+    words = np.asarray(values).astype(f">u{n}", order="C")
+    planes = np.unpackbits(words.reshape(-1).view(np.uint8)).reshape(words.shape + (8 * n,))
     return planes[..., 8 * n - width:]
 
 
 def _ints(bits: np.ndarray) -> np.ndarray:
     """Inverse of `_bits`: int64 fields from MSB-first planes on the last axis,
-    shifted in one plane at a time."""
-    out = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for k in range(bits.shape[-1]):
-        out <<= 1
-        out |= bits[..., k]
-    return out
+    which may be a strided view. The planes go right-aligned into a zeroed
+    block of whole big-endian words, packed by one flat `np.packbits`; a
+    64-bit field wraps to negative, and 0 planes read 0."""
+    width = bits.shape[-1]
+    n = _word_bytes(width)
+    block = np.zeros(bits.shape[:-1] + (8 * n,), dtype=np.uint8)
+    block[..., 8 * n - width:] = bits
+    return np.packbits(block).view(f">u{n}").reshape(bits.shape[:-1]).astype(np.int64)
 
 
 def _pack(*segments: np.ndarray) -> bytes:
     """Bit planes joined along their last axis, then flattened row by row
-    into bytes; the last byte is zero padded."""
+    into bytes by one `np.packbits`; the last byte is zero padded."""
     return np.packbits(np.concatenate(segments, axis=-1)).tobytes()
 
 
@@ -300,9 +311,10 @@ def _check_effectual(crit: IneffCriterion, stored: np.ndarray) -> None:
         raise FormatError("a stored value is ineffectual under the header's criterion")
 
 
-def _front_pack(vals: np.ndarray, keep: np.ndarray):
-    """Kept (offset, value) pairs moved to the front of each row, zero filled:
-    (rows, B) offsets (intp) and values (int16), and (rows,) counts (int64).
+def _front_offsets(keep: np.ndarray):
+    """The (rows, B) front-packed offsets (intp, zero filled) and (rows,)
+    counts (int64) of each row's kept positions, plus ``src``, the kept flat
+    positions, and ``dest``, the flat slots they move to.
 
     No sort: `np.flatnonzero(keep)` lists the kept flat positions row-major,
     which is already the front-packed order. The one at index j of that list
@@ -314,10 +326,18 @@ def _front_pack(vals: np.ndarray, keep: np.ndarray):
     shift = np.arange(0, n * b, b) - _exclusive_cumsum(counts, 0)
     dest = np.arange(len(src)) + np.repeat(shift, counts)
     offsets = np.zeros(n * b, dtype=np.intp)
-    values = np.zeros(n * b, dtype=np.int16)
     offsets[dest] = src % b
+    return offsets.reshape(n, b), counts, src, dest
+
+
+def _front_pack(vals: np.ndarray, keep: np.ndarray):
+    """Kept (offset, value) pairs moved to the front of each row, zero filled:
+    (rows, B) offsets (intp) and values (int16), and (rows,) counts (int64);
+    each kept value goes to the slot `_front_offsets` gives its offset."""
+    offsets, counts, src, dest = _front_offsets(keep)
+    values = np.zeros(keep.size, dtype=np.int16)
     values[dest] = vals.reshape(-1)[src]
-    return offsets.reshape(n, b), values.reshape(n, b), counts
+    return offsets, values.reshape(keep.shape), counts
 
 
 def _mask_pairs(mask: np.ndarray, values: np.ndarray) -> list[tuple[int, int]]:
@@ -527,13 +547,13 @@ class CviaiStore(_Store):
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Front-packed offsets, values and counts of every brick; the value
-        of a brick's pair of rank r is read through IR as ``packed[ir + r]``."""
-        offsets, _, counts = _front_pack(self.masks, self.masks)
-        rank = np.arange(self.brick)
-        live = rank < counts[:, None]
-        values = np.zeros(self.masks.shape, dtype=np.int16)
-        values[live] = self.packed[(self.ir[:, None] + rank)[live]]
-        return offsets, values, counts
+        of a brick's pair of rank r is read through IR as ``packed[ir + r]``;
+        flat slot ``dest`` of brick row k holds rank ``dest - k*B``."""
+        offsets, counts, _, dest = _front_offsets(self.masks)
+        row_start = np.arange(0, self.masks.size, self.brick)
+        values = np.zeros(self.masks.size, dtype=np.int16)
+        values[dest] = self.packed[np.repeat(self.ir - row_start, counts) + dest]
+        return offsets, values.reshape(self.masks.shape), counts
 
     def decode(self) -> np.ndarray:
         out = np.zeros(self.dims, dtype=np.int16)

@@ -408,6 +408,25 @@ def argsort_front_pack(vals: np.ndarray, keep: np.ndarray):
     return offsets, values, counts
 
 
+def plane_loop_bits(values, width: int) -> np.ndarray:
+    """MSB-first uint8 planes of unsigned ``width``-bit fields: each field's
+    big-endian word of 1, 2, 4 or 8 bytes unpacked along its own row."""
+    n = next(n for n in (1, 2, 4, 8) if 8 * n >= width)
+    words = np.asarray(values).astype(f">u{n}")
+    planes = np.unpackbits(words.view(np.uint8).reshape(words.shape + (n,)), axis=-1)
+    return planes[..., 8 * n - width:]
+
+
+def plane_loop_ints(bits: np.ndarray) -> np.ndarray:
+    """int64 fields from MSB-first planes on the last axis, shifted in one
+    plane at a time."""
+    out = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for k in range(bits.shape[-1]):
+        out <<= 1
+        out |= bits[..., k]
+    return out
+
+
 def slow_brick_codec(fmt: str, values, kind: str, param: int) -> SimpleNamespace:
     """One brick's ZFNAf, RoE or VIAI form, restated from the `encodings` docstring.
 

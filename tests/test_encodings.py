@@ -14,7 +14,8 @@ from sparseaccel.encodings import _bits, _front_pack, _ints
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
-from helpers import argsort_front_pack, slow_brick_codec, slow_container_bytes
+from helpers import (argsort_front_pack, plane_loop_bits, plane_loop_ints, slow_brick_codec,
+                     slow_container_bytes)
 
 # header layout, rebuilt here from first principles so the byte-level
 # goldens do not lean on the code under test
@@ -65,6 +66,57 @@ def test_ints_reads_back_bits_on_strided_views(width, values, step):
     got = _ints(planes)
     assert got.dtype == np.int64
     assert got.tolist() == [x % (1 << width) for x in values[::step]]
+
+
+# -- the flat field packer against the plane-by-plane loop ------------------
+
+PACKER_WIDTHS = (0, 1, 4, 7, 8, 9, 16, 20, 31, 32, 33, 48, 63, 64)
+# int64 fields of either sign; negative int16 too; zero fields; every other
+# row, with the planes cut from a wider concatenation; and a transposed view
+PACKER_LAYOUTS = ("int64", "int16", "empty", "strided", "transposed")
+
+
+def packer_case(width, layout, rows, cols, seed):
+    """Fields and their MSB-first planes, both in ``layout``."""
+    rng = np.random.default_rng(seed)
+    shape = (0, cols) if layout == "empty" else (rows, cols)
+    if layout == "int16":
+        values = rng.integers(-2**15, 2**15, size=shape).astype(np.int16)
+    else:
+        values = rng.integers(-2**63, 2**63, size=shape, dtype=np.int64)
+    if layout == "strided":
+        planes = np.concatenate([plane_loop_bits(values, width), plane_loop_bits(~values, 5)],
+                                axis=-1)[::2, :, :width]
+        return values[::2], planes
+    if layout == "transposed":
+        return values.T, plane_loop_bits(values, width).transpose(1, 0, 2)
+    return values, plane_loop_bits(values, width)
+
+
+def assert_packer_matches_the_plane_loop(values, planes):
+    """`_bits` and `_ints` give the plane loop's bits and dtypes; the loop's
+    `_bits` reads a C-ordered copy, since it cannot view a transposed word
+    array as bytes."""
+    width = planes.shape[-1]
+    got, want = _bits(values, width), plane_loop_bits(np.ascontiguousarray(values), width)
+    assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    got, want = _ints(planes), plane_loop_ints(planes)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("layout", PACKER_LAYOUTS)
+@pytest.mark.parametrize("width", PACKER_WIDTHS)
+def test_packer_matches_the_plane_loop(width, layout):
+    assert_packer_matches_the_plane_loop(*packer_case(width, layout, 6, 5, width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 64), st.sampled_from(PACKER_LAYOUTS), st.integers(1, 9),
+       st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_packer_matches_the_plane_loop_property(width, layout, rows, cols, seed):
+    assert_packer_matches_the_plane_loop(*packer_case(width, layout, rows, cols, seed))
 
 
 def test_pointer_bits():

@@ -158,6 +158,14 @@ CASES.update({
     for kind, value in (("huge-int", 10 ** 400), ("nan", float("nan")),
                         ("infinity", float("inf")), ("minus-infinity", float("-inf")))
 })
+# a speedup the report schema excludes (it must be above 0), which `run`
+# never writes
+CASES.update({
+    f"cli-compare-{kind}-speedup": (
+        2, "a speedup above 0",
+        lambda tmp, value=value: _compare(tmp, {"rows": [{"arch": "cnv", "speedup": value}]}))
+    for kind, value in (("zero", 0), ("negative", -1.5))
+})
 
 # streams that re-serialize to themselves but are not the encoder's: ACTS's
 # bricks (0, 1, 2, 3) and (4, 5, 6, 7) stored under zero, read under abs:1,
