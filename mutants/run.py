@@ -562,10 +562,18 @@ MUTANTS = (
            "                     _bits(self.values, VALUE_BITS))\n",
            ("tests/test_encodings.py::test_zfnaf_golden_bytes",
             "tests/test_encodings.py::test_store_bytes_match_the_slow_packer")),
+    Mutant("roe-pair-fields-swapped", "a RoE pair field is written value first, "
+           "value << offset_bits | offset",
+           "src/sparseaccel/encodings.py",
+           "        fields = self.offsets[enc, :k] << VALUE_BITS | self.values[enc, :k].astype(np.uint16)\n",
+           "        fields = (self.values[enc, :k].astype(np.uint16).astype(np.int64)\n"
+           "                  << offset_bits_for(brick) | self.offsets[enc, :k])\n",
+           ("tests/test_encodings.py::test_roe_encoded_golden",
+            "tests/test_encodings.py::test_roe_codec_matches_the_two_reading_oracle[16-mixed]")),
     Mutant("roe-fit-strict", "a RoE brick that exactly fits is stored raw",
            "src/sparseaccel/encodings.py",
-           "    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS\n",
-           "    return pairs * (VALUE_BITS + offset_bits_for(brick)) < brick * VALUE_BITS\n",
+           "    return pairs <= _roe_slots(brick)[1]\n",
+           "    return pairs < _roe_slots(brick)[1]\n",
            ("tests/test_encodings.py::test_roe_exact_fit_tie_prefers_encoded",
             "tests/test_encodings.py::test_brick_codecs_match_the_slow_restatement_at_the_roe_fit")),
     Mutant("offset-bits-no-lower-bound", "a brick of 0 gets a 1-bit offset",
@@ -639,7 +647,7 @@ MUTANTS = (
             "tests/test_encodings.py::test_accepted_streams_are_the_encoders_bytes")),
     Mutant("roe-raw-mode-unchecked", "a raw-mode RoE brick whose effectual values fit loads",
            "src/sparseaccel/encodings.py",
-           "        if _roe_fits(meta[3].effectual(raw[~encoded]).sum(axis=1), brick).any():\n",
+           "        if _roe_fits(crit.effectual(raw_values).sum(axis=1), brick).any():\n",
            "        if False:\n",
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
             "[roe-raw-brick-that-fits]",
@@ -677,12 +685,30 @@ MUTANTS = (
            '            raise FormatError("value slot found after the zero-fill sentinel")\n',
            "",
            ("tests/test_encodings.py::test_zfnaf_rejects_value_after_sentinel",)),
-    Mutant("roe-dirty-padding", "set RoE padding bits after the pairs load",
+    Mutant("roe-dirty-padding", "a nonzero RoE field at or after the pairs' zero-value "
+           "sentinel loads",
            "src/sparseaccel/encodings.py",
-           "        if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():\n"
+           "        if (fields.astype(bool) & ~live).any():\n"
            '            raise FormatError("RoE padding bits are not zero")\n',
            "",
-           ("tests/test_encodings.py::test_roe_rejects_dirty_padding",)),
+           ("tests/test_encodings.py::test_roe_rejects_a_field_after_the_sentinel",
+            "tests/test_encodings.py::"
+            "test_roe_bit_flips_are_refused_as_the_two_reading_oracle_refuses[4]")),
+    Mutant("roe-trailing-bits-unchecked", "set RoE bits after an encoded brick's whole pair "
+           "slots load",
+           "src/sparseaccel/encodings.py",
+           "        if bits[enc, 1 + k * width:].any():\n"
+           '            raise FormatError("RoE padding bits are not zero")\n',
+           "",
+           ("tests/test_encodings.py::test_roe_rejects_dirty_padding",
+            "tests/test_encodings.py::"
+            "test_roe_bit_flips_are_refused_as_the_two_reading_oracle_refuses[16]")),
+    Mutant("roe-raw-rows-read-as-pairs", "raw-mode RoE rows are also read as pair slots",
+           "src/sparseaccel/encodings.py",
+           "        enc, raw = np.flatnonzero(encoded), np.flatnonzero(~encoded)\n",
+           "        enc, raw = np.arange(n), np.flatnonzero(~encoded)\n",
+           ("tests/test_encodings.py::test_roe_roundtrips_both_modes",
+            "tests/test_encodings.py::test_roe_codec_matches_the_two_reading_oracle[16-raw]")),
     Mutant("cviai-pool-unchecked", "a CVIAI pool size that differs from the mask population loads",
            "src/sparseaccel/encodings.py",
            "        if int(masks.sum()) != pool:\n"
@@ -926,11 +952,22 @@ MUTANTS = (
             "[cli-compare-nan-utilization]",
             "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
             "[cli-compare-minus-infinity-speedup]")),
+    Mutant("compare-checks-only-speedup-and-utilization", "compare merges NaN, an infinity "
+           "or an int beyond the float range in a count column",
+           "src/sparseaccel/cli.py",
+           "    if not all(row.get(c) is None or _finite(row[c]) for c in _NUMERIC_COLUMNS):\n",
+           '    if not all(row.get(c) is None or _finite(row[c]) for c in ("speedup", "utilization")):\n',
+           ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-nan-cycles]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-infinity-macs_performed]",
+            "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
+            "[cli-compare-huge-int-broadcasts]")),
     Mutant("compare-accepts-non-positive-speedup", "compare takes a speedup of 0 or below, "
            "which the schema excludes, and its geomean is a traceback",
            "src/sparseaccel/cli.py",
-           "(sp is None or _finite(sp) and sp > 0)",
-           "(sp is None or _finite(sp))",
+           '    return row.get("speedup") is None or row["speedup"] > 0\n',
+           "    return True\n",
            ("tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"
             "[cli-compare-zero-speedup]",
             "tests/test_refusals.py::test_each_refusal_raises_its_error_or_exits_2"

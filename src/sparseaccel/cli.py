@@ -408,14 +408,18 @@ def _finite(v) -> bool:
         return False
 
 
+_NUMERIC_COLUMNS = tuple(c for c in REPORT_COLUMNS if c not in ("arch", "verdict"))
+
+
 def _mergeable(row) -> bool:
-    """A report row `compare` can merge: an object with a string arch, a
-    finite number or null as speedup and utilization, and a speedup above 0,
+    """A report row `compare` can merge: an object with a string arch, each
+    numeric column absent, null or a finite number, and a speedup above 0,
     as the report schema declares and `run` writes."""
     if not isinstance(row, dict) or not isinstance(row.get("arch"), str):
         return False
-    sp, util = row.get("speedup"), row.get("utilization")
-    return (sp is None or _finite(sp) and sp > 0) and (util is None or _finite(util))
+    if not all(row.get(c) is None or _finite(row[c]) for c in _NUMERIC_COLUMNS):
+        return False
+    return row.get("speedup") is None or row["speedup"] > 0
 
 
 def cmd_compare(args) -> int:
@@ -439,7 +443,7 @@ def cmd_compare(args) -> int:
         if not isinstance(rows, list) or not all(map(_mergeable, rows)):
             raise ValidationError(f"cannot read report {path}: rows must be objects with a "
                                   "string arch and finite numeric or null speedup and utilization, "
-                                  "and a speedup above 0")
+                                  "like every other numeric column, and a speedup above 0")
         for row in rows:
             entry = {"source": path}
             entry.update(row)

@@ -11,7 +11,11 @@ ZFNAf   Per brick, B slots of (value: 16 bits, offset: ceil(log2 B) bits).
 RoE     One mode bit per brick. Mode 1 stores k (offset, value) pairs, chosen
         whenever k*(16 + offset_bits) <= B*16 (ties encode); mode 0 stores
         all B raw values and gives up skip information for that brick. The
-        container always occupies 1 + B*16 bits.
+        container always occupies 1 + B*16 bits. A pair is one
+        (16 + offset_bits)-bit field, offset << 16 | value, and each brick
+        is read in its own mode only: a raw brick's payload as B values, an
+        encoded brick's as the whole pair fields that fit it, with every
+        bit after them zero.
 
 VIAI    Values stay in place; a B-bit mask (bit = 1 means effectual, offset 0
         first) is prepended. B + B*16 bits per brick. The decoder refuses a
@@ -35,12 +39,13 @@ unsigned fields to big-endian words of 1, 2, 4 or 8 bytes, unpacks all
 their bytes with one `np.unpackbits` and keeps each field's low ``width``
 planes; `_ints` copies the planes right-aligned into a zeroed block of
 whole words, packs it with one `np.packbits` and reads the words. Each
-layout above is its fields' planes concatenated in field order, and
-`_pack`/`_unpack` map the flat bit sequence to bytes, zero padding the last
-byte. Decoding is total: a stream whose length differs from the size its
-header declares, whose pad bits are set, or whose fields break a layout
-rule raises a `FormatError` subclass, and any stream that loads
-re-serializes to the same bytes. A stream that loads is also the encoder's
+layout above is its fields' planes concatenated in field order (RoE fills
+one block of them row by row, each row in its mode), and `_pack`/`_unpack`
+map the flat bit sequence to bytes, zero padding the last byte. Decoding
+is total: a stream whose length differs from the size its header
+declares, whose pad bits are set, or whose fields break a layout rule
+raises a `FormatError` subclass, and any stream that loads re-serializes
+to the same bytes. A stream that loads is also the encoder's
 stream of the tensor it holds: every stored pair or pool value is effectual
 under the header's criterion, an RoE brick is raw exactly when its
 effectual count does not fit, and nothing past the logical depth is
@@ -82,9 +87,16 @@ def pointer_bits_for(pool_size: int) -> int:
     return int(pool_size).bit_length()
 
 
+def _roe_slots(brick: int) -> tuple[int, int]:
+    """Width of RoE's ``offset << 16 | value`` pair field, and how many whole
+    fields fit its B*16-bit payload."""
+    width = VALUE_BITS + offset_bits_for(brick)
+    return width, brick * VALUE_BITS // width
+
+
 def _roe_fits(pairs, brick: int):
-    """Whether ``pairs`` (offset, value) pairs fit RoE's B*16-bit payload."""
-    return pairs * (VALUE_BITS + offset_bits_for(brick)) <= brick * VALUE_BITS
+    """Whether ``pairs`` (offset, value) pairs fit RoE's payload; a tie fits."""
+    return pairs <= _roe_slots(brick)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +420,13 @@ class ZfnafStore(_PairStore):
         return cls(*meta, offsets, values, live.sum(axis=1))
 
 
-def _with_raw_rows(encoded, offsets, values, counts, dense):
-    """Fill RoE's raw-mode rows with all B pairs of their dense values."""
+def _with_raw_rows(encoded, offsets, values, counts, raw_values):
+    """Fill RoE's raw-mode rows with all B pairs of ``raw_values``, the raw
+    rows' dense values in row order."""
     raw = ~encoded
-    offsets[raw] = np.arange(dense.shape[1])
-    values[raw] = dense[raw]
-    counts[raw] = dense.shape[1]
+    offsets[raw] = np.arange(offsets.shape[1])
+    values[raw] = raw_values
+    counts[raw] = offsets.shape[1]
     return encoded, offsets, values, counts
 
 
@@ -431,39 +444,54 @@ class RoeStore(_PairStore):
     def _from_values(cls, meta, vals, keep):
         offsets, values, counts = _front_pack(vals, keep)
         encoded = _roe_fits(counts, meta[2])
-        return cls(*meta, *_with_raw_rows(encoded, offsets, values, counts, vals))
+        return cls(*meta, *_with_raw_rows(encoded, offsets, values, counts, vals[~encoded]))
 
     def _body(self) -> bytes:
-        n, payload = len(self.encoded), self.brick * VALUE_BITS
-        value_bits = _bits(self.values, VALUE_BITS)
-        pairs = np.concatenate([_bits(self.offsets, offset_bits_for(self.brick)), value_bits],
-                               axis=-1).reshape(n, -1)[:, :payload]
-        body = np.where(self.encoded[:, None], pairs, value_bits.reshape(n, payload))
-        return _pack(self.encoded[:, None], body)
+        """One (bricks, 1 + B*16) plane block, each row converted in its own
+        mode only: the mode bit, then an encoded row's k whole pair fields
+        (``offset << 16 | value``, the value as its uint16 two's complement),
+        zero filled, or a raw row's B values. Slices of the block are
+        reshaped into field views, so each row's planes land in place."""
+        n, brick = self.values.shape
+        width, k = _roe_slots(brick)
+        enc, raw = self.encoded, ~self.encoded
+        block = np.zeros((n, 1 + brick * VALUE_BITS), dtype=np.uint8)
+        block[:, 0] = enc
+        fields = self.offsets[enc, :k] << VALUE_BITS | self.values[enc, :k].astype(np.uint16)
+        block[:, 1:1 + k * width].reshape(n, k, width)[enc] = _bits(fields, width)
+        block[:, 1:].reshape(n, brick, VALUE_BITS)[raw] = _bits(self.values[raw], VALUE_BITS)
+        return np.packbits(block).tobytes()
 
     @classmethod
     def _read(cls, meta, n, body):
-        brick = meta[2]
-        ob, payload = offset_bits_for(brick), brick * VALUE_BITS
-        bits = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, 1 + payload)
-        encoded, payload_bits = bits[:, 0].astype(bool), bits[:, 1:]
-        raw = _ints(payload_bits.reshape(n, brick, VALUE_BITS)).astype(np.int16)
-        # read B (offset, value) slots over the zero-extended payload; slots
-        # past the last whole one that fits never hold a pair, and every bit
-        # after the pairs must be zero
-        slots = np.pad(payload_bits, [(0, 0), (0, brick * ob)]).reshape(n, brick, -1)
-        offs, vals = _ints(slots[..., :ob]), _ints(slots[..., ob:]).astype(np.int16)
-        fits = np.arange(brick) < payload // (VALUE_BITS + ob)
-        live = np.logical_and.accumulate((vals != 0) & fits, axis=1) & encoded[:, None]
-        if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():
+        """Each row read in its own mode only: a raw row's payload bits as B
+        values, an encoded row's k whole slots as one-field ints, whose high
+        bits are the offset and low 16 the value; no extended copy of the
+        payload is made. An encoded row's pairs end at its first zero value,
+        and that field, every field after it and every bit after the k slots
+        must be zero."""
+        brick, crit = meta[2], meta[3]
+        width, k = _roe_slots(brick)
+        bits = _unpack(body, _container_bits(cls.format, n, brick)).reshape(n, -1)
+        encoded = bits[:, 0].astype(bool)
+        enc, raw = np.flatnonzero(encoded), np.flatnonzero(~encoded)
+        if bits[enc, 1 + k * width:].any():
+            raise FormatError("RoE padding bits are not zero")
+        fields = _ints(bits[enc, 1:1 + k * width].reshape(-1, k, width))
+        offs, vals = fields >> VALUE_BITS, fields.astype(np.int16)
+        live = np.logical_and.accumulate(vals != 0, axis=1)
+        if (fields.astype(bool) & ~live).any():
             raise FormatError("RoE padding bits are not zero")
         _check_offsets(offs, live, brick)
-        _check_effectual(meta[3], vals[live])
-        if _roe_fits(meta[3].effectual(raw[~encoded]).sum(axis=1), brick).any():
+        _check_effectual(crit, vals[live])
+        raw_values = _ints(bits[raw, 1:].reshape(-1, brick, VALUE_BITS)).astype(np.int16)
+        if _roe_fits(crit.effectual(raw_values).sum(axis=1), brick).any():
             raise FormatError("a raw-mode RoE brick's effectual values fit the encoded mode")
-        return cls(*meta, *_with_raw_rows(encoded, np.where(live, offs, 0),
-                                          np.where(live, vals, 0).astype(np.int16),
-                                          live.sum(axis=1), raw))
+        offsets = np.zeros((n, brick), dtype=np.int64)
+        values = np.zeros((n, brick), dtype=np.int16)
+        counts = np.zeros(n, dtype=np.int64)
+        offsets[enc, :k], values[enc, :k], counts[enc] = offs, vals, live.sum(axis=1)
+        return cls(*meta, *_with_raw_rows(encoded, offsets, values, counts, raw_values))
 
 
 class ViaiStore(_Store):

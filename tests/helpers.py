@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from sparseaccel import (ActTensor, BoundsError, DispatchEvent, EmptyBrickCost, FilterSet,
-                         GroupScope, IneffCriterion, LayerConfig, SyncPolicy)
+                         FormatError, GroupScope, IneffCriterion, LayerConfig, RoeStore,
+                         SyncPolicy)
 
 
 # Every value v: peak v * v. For 127, 2**24 // 16129 = 1040 products fit one
@@ -396,6 +397,12 @@ def _slow_effectual(value: int, kind: str, param: int) -> bool:
     return value != 0
 
 
+def _effectual_array(values: np.ndarray, kind: str, param: int) -> np.ndarray:
+    """`_slow_effectual` over an array."""
+    mag = np.abs(values.astype(np.int64))
+    return {"zero": mag != 0, "abs": mag > param, "pow2": mag >= 1 << param}[kind]
+
+
 def argsort_front_pack(vals: np.ndarray, keep: np.ndarray):
     """Each row's kept (offset, value) pairs moved to its front by a stable
     argsort of ``~keep``, zero filled: (rows, B) offsets (intp) and values
@@ -425,6 +432,64 @@ def plane_loop_ints(bits: np.ndarray) -> np.ndarray:
         out <<= 1
         out |= bits[..., k]
     return out
+
+
+class TwoReadingRoeStore(RoeStore):
+    """RoE's codec as it was before each brick was converted in its own mode.
+
+    The writer builds 16-bit value planes and (offset, value) pair planes
+    for every brick and picks one per brick. The reader reads every payload
+    twice, as B raw values and as B pair slots over a zero-extended copy,
+    and keeps one reading per brick. Fields go through the plane-loop
+    oracles above and the refusal rules and criteria are restated, so only
+    the encoder's pair table and the header come from the package."""
+
+    def _body(self) -> bytes:
+        n, brick = self.values.shape
+        ob, payload = (brick - 1).bit_length(), brick * 16
+        value_bits = plane_loop_bits(self.values, 16)
+        pairs = np.concatenate([plane_loop_bits(self.offsets, ob), value_bits],
+                               axis=-1).reshape(n, -1)[:, :payload]
+        body = np.where(self.encoded[:, None], pairs, value_bits.reshape(n, payload))
+        return np.packbits(np.concatenate([self.encoded[:, None], body], axis=-1)).tobytes()
+
+    @classmethod
+    def _read(cls, meta, n, body):
+        brick, crit = meta[2], meta[3]
+        ob, payload = (brick - 1).bit_length(), brick * 16
+        nbits = n * (1 + payload)
+        if len(body) != -(-nbits // 8):
+            raise FormatError("payload size differs from the header's")
+        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))
+        if bits[nbits:].any():
+            raise FormatError("pad bits after the last field are not zero")
+        bits = bits[:nbits].reshape(n, 1 + payload)
+        encoded, payload_bits = bits[:, 0].astype(bool), bits[:, 1:]
+        raw = plane_loop_ints(payload_bits.reshape(n, brick, 16)).astype(np.int16)
+        # read B (offset, value) slots over the zero-extended payload; slots
+        # past the last whole one that fits never hold a pair, and every bit
+        # after the pairs must be zero
+        slots = np.pad(payload_bits, [(0, 0), (0, brick * ob)]).reshape(n, brick, -1)
+        offs, vals = plane_loop_ints(slots[..., :ob]), plane_loop_ints(slots[..., ob:])
+        vals = vals.astype(np.int16)
+        fits = np.arange(brick) < payload // (16 + ob)
+        live = np.logical_and.accumulate((vals != 0) & fits, axis=1) & encoded[:, None]
+        if (((offs != 0) | (vals != 0)) & ~live & encoded[:, None]).any():
+            raise FormatError("RoE padding bits are not zero")
+        if ((np.diff(offs, axis=1) <= 0) & live[:, 1:]).any():
+            raise FormatError("pair offsets are not strictly increasing")
+        if (offs[live] >= brick).any():
+            raise FormatError("pair offset outside the brick")
+        if not _effectual_array(vals[live], crit.kind, crit.param).all():
+            raise FormatError("a stored value is ineffectual")
+        effectual = _effectual_array(raw[~encoded], crit.kind, crit.param)
+        if (effectual.sum(axis=1) * (16 + ob) <= payload).any():
+            raise FormatError("a raw-mode brick fits the encoded mode")
+        offsets = np.where(live, offs, 0)
+        values = np.where(live, vals, 0).astype(np.int16)
+        counts = live.sum(axis=1)
+        offsets[~encoded], values[~encoded], counts[~encoded] = np.arange(brick), raw[~encoded], brick
+        return cls(*meta, encoded, offsets, values, counts)
 
 
 def slow_brick_codec(fmt: str, values, kind: str, param: int) -> SimpleNamespace:

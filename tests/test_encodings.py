@@ -14,8 +14,8 @@ from sparseaccel.encodings import _bits, _front_pack, _ints
 from sparseaccel.errors import (BoundsError, FormatError, TruncatedError)
 from sparseaccel.tensor import Brick
 
-from helpers import (argsort_front_pack, plane_loop_bits, plane_loop_ints, slow_brick_codec,
-                     slow_container_bytes)
+from helpers import (TwoReadingRoeStore, argsort_front_pack, plane_loop_bits, plane_loop_ints,
+                     slow_brick_codec, slow_container_bytes)
 
 # header layout, rebuilt here from first principles so the byte-level
 # goldens do not lean on the code under test
@@ -227,6 +227,116 @@ def test_roe_raw_mode_streams_every_offset():
     assert store.brick_pairs(0, 0, 0) == [(0, 2), (1, 1), (2, 3), (3, 4)]
     sparse = RoeStore.encode(tensor([1, 2, 0, 0]), ZERO, brick=4)
     assert sparse.brick_pairs(0, 0, 0) == [(0, 1), (1, 2)]
+
+
+def test_roe_rejects_a_field_after_the_sentinel():
+    # a pair after a zero-value slot, and a zero value under a nonzero offset
+    after = bitstream((1, 1), (0, 2), (1, 16), (0, 18), (3, 2), (4, 16), (0, 10))
+    with pytest.raises(FormatError, match="padding"):
+        RoeStore.from_bytes(header("roe") + after)
+    offset_only = bitstream((1, 1), (2, 2), (0, 16), (0, 46))
+    with pytest.raises(FormatError, match="padding"):
+        RoeStore.from_bytes(header("roe") + offset_only)
+    good = bitstream((1, 1), (0, 2), (1, 16), (3, 2), (4, 16), (0, 28))
+    assert RoeStore.from_bytes(header("roe") + good).brick_pairs(0, 0, 0) == [(0, 1), (3, 4)]
+
+
+# -- roe against the two-reading codec it replaced --------------------------
+
+ROE_BRICKS = (1, 2, 3, 4, 15, 16, 17, 64)
+# per brick row, how many effectual values it draws: any number; all B on
+# even rows and at most what fits on odd ones; more than fit the encoded
+# mode (all raw, when any count can be raw); at most what fits; exactly what
+# fits (the tie encodes); none
+ROE_SHAPES = ("mixed", "alternating", "raw", "encoded", "tie", "empty")
+ROE_CRITERIA = (ZERO, IneffCriterion("abs", 5), IneffCriterion("pow2", 3))
+
+
+def roe_slots_that_fit(brick: int) -> int:
+    return brick * 16 // (16 + (brick - 1).bit_length())
+
+
+def roe_case(brick, shape, seed):
+    """A tensor whose brick rows each hold a ``shape`` count of effectual
+    values under the criterion, with ineffectual but possibly nonzero
+    values elsewhere; with two depth bricks or more (and B > 1), its logical
+    depth ends inside the last brick under the mixed shape."""
+    rng = np.random.default_rng(seed)
+    crit = ROE_CRITERIA[int(rng.integers(len(ROE_CRITERIA)))]
+    x, y, nb = (int(v) for v in rng.integers(1, 4, size=3))
+    k = roe_slots_that_fit(brick)
+    rows = x * y * nb
+    counts = {"mixed": rng.integers(0, brick + 1, size=rows),
+              "alternating": np.where(np.arange(rows) % 2, rng.integers(0, k + 1, size=rows),
+                                      brick),
+              "raw": rng.integers(min(k + 1, brick), brick + 1, size=rows),
+              "encoded": rng.integers(0, k + 1, size=rows),
+              "tie": np.full(rows, k), "empty": np.zeros(rows, dtype=int)}[shape]
+    lo = {"zero": 1, "abs": crit.param + 1, "pow2": 1 << crit.param}[crit.kind]
+    vals = rng.integers(1 - lo, lo, size=(rows, brick))
+    big = rng.integers(lo, 32768, size=(rows, brick)) * rng.choice([-1, 1], size=(rows, brick))
+    ranks = rng.random((rows, brick)).argsort(axis=1).argsort(axis=1)
+    vals = np.where(ranks < counts[:, None], big, vals).astype(np.int16)
+    arr = vals.reshape(x, y, nb * brick)
+    cut = int(rng.integers(1, brick)) if nb >= 2 and brick > 1 and shape == "mixed" else 0
+    return ActTensor(arr[..., :nb * brick - cut]), crit
+
+
+def assert_same_roe_store(got, want):
+    assert (got.dims, got.logical_i, got.brick, got.crit) == \
+        (want.dims, want.logical_i, want.brick, want.crit)
+    for field in ("encoded", "offsets", "values", "counts"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("shape", ROE_SHAPES)
+@pytest.mark.parametrize("brick", ROE_BRICKS)
+def test_roe_codec_matches_the_two_reading_oracle(brick, shape):
+    """Bytes, decoded fields and their dtypes equal the two-reading codec's,
+    on a seeded case of every brick size and brick-row shape."""
+    acts, crit = roe_case(brick, shape, seed=101 * brick + ROE_SHAPES.index(shape))
+    store = RoeStore.encode(acts, crit, brick)
+    k = roe_slots_that_fit(brick)
+    if shape == "raw" and k < brick:
+        assert not store.encoded.any()
+    elif shape == "alternating" and k < brick:
+        assert np.array_equal(store.encoded, np.arange(len(store.encoded)) % 2 == 1)
+    elif shape != "mixed":
+        assert store.encoded.all()
+    if shape == "tie":
+        assert (store.counts == k).any()
+    assert store.logical_i <= store.i
+    oracle = TwoReadingRoeStore.encode(acts, crit, brick)
+    assert_same_roe_store(store, oracle)
+    blob = store.to_bytes()
+    assert blob == oracle.to_bytes()
+    back = RoeStore.from_bytes(blob)
+    assert_same_roe_store(back, TwoReadingRoeStore.from_bytes(blob))
+    assert back.to_bytes() == blob
+
+
+@pytest.mark.parametrize("brick", (1, 2, 3, 4, 5, 16, 17))
+def test_roe_bit_flips_are_refused_as_the_two_reading_oracle_refuses(brick):
+    """Every single-bit flip of a stream that mixes raw and encoded bricks:
+    the reader refuses it exactly when the two-reading codec does, and the
+    stores agree when both load it."""
+    acts, crit = roe_case(brick, "alternating", seed=7 * brick)
+    blob = RoeStore.encode(acts, crit, brick).to_bytes()
+    loaded = 0
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> bit % 8
+        try:
+            want = TwoReadingRoeStore.from_bytes(bytes(flipped))
+        except FormatError:
+            with pytest.raises(FormatError):
+                RoeStore.from_bytes(bytes(flipped))
+            continue
+        assert_same_roe_store(RoeStore.from_bytes(bytes(flipped)), want)
+        loaded += 1
+    assert loaded > 0
 
 
 # -- viai ----------------------------------------------------------------

@@ -158,6 +158,17 @@ CASES.update({
     for kind, value in (("huge-int", 10 ** 400), ("nan", float("nan")),
                         ("infinity", float("inf")), ("minus-infinity", float("-inf")))
 })
+# the same numbers in the count columns, beside a good speedup: NaN cycles,
+# infinite MACs performed and a 401-digit broadcast count
+CASES.update({
+    f"cli-compare-{kind}-{column}": (
+        2, "like every other numeric column",
+        lambda tmp, column=column, value=value: _compare(
+            tmp, {"rows": [{"arch": "cnv", "speedup": 2.0, column: value}]}))
+    for kind, column, value in (("nan", "cycles", float("nan")),
+                                ("infinity", "macs_performed", float("inf")),
+                                ("huge-int", "broadcasts", 10 ** 400))
+})
 # a speedup the report schema excludes (it must be above 0), which `run`
 # never writes
 CASES.update({
